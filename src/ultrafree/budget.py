@@ -48,6 +48,11 @@ class SearchBudget:
         return _Meter(op, self.max_nodes, self.max_millis)
 
 
+def _meter(budget: SearchBudget | None, op: str):
+    """A meter for one invocation of ``op``, or None without a budget."""
+    return None if budget is None else budget.meter(op)
+
+
 class _Meter:
     """Per-invocation counter; cheap enough to charge in inner loops."""
 

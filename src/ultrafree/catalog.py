@@ -3,9 +3,16 @@
 Graphs are canonicalized by iterated neighborhood-color refinement with
 individualization on the first non-singleton cell; the certificate is
 the minimum relabeled adjacency tuple over the search leaves.  The
-catalog generates all graphs up to isomorphism level by level (every
-n-vertex graph is an (n-1)-vertex graph plus one vertex) and keeps the
-connected ones.
+search prunes by automorphisms (McKay and Piperno, *Practical graph
+isomorphism II*, 2014): two leaves with equal certificates give an
+automorphism, and a child of a node is skipped when an automorphism
+found so far that fixes the node's individualized vertices maps an
+already explored sibling onto it.  Refinement and the choice of target
+cell commute with relabeling, so such an automorphism maps the sibling's
+subtree onto the child's with the same leaf certificates, and the
+minimum is the one the unpruned search returns.  The catalog generates
+all graphs up to isomorphism level by level (every n-vertex graph is an
+(n-1)-vertex graph plus one vertex) and keeps the connected ones.
 """
 
 from __future__ import annotations
@@ -59,6 +66,28 @@ def _certificate(adj, colors):
     return tuple(out)
 
 
+def _automorphism(a, b):
+    # a, b: discrete colorings with equal certificates; the vertex colored
+    # c under b maps to the vertex colored c under a
+    vertex_of = [0] * len(a)
+    for v, c in enumerate(a):
+        vertex_of[c] = v
+    return [vertex_of[c] for c in b]
+
+
+def _orbit(seeds, gens):
+    orbit = set(seeds)
+    todo = list(seeds)
+    while todo:
+        v = todo.pop()
+        for g in gens:
+            w = g[v]
+            if w not in orbit:
+                orbit.add(w)
+                todo.append(w)
+    return orbit
+
+
 def canonical_form(G: Graph) -> tuple[int, ...]:
     """Adjacency masks of a canonical relabeling; equal for isomorphic
     graphs and distinct otherwise."""
@@ -66,10 +95,10 @@ def canonical_form(G: Graph) -> tuple[int, ...]:
     if n == 0:
         return ()
     adj = G.adj
-    best = None
+    leaves = []  # (certificate, coloring) of the first leaf and the best leaf
+    autos: list[list[int]] = []
 
-    def dfs(colors):
-        nonlocal best
+    def dfs(colors, prefix):
         colors = _refine(adj, colors)
         cells: dict[int, list[int]] = {}
         for v, c in enumerate(colors):
@@ -81,16 +110,29 @@ def canonical_form(G: Graph) -> tuple[int, ...]:
                 break
         if target is None:
             cert = _certificate(adj, colors)
-            if best is None or cert < best:
-                best = cert
+            if not leaves:
+                leaves[:] = [(cert, colors)] * 2
+                return
+            for other, other_colors in leaves:
+                if cert == other:
+                    autos.append(_automorphism(colors, other_colors))
+                    break
+            if cert < leaves[1][0]:
+                leaves[1] = (cert, colors)
             return
+        explored: list[int] = []
         for v in target:
+            if explored:
+                fixing = [g for g in autos if all(g[u] == u for u in prefix)]
+                if v in _orbit(explored, fixing):
+                    continue
+            explored.append(v)
             child = list(colors)
             child[v] = n  # fresh color, renormalized by the next refine
-            dfs(child)
+            dfs(child, prefix + [v])
 
-    dfs([0] * n)
-    return best
+    dfs([0] * n, [])
+    return leaves[1][0]
 
 
 def is_isomorphic(G: Graph, H: Graph) -> bool:

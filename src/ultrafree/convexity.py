@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .budget import SearchBudget
+from .errors import ClaimViolation
 from .graphs import Graph, members
 from . import graphs as _graphs
 from . import setsystems as _ss
@@ -190,7 +191,7 @@ def _mis_hulls_cross_check(S: ConvexitySpace, y1, y2, intersects: bool) -> None:
         b &= S.points[p]
     has_edge = any(G.adj[v] & b for v in members(a))
     if intersects != (not has_edge):
-        raise RuntimeError("hull/edge reformulation mismatch on a graph space")
+        raise ClaimViolation("hull/edge reformulation mismatch on a graph space")
 
 
 def _radon_split(S: ConvexitySpace, pts: tuple[int, ...]):

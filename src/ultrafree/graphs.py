@@ -12,7 +12,7 @@ from itertools import combinations
 from math import comb
 
 from . import _kernels
-from .budget import SearchBudget
+from .budget import SearchBudget, _meter
 
 __all__ = [
     "Graph",
@@ -202,10 +202,6 @@ class Graph:
             frontier = nxt & ~seen
             seen |= nxt
         return seen == self.full_mask
-
-
-def _meter(budget: SearchBudget | None, op: str):
-    return None if budget is None else budget.meter(op)
 
 
 def count_cliques(G: Graph, b: int, within=None, budget: SearchBudget | None = None) -> int:

@@ -13,7 +13,8 @@ from itertools import combinations
 from math import comb
 
 from . import _kernels
-from .budget import SearchBudget
+from .budget import SearchBudget, _meter
+from .errors import ClaimViolation
 from .graphs import Graph, mask_of, members
 from .lp import max_simplex
 
@@ -104,10 +105,6 @@ class FractionalSolution:
 
     def __repr__(self):
         return f"FractionalSolution(value={self.value})"
-
-
-def _meter(budget: SearchBudget | None, op: str):
-    return None if budget is None else budget.meter(op)
 
 
 def dual(F: SetSystem) -> SetSystem:
@@ -272,17 +269,17 @@ def fractional_transversal(F: SetSystem) -> FractionalSolution:
     value, y, x = max_simplex(c, A, b)
 
     if any(w < 0 for w in y) or any(w < 0 for w in x):
-        raise RuntimeError("LP certification failed: negative weight")
+        raise ClaimViolation("LP certification failed: negative weight")
     for v in range(F.ground):
         if sum((y[j] for j in range(m) if F.sets[j] >> v & 1), Fraction(0)) > 1:
-            raise RuntimeError("LP certification failed: matching overloads a point")
+            raise ClaimViolation("LP certification failed: matching overloads a point")
     for j in range(m):
         if sum((x[v] for v in members(F.sets[j])), Fraction(0)) < 1:
-            raise RuntimeError("LP certification failed: transversal misses a set")
+            raise ClaimViolation("LP certification failed: transversal misses a set")
     total_x = sum(x, Fraction(0))
     total_y = sum(y, Fraction(0))
     if not (total_x == total_y == value):
-        raise RuntimeError("LP certification failed: duality gap")
+        raise ClaimViolation("LP certification failed: duality gap")
 
     matching = FractionalSolution({j: w for j, w in enumerate(y) if w}, value)
     return FractionalSolution({v: w for v, w in enumerate(x) if w}, value, matching)

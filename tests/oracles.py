@@ -1,8 +1,10 @@
 """Independent brute-force references for the exact solvers.
 
 Everything here recomputes from the definitions with itertools and no
-pruning, sharing no code with the package internals.  Slow on purpose;
-keep the inputs small.
+pruning, sharing no code with the package internals.  The one exception
+is :func:`canonical_form_reference`, which reuses the catalog's
+refinement and certificate so that its output is comparable tuple for
+tuple.  Slow on purpose; keep the inputs small.
 """
 
 from fractions import Fraction
@@ -11,6 +13,7 @@ from math import comb
 
 from hypothesis import strategies as st
 
+from ultrafree.catalog import _certificate, _refine
 from ultrafree.graphs import Graph
 
 
@@ -232,6 +235,40 @@ def isomorphic(G, H):
         )
         for perm in permutations(range(G.n))
     )
+
+
+def canonical_form_reference(G):
+    """catalog.canonical_form without automorphism pruning: the minimum
+    certificate over every leaf of the individualization-refinement tree."""
+    n = G.n
+    if n == 0:
+        return ()
+    adj = G.adj
+    best = None
+
+    def dfs(colors):
+        nonlocal best
+        colors = _refine(adj, colors)
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(colors):
+            cells.setdefault(c, []).append(v)
+        target = None
+        for c in sorted(cells):
+            if len(cells[c]) > 1:
+                target = cells[c]
+                break
+        if target is None:
+            cert = _certificate(adj, colors)
+            if best is None or cert < best:
+                best = cert
+            return
+        for v in target:
+            child = list(colors)
+            child[v] = n  # fresh color, renormalized by the next refine
+            dfs(child)
+
+    dfs([0] * n)
+    return best
 
 
 @st.composite

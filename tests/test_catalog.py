@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings
 
+from ultrafree import catalog
 from ultrafree.catalog import (
     all_graphs,
     canonical_form,
@@ -11,6 +12,8 @@ from ultrafree.catalog import (
     is_isomorphic,
     seeded_random_graphs,
 )
+from ultrafree.constructions import hypercube_lb
+from ultrafree.decompose import twin_quotient
 from ultrafree.graphs import Graph
 
 import oracles
@@ -22,6 +25,18 @@ def relabel(G, perm):
         adj[perm[u]] |= 1 << perm[v]
         adj[perm[v]] |= 1 << perm[u]
     return Graph.from_masks(adj)
+
+
+def one_vertex_extensions(m):
+    """The m-vertex candidates all_graphs canonicalizes: each (m-1)-vertex
+    catalog graph plus a vertex joined to every subset."""
+    for G in all_graphs(m - 1):
+        for nb in range(1 << (m - 1)):
+            adj = list(G.adj) + [nb]
+            for v in range(m - 1):
+                if nb >> v & 1:
+                    adj[v] |= 1 << (m - 1)
+            yield Graph.from_masks(adj)
 
 
 class TestCanonicalForm:
@@ -61,6 +76,40 @@ class TestCanonicalForm:
         for G, H in combinations(level, 2):
             assert canonical_form(G) != canonical_form(H)
             assert not oracles.isomorphic(G, H)
+
+
+class TestPruningKeepsCertificate:
+    # automorphism pruning must return the unpruned search's minimum
+
+    def test_catalog_candidates(self):
+        for m in range(1, 7):
+            for G in one_vertex_extensions(m):
+                assert canonical_form(G) == oracles.canonical_form_reference(G)
+
+    def test_random_graphs(self):
+        for G in seeded_random_graphs(200, 14, 31):
+            assert canonical_form(G) == oracles.canonical_form_reference(G)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_hypercube_construction(self, d):
+        H, G = hypercube_lb(d)
+        for X in (H, twin_quotient(G).quotient):
+            assert canonical_form(X) == oracles.canonical_form_reference(X)
+
+    def test_hypercube_d5_leaves(self, monkeypatch):
+        # the unpruned search reaches |Aut| = 2^5 * 5! = 3840 leaves here
+        calls = []
+        certificate = catalog._certificate
+
+        def counted(adj, colors):
+            calls.append(1)
+            return certificate(adj, colors)
+
+        monkeypatch.setattr(catalog, "_certificate", counted)
+        H, G = hypercube_lb(5)
+        canonical_form(H)
+        assert len(calls) <= 64
+        assert is_isomorphic(twin_quotient(G).quotient, H)
 
 
 class TestIsIsomorphic:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import ultrafree.setsystems
 from ultrafree.cli import main
 from ultrafree.constructions import hypercube_lb
 from ultrafree.io import decomposition_from_obj, parse_graph
@@ -150,6 +151,20 @@ class TestSetsys:
     def test_bad_metric_arity(self, c5_file, capsys):
         assert main(["setsys", c5_file, "--metrics", "pq:3"]) == 2
         assert "unknown set-system metric" in capsys.readouterr().err
+
+    def test_failed_lp_certificate(self, monkeypatch, capsys):
+        max_simplex = ultrafree.setsystems.max_simplex
+
+        def wrong_dual(c, A, b):
+            value, x, duals = max_simplex(c, A, b)
+            return value, x, [0] * len(duals)
+
+        monkeypatch.setattr(ultrafree.setsystems, "max_simplex", wrong_dual)
+        sysjson = '{"ground": 3, "sets": [[0, 1], [1, 2]]}'
+        assert main(["setsys", sysjson, "--metrics", "tau", "--json"]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "claim-violation"
+        assert "LP certification failed" in error["message"]
 
 
 class TestSpace:

@@ -17,6 +17,7 @@ from ultrafree.convexity import (
     verify_correspondence,
     weak_eps_net,
 )
+from ultrafree.errors import ClaimViolation
 from ultrafree.graphs import Graph, members
 from ultrafree.setsystems import SetSystem
 
@@ -148,6 +149,13 @@ class TestGraphSpace:
         assert radon_partition(S, [0, 1]) is None
         got = radon_partition(S, [0, 1, 2, 3, 4])
         assert got == ((0, 2, 3, 4), (1,))
+
+    def test_hull_cross_check_failure(self, monkeypatch):
+        # hulls that never meet contradict the edge reformulation
+        S = mis_space(Graph.cycle(5))
+        monkeypatch.setattr(ConvexitySpace, "hull_mask", lambda self, mask: 0)
+        with pytest.raises(ClaimViolation, match="hull/edge reformulation"):
+            radon_partition(S, [0, 1, 2, 3, 4])
 
     def test_partition_contract(self):
         S = subcube_space(2)
