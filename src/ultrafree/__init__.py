@@ -6,12 +6,10 @@ VC dimension, no large half graphs, and small blow-up quotients.  This
 package computes all of the relevant quantities exactly (rationals, no
 floats) and re-verifies each structural claim on every input it touches.
 
-The hot search kernels run on a compiled extension when it is installed;
-``BACKEND`` records which implementation is live, and the environment
-variable ``ULTRAFREE_PURE=1`` forces the pure-Python one.
+``BACKEND`` is the constant ``"pure"``: the search kernels have a single
+pure-Python implementation, and the name is kept for scripts that print it.
 """
 
-from ._kernels import BACKEND
 from .budget import BudgetExceeded, SearchBudget, UNLIMITED
 from .catalog import canonical_form, connected_graphs, is_isomorphic
 from .constructions import (
@@ -91,6 +89,7 @@ from .ultra import (
 )
 
 __version__ = TOOL_VERSION
+BACKEND = "pure"
 
 __all__ = [
     "BACKEND",

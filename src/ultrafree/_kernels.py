@@ -2,9 +2,7 @@
 
 ``adj`` is a list where ``adj[v]`` is the neighbor bitmask of vertex ``v``
 (no self-bit).  Vertex subsets are bitmasks too.  These are the hot inner
-loops of the package; ``ultrafree._kernels`` swaps in the compiled twin
-when it is available, so keep the two implementations behaviorally
-identical, including tie-breaking and output order.
+loops of the package.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from .graphs import Graph, has_induced_p4, max_clique_witness
 from . import graphs as _graphs
 from .reports import Check, Report, digest_of
 from .setsystems import SetSystem, neighborhood_system, vc_dimension
-from .ultra import is_eps_ultra, ultra_parameter
+from .ultra import _twin_classes, is_eps_ultra, ultra_parameter
 
 __all__ = [
     "E_UP",
@@ -162,8 +162,7 @@ def haussler_partition(
         raise ValueError("need r >= 3")
     if not is_eps_ultra(G, r, eps, budget):
         raise PreconditionViolated("graph is not eps-ultra maximal K_r-free")
-    n = G.n
-    s = eps * n / 10
+    s = eps * G.n / 10
     reps = _separated_reps(G.adj, s)
     assign = _assign_to_reps(G.adj, reps, s)
     groups: list[list[int]] = [[] for _ in reps]
@@ -200,34 +199,17 @@ def haussler_partition(
     final.sort(key=lambda p: p[0])
     if len(final) > (r - 1) * max(1, len(reps)):
         raise ClaimViolation("quotient larger than (r-1) times the family size")
-
-    origin = [0] * n
-    for i, part in enumerate(final):
-        for v in part:
-            origin[v] = i
-    k = len(final)
-    adj = [0] * k
-    for i, j in combinations(range(k), 2):
-        if G.has_edge(final[i][0], final[j][0]):
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    deco = BlowupDecomposition(tuple(final), Graph.from_masks(adj), tuple(origin))
-    deco.validate(G)
-    return deco
+    return _quotient(G, final)
 
 
-def twin_quotient(G: Graph) -> BlowupDecomposition:
-    """Coarsest blow-up decomposition: classes of equal open
-    neighborhoods.  The quotient is twin-free."""
-    by_mask: dict[int, list[int]] = {}
-    for v in range(G.n):
-        by_mask.setdefault(G.adj[v], []).append(v)
-    parts = sorted((tuple(c) for c in by_mask.values()), key=lambda p: p[0])
-    k = len(parts)
+def _quotient(G: Graph, parts) -> BlowupDecomposition:
+    """Decomposition of G into ``parts`` (ordered by first vertex), with the
+    quotient read off the parts' first vertices; validated against G."""
     origin = [0] * G.n
     for i, part in enumerate(parts):
         for v in part:
             origin[v] = i
+    k = len(parts)
     adj = [0] * k
     for i, j in combinations(range(k), 2):
         if G.has_edge(parts[i][0], parts[j][0]):
@@ -235,7 +217,14 @@ def twin_quotient(G: Graph) -> BlowupDecomposition:
             adj[j] |= 1 << i
     deco = BlowupDecomposition(tuple(parts), Graph.from_masks(adj), tuple(origin))
     deco.validate(G)
-    if len(set(deco.quotient.adj)) != k:
+    return deco
+
+
+def twin_quotient(G: Graph) -> BlowupDecomposition:
+    """Coarsest blow-up decomposition: classes of equal open
+    neighborhoods.  The quotient is twin-free."""
+    deco = _quotient(G, [tuple(c) for c in _twin_classes(G)])
+    if len(set(deco.quotient.adj)) != len(deco.parts):
         raise ClaimViolation("twin quotient still contains twins")
     return deco
 

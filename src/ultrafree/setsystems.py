@@ -109,15 +109,7 @@ class FractionalSolution:
 
 def dual(F: SetSystem) -> SetSystem:
     """Transpose the incidence matrix: one set per original ground element."""
-    masks = [0] * F.ground
-    for i, s in enumerate(F.sets):
-        bit = 1 << i
-        m = s
-        while m:
-            low = m & -m
-            masks[low.bit_length() - 1] |= bit
-            m ^= low
-    return SetSystem.from_masks(len(F.sets), masks)
+    return SetSystem.from_masks(len(F.sets), _element_cover_masks(F))
 
 
 def disjointness_graph(F: SetSystem) -> Graph:

@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from ultrafree.budget import BudgetExceeded, SearchBudget, UNLIMITED
@@ -108,10 +108,15 @@ class TestCliqueKernels:
             got = [members(m) for m in list_cliques(G, b)]
             assert got == oracles.cliques(G, b)
 
-    def test_within_restriction(self):
-        G = Graph.complete(6)
-        assert count_cliques(G, 2, within=(0, 1, 2)) == 3
-        assert list_cliques(G, 2, within=mask_of((4, 5))) == [mask_of((4, 5))]
+    @given(oracles.graphs(max_n=8), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_within_restriction(self, G, data):
+        within = data.draw(st.integers(min_value=0, max_value=G.full_mask))
+        for b in range(1, 5):
+            want = oracles.cliques(G, b, within=members(within))
+            assert count_cliques(G, b, within=within) == len(want)
+            assert count_cliques(G, b, within=members(within)) == len(want)
+            assert [members(m) for m in list_cliques(G, b, within=within)] == want
 
     def test_zero_size(self):
         assert count_cliques(C5, 1) == 5
