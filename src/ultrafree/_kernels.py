@@ -16,7 +16,8 @@ __all__ = [
 ]
 
 
-def _members(mask: int) -> tuple[int, ...]:
+def members(mask: int) -> tuple[int, ...]:
+    """Set bits of ``mask`` in increasing order."""
     out = []
     while mask:
         low = mask & -mask
@@ -233,5 +234,5 @@ def enumerate_mis(adj, n, meter=None):
             x |= low
 
     bk(0, full, 0)
-    out.sort(key=_members)
+    out.sort(key=members)
     return out

@@ -247,6 +247,9 @@ def _load_measure(spec: str, size: int) -> Measure:
     obj = json.loads(load_text(spec))
     if not isinstance(obj, dict):
         raise ParseError("measure JSON must map point indices to rationals")
+    for k in obj:
+        if not (k.isdecimal() and int(k) < size):
+            raise ParseError(f"measure point {k!r} is not in 0..{size - 1}")
     return Measure({int(k): _parse_fraction(str(v)) for k, v in obj.items()})
 
 

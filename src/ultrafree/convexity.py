@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .budget import SearchBudget
+from .budget import SearchBudget, _meter
 from .errors import ClaimViolation
 from .graphs import Graph, members
 from . import graphs as _graphs
@@ -101,7 +101,7 @@ class ConvexitySpace:
     def convex_sets(self, budget: SearchBudget | None = None) -> tuple[int, ...]:
         """All distinct nonempty convex sets (closure of the generators
         plus the full ground), sorted by member tuple."""
-        meter = None if budget is None else budget.meter("convex_sets")
+        meter = _meter(budget, "convex_sets")
         gens = [g for g in set(self.generators.sets) if g]
         closure = set(gens)
         closure.add(self.full_mask)

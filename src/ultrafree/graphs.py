@@ -12,6 +12,7 @@ from itertools import combinations
 from math import comb
 
 from . import _kernels
+from ._kernels import members
 from .budget import SearchBudget, _meter
 
 __all__ = [
@@ -36,16 +37,6 @@ def mask_of(vertices) -> int:
     for v in vertices:
         m |= 1 << v
     return m
-
-
-def members(mask: int) -> tuple[int, ...]:
-    """Set bits of ``mask`` in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 class Graph:

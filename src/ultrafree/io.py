@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 from .budget import SearchBudget
 from .convexity import ConvexitySpace, explicit_space, mis_space, subcube_space
@@ -50,7 +51,7 @@ def load_text(source) -> str:
     verbatim; otherwise it must be the path of a readable file.
     """
     if isinstance(source, os.PathLike):
-        return open(source, encoding="utf-8").read()
+        return Path(source).read_text(encoding="utf-8")
     head = source.lstrip()[:1]
     if head in ("{", "["):
         return source
@@ -58,7 +59,7 @@ def load_text(source) -> str:
     if first in ("p", "c", "e"):
         return source
     if os.path.exists(source):
-        return open(source, encoding="utf-8").read()
+        return Path(source).read_text(encoding="utf-8")
     raise ParseError(f"not a recognized format and no such file: {source!r}")
 
 

@@ -212,38 +212,11 @@ def transversal_number(F: SetSystem, budget: SearchBudget | None = None):
 
 
 def matching_number(F: SetSystem, budget: SearchBudget | None = None):
-    """Exact maximum pairwise-disjoint subfamily: ``(size, witness_indices)``."""
-    m = len(F.sets)
-    if m == 0:
-        return 0, ()
-    meter = _meter(budget, "matching_number")
-    compat = [0] * m
-    for i, j in combinations(range(m), 2):
-        if not F.sets[i] & F.sets[j]:
-            compat[i] |= 1 << j
-            compat[j] |= 1 << i
-    best_size = 0
-    best: tuple[int, ...] = ()
-
-    def rec(cand: int, chosen: list[int]):
-        nonlocal best_size, best
-        if meter is not None:
-            meter.charge()
-        if len(chosen) + cand.bit_count() <= best_size:
-            return
-        if cand == 0:
-            best_size = len(chosen)
-            best = tuple(chosen)
-            return
-        low = cand & -cand
-        i = low.bit_length() - 1
-        chosen.append(i)
-        rec(cand & compat[i], chosen)
-        chosen.pop()
-        rec(cand ^ low, chosen)
-
-    rec((1 << m) - 1, [])
-    return best_size, best
+    """Maximum clique of the disjointness graph, that is, a largest
+    pairwise-disjoint subfamily: ``(size, witness_indices)``."""
+    D = disjointness_graph(F)
+    size, mask = _kernels.max_clique(D.adj, D.full_mask, _meter(budget, "matching_number"))
+    return size, members(mask)
 
 
 def fractional_transversal(F: SetSystem) -> FractionalSolution:
@@ -393,11 +366,7 @@ def frac_helly_witness(F: SetSystem, k: int):
         1 for idxs in combinations(range(m), k) if _intersection(F.sets, idxs, full)
     )
     alpha = Fraction(good, comb(m, k))
-    max_deg = 0
-    for v in range(F.ground):
-        deg = sum(1 for s in F.sets if s >> v & 1)
-        if deg > max_deg:
-            max_deg = deg
+    max_deg = max((c.bit_count() for c in _element_cover_masks(F)), default=0)
     beta = Fraction(max_deg, m)
     return alpha, beta
 
@@ -409,15 +378,9 @@ def maximal_intersecting_subfamilies(F: SetSystem) -> list[tuple[int, ...]]:
     Every intersecting subfamily lives inside the family of sets through
     some common point, so the maximal ones are the maximal point stars.
     """
-    stars = set()
-    for v in range(F.ground):
-        star = frozenset(i for i, s in enumerate(F.sets) if s >> v & 1)
-        if star:
-            stars.add(star)
-    maximal = [
-        s for s in stars if not any(s < t for t in stars)
-    ]
-    return sorted(tuple(sorted(s)) for s in maximal)
+    stars = {c for c in _element_cover_masks(F) if c}
+    maximal = [s for s in stars if not any(s != t and s & t == s for t in stars)]
+    return sorted(members(s) for s in maximal)
 
 
 def mis_family(G: Graph, budget: SearchBudget | None = None) -> SetSystem:

@@ -9,7 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .budget import SearchBudget
+from . import _kernels
+from .budget import SearchBudget, _meter
 from .errors import InternalContradiction, PreconditionViolated
 from .graphs import Graph, list_cliques, members
 from . import graphs as _graphs
@@ -143,7 +144,7 @@ def find_half_graph(G: Graph, k: int, budget: SearchBudget | None = None):
         raise ValueError("need k >= 1")
     if 2 * k > G.n:
         return None
-    meter = None if budget is None else budget.meter("find_half_graph")
+    meter = _meter(budget, "find_half_graph")
     classes = _twin_classes(G)
     nc = len(classes)
     caps = [len(c) for c in classes]
@@ -314,10 +315,10 @@ def build_half_from_matching(
 def nu_bi(G: Graph, budget: SearchBudget | None = None):
     """Exact bipartite induced matching number with a witness.
 
-    Branch and bound over ordered adjacent pairs; two pairs are
-    compatible when vertex-disjoint with both cross pairs non-adjacent.
+    Maximum clique of the compatibility graph on ordered adjacent pairs;
+    two pairs are compatible when vertex-disjoint with both cross pairs
+    non-adjacent.
     """
-    meter = None if budget is None else budget.meter("nu_bi")
     cands: list[tuple[int, int]] = []
     for u, v in G.edges():
         cands.append((u, v))
@@ -332,28 +333,8 @@ def nu_bi(G: Graph, budget: SearchBudget | None = None):
             if len({a, b, c, d}) == 4 and not G.has_edge(a, d) and not G.has_edge(c, b):
                 compat[i] |= 1 << j
                 compat[j] |= 1 << i
-    best = 0
-    best_pairs: tuple[tuple[int, int], ...] = ()
-    chosen: list[tuple[int, int]] = []
-
-    def rec(avail: int) -> None:
-        nonlocal best, best_pairs
-        if meter is not None:
-            meter.charge()
-        if len(chosen) > best:
-            best = len(chosen)
-            best_pairs = tuple(chosen)
-        while avail:
-            if len(chosen) + avail.bit_count() <= best:
-                return
-            i = (avail & -avail).bit_length() - 1
-            avail &= avail - 1
-            chosen.append(cands[i])
-            rec(avail & compat[i])
-            chosen.pop()
-
-    rec((1 << m) - 1)
-    witness = BiInducedMatching(best_pairs)
+    best, mask = _kernels.max_clique(compat, (1 << m) - 1, _meter(budget, "nu_bi"))
+    witness = BiInducedMatching(tuple(cands[i] for i in members(mask)))
     witness.validate(G)
     return best, witness
 

@@ -224,6 +224,17 @@ class TestSpace:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["weak_net"] == [0]
 
+    @pytest.mark.parametrize("key", ["99", "-1"])
+    def test_measure_point_out_of_range(self, tmp_path, capsys, key):
+        mf = tmp_path / "m.json"
+        mf.write_text(json.dumps({"0": "1/2", key: "1/2"}))
+        space = '{"kind": "explicit", "system": {"ground": 5, "sets": [[0, 1], [2, 3, 4]]}}'
+        code = main(["space", space, "--weak-net", "1/2", "--measure", str(mf), "--json"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "parse-error"
+        assert repr(key) in err["message"]
+
     def test_decimal_eps_rejected(self, capsys):
         assert main(["space", '{"kind": "subcubes", "dim": 2}', "--weak-net", "0.5"]) == 2
         assert "expected a rational" in capsys.readouterr().err

@@ -1,4 +1,6 @@
+import gc
 import json
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,16 @@ class TestLoadText:
     def test_not_a_file(self):
         with pytest.raises(ParseError, match="no such file"):
             load_text("definitely-not-here.txt")
+
+    def test_file_closed(self, tmp_path):
+        f = tmp_path / "g.dimacs"
+        f.write_text("p edge 2 1\ne 1 2\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            parse_graph(str(f))
+            parse_graph(f)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestDimacs:

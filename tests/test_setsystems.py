@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
+from ultrafree.budget import BudgetExceeded, SearchBudget
 from ultrafree.graphs import Graph, mask_of
 from ultrafree.setsystems import (
     FractionalSolution,
@@ -129,6 +130,11 @@ class TestTransversalMatching:
         F = SetSystem(3, [])
         assert transversal_number(F) == (0, ())
         assert matching_number(F) == (0, ())
+
+    def test_matching_budget(self):
+        with pytest.raises(BudgetExceeded) as exc:
+            matching_number(mis_star_system(C5), SearchBudget(max_nodes=1))
+        assert exc.value.op == "matching_number"
 
 
 class TestFractional:

@@ -118,7 +118,7 @@ class TestBiInducedMatching:
 
 class TestNuBi:
     def test_c5(self):
-        assert nu_bi(C5) == (2, BiInducedMatching(((0, 1), (3, 2))))
+        assert nu_bi(C5) == (2, BiInducedMatching(((1, 2), (4, 3))))
 
     def test_small(self):
         assert nu_bi(Graph(3)) == (0, BiInducedMatching(()))
@@ -140,8 +140,9 @@ class TestNuBi:
         witness.validate(G)
 
     def test_budget(self):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as exc:
             nu_bi(Graph.cycle(9), SearchBudget(max_nodes=2))
+        assert exc.value.op == "nu_bi"
 
 
 class TestFindHalfGraph:
