@@ -20,7 +20,7 @@ from .errors import ClaimViolation
 from .graphs import Graph, members
 from . import graphs as _graphs
 from . import setsystems as _ss
-from .reports import Check, Report, digest_of
+from .reports import Check, Report, _graph_digest
 
 __all__ = [
     "ConvexitySpace",
@@ -247,6 +247,9 @@ def weak_eps_net(S: ConvexitySpace, mu: Measure, eps) -> tuple[int, ...]:
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
+    for p in sorted(mu.weights):
+        if not 0 <= p < S.ground_size:
+            raise ValueError(f"measure point {p} is not in 0..{S.ground_size - 1}")
     heavy = [c for c in S.convex_sets() if mu.mass(c) >= eps]
     net: list[int] = []
     while heavy:
@@ -257,10 +260,6 @@ def weak_eps_net(S: ConvexitySpace, mu: Measure, eps) -> tuple[int, ...]:
         net.append(best_p)
         heavy = [c for c in heavy if not c >> best_p & 1]
     return tuple(sorted(net))
-
-
-def _graph_digest(G: Graph, *extra) -> str:
-    return digest_of({"n": G.n, "edges": G.edges()}, *extra)
 
 
 def verify_correspondence(G: Graph, r: int, budget: SearchBudget | None = None) -> Report:

@@ -19,7 +19,7 @@ from .budget import SearchBudget
 from .errors import ClaimViolation, PreconditionViolated
 from .graphs import Graph, has_induced_p4, max_clique_witness
 from . import graphs as _graphs
-from .reports import Check, Report, digest_of
+from .reports import Check, Report, _graph_digest
 from .setsystems import SetSystem, neighborhood_system, vc_dimension
 from .ultra import _twin_classes, is_eps_ultra, ultra_parameter
 
@@ -306,7 +306,7 @@ def vc_chromatic_partition(G: Graph, c, budget: SearchBudget | None = None):
             witness=None if ok else {"colors": m, "bound": bound},
         ),
     ]
-    report = Report(digest_of({"n": G.n, "edges": G.edges()}, {"c": c}), checks)
+    report = Report(_graph_digest(G, {"c": c}), checks)
     return tuple(colors), report
 
 
@@ -344,13 +344,13 @@ def min_degree_ultra_check(
             witness=None if ok else {"worst_pair": cert.worst_pair},
         ),
     ]
-    return Report(digest_of({"n": G.n, "edges": G.edges()}, {"r": r, "eps": eps}), checks)
+    return Report(_graph_digest(G, {"r": r, "eps": eps}), checks)
 
 
 def codegree_density_check(G: Graph, budget: SearchBudget | None = None) -> Report:
     """Min codegree c*n over non-adjacent pairs forces co-neighborhood
     edge density at least 2 - 1/c; vacuous instances are skipped."""
-    digest = digest_of({"n": G.n, "edges": G.edges()})
+    digest = _graph_digest(G)
     delta2 = _graphs.codegree_min(G, 2)
     if delta2 is None or delta2 == 0:
         reason = "no non-adjacent pair" if delta2 is None else "zero min codegree"

@@ -195,20 +195,26 @@ class Graph:
         return seen == self.full_mask
 
 
+def _within_mask(G: Graph, within) -> int:
+    """Vertex bitmask of ``within``: all of G when None, else a mask or an
+    iterable of vertices."""
+    if within is None:
+        return G.full_mask
+    return within if isinstance(within, int) else mask_of(within)
+
+
 def count_cliques(G: Graph, b: int, within=None, budget: SearchBudget | None = None) -> int:
     """Number of unlabeled b-cliques in G, or in G[within]."""
     if b < 1:
         raise ValueError("clique size must be at least 1")
-    mask = G.full_mask if within is None else (within if isinstance(within, int) else mask_of(within))
-    return _kernels.count_cliques(G.adj, b, mask, _meter(budget, "count_cliques"))
+    return _kernels.count_cliques(G.adj, b, _within_mask(G, within), _meter(budget, "count_cliques"))
 
 
 def list_cliques(G: Graph, b: int, within=None, budget: SearchBudget | None = None) -> list[int]:
     """All b-cliques as bitmasks, lexicographic by member tuple."""
     if b < 0:
         raise ValueError("clique size must be nonnegative")
-    mask = G.full_mask if within is None else (within if isinstance(within, int) else mask_of(within))
-    return _kernels.list_cliques(G.adj, b, mask, _meter(budget, "list_cliques"))
+    return _kernels.list_cliques(G.adj, b, _within_mask(G, within), _meter(budget, "list_cliques"))
 
 
 def clique_number(G: Graph, budget: SearchBudget | None = None) -> int:

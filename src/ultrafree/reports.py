@@ -102,3 +102,8 @@ def digest_of(*parts) -> str:
         h.update(json.dumps(jsonable(p), sort_keys=True).encode())
         h.update(b"\x00")
     return h.hexdigest()[:12]
+
+
+def _graph_digest(G, *extra) -> str:
+    """Digest of a graph's order and edge list, followed by ``extra``."""
+    return digest_of({"n": G.n, "edges": G.edges()}, *extra)

@@ -152,7 +152,11 @@ def _disjoint_packing_bound(F: SetSystem, unhit: int) -> int:
 
 
 def transversal_number(F: SetSystem, budget: SearchBudget | None = None):
-    """Exact minimum hitting set: ``(size, witness_elements)``."""
+    """Exact minimum hitting set: ``(size, witness_elements)``.
+
+    Branch and bound between two combinatorial bounds: a greedy cover gives
+    the initial upper bound, and a greedy pairwise-disjoint packing of the
+    unhit sets lower-bounds the cost of each node.  No LP is solved."""
     if any(s == 0 for s in F.sets):
         raise Infeasible("system contains an empty set")
     m = len(F.sets)
@@ -161,8 +165,6 @@ def transversal_number(F: SetSystem, budget: SearchBudget | None = None):
     meter = _meter(budget, "transversal_number")
     covers = _element_cover_masks(F)
     all_sets = (1 << m) - 1
-
-    lp_floor = fractional_transversal(F).value.__ceil__()
 
     # greedy cover for the initial upper bound
     unhit = all_sets
@@ -182,8 +184,6 @@ def transversal_number(F: SetSystem, budget: SearchBudget | None = None):
             if len(chosen) < best_size:
                 best_size = len(chosen)
                 best = tuple(sorted(chosen))
-            return
-        if best_size <= lp_floor:
             return
         if len(chosen) + _disjoint_packing_bound(F, unhit) >= best_size:
             return

@@ -14,7 +14,7 @@ from .budget import SearchBudget, _meter
 from .errors import InternalContradiction, PreconditionViolated
 from .graphs import Graph, list_cliques, members
 from . import graphs as _graphs
-from .reports import Check, Report, digest_of
+from .reports import Check, Report, _graph_digest
 from .setsystems import neighborhood_system, vc_dimension
 
 __all__ = [
@@ -370,4 +370,4 @@ def check_vc_clique_bound(
             witness=None if ok else {"shattered": shattered},
         ),
     ]
-    return Report(digest_of({"n": G.n, "edges": G.edges()}, {"r": r, "eps": eps}), checks)
+    return Report(_graph_digest(G, {"r": r, "eps": eps}), checks)

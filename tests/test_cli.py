@@ -161,7 +161,7 @@ class TestSetsys:
 
         monkeypatch.setattr(ultrafree.setsystems, "max_simplex", wrong_dual)
         sysjson = '{"ground": 3, "sets": [[0, 1], [1, 2]]}'
-        assert main(["setsys", sysjson, "--metrics", "tau", "--json"]) == 1
+        assert main(["setsys", sysjson, "--metrics", "taustar", "--json"]) == 1
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["type"] == "claim-violation"
         assert "LP certification failed" in error["message"]

@@ -200,6 +200,12 @@ class TestWeakEpsNet:
         with pytest.raises(ValueError):
             weak_eps_net(subcube_space(1), Measure.uniform(2), 0)
 
+    @pytest.mark.parametrize("point", [99, -1])
+    def test_rejects_point_off_space(self, point):
+        mu = Measure({0: Fraction(1, 2), point: Fraction(1, 2)})
+        with pytest.raises(ValueError, match=f"measure point {point} "):
+            weak_eps_net(subcube_space(2), mu, Fraction(1, 2))
+
     @given(oracles.graphs(max_n=6, min_n=1), st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
     def test_coverage_property(self, G, denom):

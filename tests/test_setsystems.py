@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
+import ultrafree.setsystems
 from ultrafree.budget import BudgetExceeded, SearchBudget
-from ultrafree.graphs import Graph, mask_of
+from ultrafree.constructions import kneser
+from ultrafree.graphs import Graph, chromatic_number, mask_of
 from ultrafree.setsystems import (
     FractionalSolution,
     Infeasible,
@@ -135,6 +137,26 @@ class TestTransversalMatching:
         with pytest.raises(BudgetExceeded) as exc:
             matching_number(mis_star_system(C5), SearchBudget(max_nodes=1))
         assert exc.value.op == "matching_number"
+
+    def test_transversal_solves_no_lp(self, monkeypatch):
+        def no_lp(c, A, b):
+            raise AssertionError("transversal_number must not solve an LP")
+
+        monkeypatch.setattr(ultrafree.setsystems, "max_simplex", no_lp)
+        assert transversal_number(mis_star_system(C5))[0] == 3
+
+    def test_transversal_budget(self):
+        with pytest.raises(BudgetExceeded) as exc:
+            transversal_number(mis_star_system(C5), SearchBudget(max_nodes=1))
+        assert exc.value.op == "transversal_number"
+
+    @pytest.mark.parametrize("m, k", [(5, 2), (6, 2), (7, 2)])
+    def test_kneser_tau_is_chromatic(self, m, k):
+        # Lovász: chi(K(m, k)) = m - 2k + 2.  For (6, 2) and (7, 2) the
+        # fractional bound ceil(m / k) lies below tau, so the search closes
+        # that gap on its combinatorial bounds alone.
+        G = kneser(m, k)
+        assert transversal_number(mis_star_system(G))[0] == chromatic_number(G) == m - 2 * k + 2
 
 
 class TestFractional:
