@@ -321,12 +321,16 @@ def min_degree_ultra_check(
     if r < 3:
         raise ValueError("need r >= 3")
     threshold = (Fraction(2 * r - 5, 2 * r - 3) + eps) * G.n
-    if not _graphs.is_maximal_kr_free(G, r, budget):
+    try:
+        cert = ultra_parameter(G, r, budget)
+    except PreconditionViolated:  # G holds a K_r
+        cert = None
+    # a K_r-free graph is maximal iff every non-adjacent pair sees a K_{r-2}
+    if cert is None or cert.epsilon_star == 0:
         raise PreconditionViolated("graph is not maximal K_r-free")
     delta = G.min_degree()
     if Fraction(delta) < threshold:
         raise PreconditionViolated(f"min degree {delta} below {threshold}")
-    cert = ultra_parameter(G, r, budget)
     target = eps ** (r - 2)
     ok = cert.epsilon_star is None or cert.epsilon_star >= target
     checks = [

@@ -8,7 +8,6 @@ deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 from . import _kernels
@@ -133,12 +132,7 @@ class Graph:
 
     def non_edges(self):
         """Unordered non-adjacent pairs (u, v), u < v, ascending."""
-        for u in range(self.n):
-            m = self.full_mask & ~self.adj[u] & ~((1 << (u + 1)) - 1)
-            while m:
-                low = m & -m
-                yield (u, low.bit_length() - 1)
-                m ^= low
+        return (members(pair) for pair, _ in _coneighborhoods(self, 2))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return members(self.adj[v])
@@ -236,22 +230,30 @@ def enumerate_mis(G: Graph, budget: SearchBudget | None = None) -> list[tuple[in
     return [members(m) for m in masks]
 
 
-def _independent_sets(G: Graph, a: int):
-    for I in combinations(range(G.n), a):
-        if all(not G.has_edge(u, v) for u, v in combinations(I, 2)):
-            yield I
+def _coneighborhoods(G: Graph, a: int):
+    """``(I, N(I))`` as bitmasks for every independent a-set I (a >= 1),
+    lexicographic by I's member tuple.  Charges no meter."""
+    adj = G.adj
+
+    def rec(I: int, cand: int, common: int, need: int):
+        # cand: the vertices after max(I) adjacent to nothing in I
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            if need == 1:
+                yield I | low, common & adj[v]
+            else:
+                yield from rec(I | low, cand & ~adj[v], common & adj[v], need - 1)
+
+    return rec(0, G.full_mask, G.full_mask, a)
 
 
 def codegree_min(G: Graph, a: int):
     """Minimum |N(I)| over independent a-sets I; None when no such I."""
     if a < 1:
         raise ValueError("set size must be at least 1")
-    best = None
-    for I in _independent_sets(G, a):
-        size = G.common_neighbors(I).bit_count()
-        if best is None or size < best:
-            best = size
-    return best
+    return min((nbhd.bit_count() for _, nbhd in _coneighborhoods(G, a)), default=None)
 
 
 def clique_codensity(G: Graph, a: int, b: int, budget: SearchBudget | None = None):
@@ -264,17 +266,14 @@ def clique_codensity(G: Graph, a: int, b: int, budget: SearchBudget | None = Non
     if a < 1 or b < 2:
         raise ValueError("need a >= 1 and b >= 2")
     meter = _meter(budget, "clique_codensity")
-    best = None
-    for I in _independent_sets(G, a):
-        nbhd = G.common_neighbors(I)
+
+    def density(nbhd: int) -> Fraction:
         size = nbhd.bit_count()
         if size < b:
-            dens = Fraction(0)
-        else:
-            dens = Fraction(_kernels.count_cliques(G.adj, b, nbhd, meter), comb(size, b))
-        if best is None or dens < best:
-            best = dens
-    return best
+            return Fraction(0)
+        return Fraction(_kernels.count_cliques(G.adj, b, nbhd, meter), comb(size, b))
+
+    return min((density(nbhd) for _, nbhd in _coneighborhoods(G, a)), default=None)
 
 
 def clique_density_threshold(s: int, t: int) -> Fraction:
@@ -317,10 +316,9 @@ def is_maximal_kr_free(G: Graph, r: int, budget: SearchBudget | None = None) -> 
     if not is_kr_free(G, r, budget):
         return False
     meter = _meter(budget, "is_maximal_kr_free")
-    for u, v in G.non_edges():
-        nbhd = G.adj[u] & G.adj[v]
+    return all(
         # G+uv holds a K_r through u,v iff N(u,v) holds a K_{r-2};
         # for r=2 the empty clique always exists, so any edge completes a K_2
-        if _kernels.count_cliques(G.adj, r - 2, nbhd, meter) == 0:
-            return False
-    return True
+        _kernels.count_cliques(G.adj, r - 2, nbhd, meter)
+        for _, nbhd in _coneighborhoods(G, 2)
+    )

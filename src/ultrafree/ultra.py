@@ -12,8 +12,7 @@ from typing import NamedTuple, Optional
 from . import _kernels
 from .budget import SearchBudget, _meter
 from .errors import InternalContradiction, PreconditionViolated
-from .graphs import Graph, list_cliques, members
-from . import graphs as _graphs
+from .graphs import Graph, _coneighborhoods, list_cliques, members
 from .reports import Check, Report, _graph_digest
 from .setsystems import neighborhood_system, vc_dimension
 
@@ -93,23 +92,20 @@ class BiInducedMatching(NamedTuple):
 
 def ultra_parameter(G: Graph, r: int, budget: SearchBudget | None = None) -> UltraCertificate:
     """Minimum over non-adjacent pairs u,v of the number of (r-2)-cliques
-    in the common neighborhood, divided by n^(r-2).  Exact."""
+    in the common neighborhood, divided by n^(r-2).  Exact.  The K_r check
+    and every pair's count charge one meter, named ``ultra_parameter``."""
     if r < 3:
         raise ValueError("need r >= 3")
-    if not _graphs.is_kr_free(G, r, budget):
+    meter = _meter(budget, "ultra_parameter")
+    if G.n >= r and _kernels.count_cliques(G.adj, r, G.full_mask, meter):
         raise PreconditionViolated(f"graph contains a {r}-clique")
-    denom = G.n ** (r - 2)
-    best = None
     worst = None
-    for u, v in G.non_edges():
-        count = _graphs.count_cliques(
-            G, r - 2, within=G.common_neighbors((u, v)), budget=budget
-        )
-        val = Fraction(count, denom)
-        if best is None or val < best:
-            best = val
-            worst = (u, v, count)
-    return UltraCertificate(r, best, worst)
+    for pair, nbhd in _coneighborhoods(G, 2):
+        count = _kernels.count_cliques(G.adj, r - 2, nbhd, meter)
+        if worst is None or count < worst[2]:
+            worst = (*members(pair), count)
+    eps_star = None if worst is None else Fraction(worst[2], G.n ** (r - 2))
+    return UltraCertificate(r, eps_star, worst)
 
 
 def is_eps_ultra(G: Graph, r: int, eps, budget: SearchBudget | None = None) -> bool:
@@ -121,9 +117,10 @@ def is_eps_ultra(G: Graph, r: int, eps, budget: SearchBudget | None = None) -> b
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if not _graphs.is_kr_free(G, r, budget):
+    try:
+        return ultra_parameter(G, r, budget).admits(eps)
+    except PreconditionViolated:  # G holds a K_r
         return False
-    return ultra_parameter(G, r, budget).admits(eps)
 
 
 def _twin_classes(G: Graph):

@@ -191,14 +191,23 @@ def nu_bi(G):
     return best
 
 
-def epsilon_star(G, r):
-    vals = []
-    for u, v in G.non_edges():
+def pair_clique_counts(G, r):
+    """[((u, v), number of (r-2)-cliques in N(u) & N(v))] over the
+    non-adjacent pairs u < v, ascending."""
+    out = []
+    for u, v in combinations(range(G.n), 2):
+        if G.has_edge(u, v):
+            continue
         common = [
             w for w in range(G.n) if G.has_edge(u, w) and G.has_edge(v, w)
         ]
-        vals.append(Fraction(len(cliques(G, r - 2, within=common)), G.n ** (r - 2)))
-    return min(vals, default=None)
+        out.append(((u, v), len(cliques(G, r - 2, within=common))))
+    return out
+
+
+def epsilon_star(G, r):
+    counts = pair_clique_counts(G, r)
+    return min((Fraction(c, G.n ** (r - 2)) for _, c in counts), default=None)
 
 
 def codegree_min(G, a):

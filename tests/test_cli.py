@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -103,6 +104,19 @@ class TestAnalyze:
         obj = json.loads(capsys.readouterr().out)
         assert obj["error"]["type"] == "budget"
         assert "budget exceeded" in obj["error"]["message"]
+
+    def test_ultra_budget_spans_pairs(self, tmp_path, capsys):
+        # the K_4 check takes 124 nodes and each of the 18 non-adjacent
+        # pairs 8 more: one meter for the whole call runs out
+        f = tmp_path / "t.json"
+        assert main(["gen", "turan", "--params", "n=12,parts=3", "--out", str(f)]) == 0
+        argv = ["analyze", str(f), "--metrics", "ultra:4", "--json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == {"ultra:4": "1/9"}
+        assert main(argv + ["--budget-nodes", "124"]) == 3
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["error"]["type"] == "budget"
+        assert "ultra_parameter" in obj["error"]["message"]
 
 
 class TestSetsys:
@@ -298,6 +312,19 @@ class TestVerify:
         first = capsys.readouterr().out
         assert main(["verify", "--suite", "construction:d=2", "--json"]) == 0
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize(
+        "suite, sha256",
+        [
+            ("mindeg-ultra", "5a7603f2fc6d2bf5af89554d9949c404681cf4a7e222e9a2af4081691cab6a80"),
+            ("halfgraph", "ce66d8238cfd9e67fea0eb0288d612f346958fe62be7ba04c25babbc457feffd"),
+            ("construction:d=3", "d4c6fc60cc3b469f7dc17dcb81edc716ce4c446cc29dfa9700e2edeefc95a1cc"),
+        ],
+    )
+    def test_report_bytes_pinned(self, suite, sha256, capsys):
+        assert main(["verify", "--suite", suite, "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
     def test_text_mode(self, capsys):
         assert main(["verify", "--suite", "construction:d=2"]) == 0

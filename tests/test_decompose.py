@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import ultrafree.graphs
 from ultrafree.catalog import is_isomorphic
 from ultrafree.constructions import blowup, half_min, hypercube_lb, turan
 from ultrafree.decompose import (
@@ -253,9 +254,21 @@ class TestMinDegreeUltra:
     def test_three_parts(self):
         assert min_degree_ultra_check(turan(12, 3), 4, Fraction(1, 15)).passed
 
+    def test_no_separate_maximality_scan(self, monkeypatch):
+        # maximality is read off the one ultra_parameter scan
+        def no_scan(G, r, budget=None):
+            raise AssertionError("min_degree_ultra_check must not call is_maximal_kr_free")
+
+        monkeypatch.setattr(ultrafree.graphs, "is_maximal_kr_free", no_scan)
+        self.test_balanced_bipartite()
+        self.test_three_parts()
+        self.test_preconditions()
+
     def test_preconditions(self):
         with pytest.raises(PreconditionViolated, match="not maximal"):
             min_degree_ultra_check(half_min(2), 3, Fraction(1, 10))
+        with pytest.raises(PreconditionViolated, match="not maximal"):
+            min_degree_ultra_check(Graph.complete(4), 3, Fraction(1, 10))
         with pytest.raises(PreconditionViolated, match="below"):
             min_degree_ultra_check(C5, 3, Fraction(1, 5))
         with pytest.raises(ValueError):

@@ -167,13 +167,20 @@ class TestCodegree:
     @given(oracles.graphs(max_n=7))
     @settings(max_examples=40, deadline=None)
     def test_codegree_matches_brute(self, G):
-        for a in (1, 2):
+        for a in (1, 2, 3):
             assert codegree_min(G, a) == oracles.codegree_min(G, a)
 
     @given(oracles.graphs(max_n=7))
     @settings(max_examples=40, deadline=None)
     def test_codensity_matches_brute(self, G):
-        assert clique_codensity(G, 2, 2) == oracles.clique_codensity(G, 2, 2)
+        for a, b in ((1, 2), (2, 2), (2, 3), (3, 2)):
+            assert clique_codensity(G, a, b) == oracles.clique_codensity(G, a, b)
+
+    @given(oracles.graphs(max_n=8))
+    @settings(max_examples=40, deadline=None)
+    def test_non_edges_ascending(self, G):
+        expected = [(u, v) for u, v in combinations(range(G.n), 2) if not G.has_edge(u, v)]
+        assert list(G.non_edges()) == expected
 
     def test_pinned(self):
         assert codegree_min(C5, 2) == 1

@@ -55,6 +55,17 @@ class TestUltraParameter:
             u, v, count = cert.worst_pair
             assert not G.has_edge(u, v) and u != v
             assert Fraction(count, G.n ** (r - 2)) == cert.epsilon_star
+            # report witnesses rely on the tie-break: the first minimizing
+            # pair in ascending (u, v) order, as G.non_edges() lists them
+            first = min(oracles.pair_clique_counts(G, r), key=lambda pc: pc[1])
+            assert ((u, v), count) == first
+
+    def test_one_meter_per_call(self):
+        # the K_4 check takes 124 nodes and each of the 18 non-adjacent
+        # pairs 8 more: a cap on the whole call is hit, a cap per pair never
+        with pytest.raises(BudgetExceeded) as exc:
+            ultra_parameter(turan(12, 3), 4, SearchBudget(max_nodes=124))
+        assert exc.value.op == "ultra_parameter"
 
 
 class TestIsEpsUltra:
