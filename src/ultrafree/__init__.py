@@ -27,6 +27,7 @@ from .convexity import (
     ConvexitySpace,
     Measure,
     convex_hull,
+    correspondence_checks,
     mis_space,
     radon_number,
     radon_partition,
@@ -118,6 +119,7 @@ __all__ = [
     "radon_partition",
     "space_helly_number",
     "subcube_space",
+    "correspondence_checks",
     "verify_correspondence",
     "weak_eps_net",
     "BlowupDecomposition",

@@ -29,9 +29,9 @@ from .constructions import (
 )
 from .convexity import (
     Measure,
+    correspondence_checks,
     radon_number,
     space_helly_number,
-    verify_correspondence,
     weak_eps_net,
 )
 from .decompose import (
@@ -51,7 +51,6 @@ from .graphs import (
     codegree_min,
     enumerate_mis,
     is_kr_free,
-    is_maximal_kr_free,
 )
 from .io import (
     ParseError,
@@ -371,8 +370,10 @@ def _suite_correspondence(args, budget) -> Report:
     cat = _catalog(args.catalog, args.seed)
     agg = _SuiteAgg()
     for G in cat:
-        for r in (3, 4, 5):
-            agg.add_report(verify_correspondence(G, r, budget), _instance(G, r=r))
+        for r, checks in correspondence_checks(G, (3, 4, 5), budget).items():
+            instance = _instance(G, r=r)
+            for chk in checks:
+                agg.add_check(chk, instance)
     return agg.report(
         digest_of({"suite": "correspondence", "catalog": args.catalog, "seed": args.seed})
     )
@@ -440,7 +441,8 @@ def _suite_construction(args, budget, d: int) -> Report:
     agg.add_bool(
         "maximal-triangle-free",
         "construction-is-maximal-triangle-free",
-        is_maximal_kr_free(G, 3, budget),
+        # G+uv holds a triangle iff u, v share a neighbour: codegree >= 1
+        is_kr_free(G, 3, budget) and (cd is None or cd >= 1),
         name,
         detail=None,
     )
@@ -506,27 +508,30 @@ def _suite_vc_chromatic(args, budget) -> Report:
     )
 
 
+_SUITES = {
+    "correspondence": _suite_correspondence,
+    "halfgraph": _suite_halfgraph,
+    "mindeg-ultra": _suite_mindeg_ultra,
+    "codeg-edge": _suite_codeg_edge,
+    "vc-chromatic": _suite_vc_chromatic,
+}
+
+
 def _cmd_verify(args, budget) -> int:
     token = args.suite
-    name, _, param = token.partition(":")
-    if name == "correspondence":
-        rep = _suite_correspondence(args, budget)
-    elif name == "halfgraph":
-        rep = _suite_halfgraph(args, budget)
-    elif name == "construction":
+    name, colon, param = token.partition(":")
+    if name == "construction":
         d = 3
-        if param:
+        if colon:
             key, sep, val = param.partition("=")
             if key != "d" or not sep:
                 raise ValueError("construction suite takes construction:d=D")
             d = int(val)
         rep = _suite_construction(args, budget, d)
-    elif name == "mindeg-ultra":
-        rep = _suite_mindeg_ultra(args, budget)
-    elif name == "codeg-edge":
-        rep = _suite_codeg_edge(args, budget)
-    elif name == "vc-chromatic":
-        rep = _suite_vc_chromatic(args, budget)
+    elif name in _SUITES:
+        if colon:
+            raise ValueError(f"suite {name} takes no parameter, got {token!r}")
+        rep = _SUITES[name](args, budget)
     else:
         raise ValueError(
             "unknown suite; choose correspondence, halfgraph, construction:d=D, "
@@ -644,7 +649,9 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         budget = _budget_from(args)
-        return args.func(args, budget)
+        code = args.func(args, budget)
+        sys.stdout.flush()
+        return code
     except BudgetExceeded as e:
         return _emit_error(args, "budget", str(e), 3)
     except ParseError as e:
@@ -660,6 +667,10 @@ def main(argv=None) -> int:
     except ValueError as e:
         return _emit_error(args, "usage", str(e), 2)
     except OSError as e:
+        if isinstance(e, BrokenPipeError):
+            # the reader closed stdout: point it at devnull so that neither
+            # the error below nor the flush at exit writes to the pipe again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return _emit_error(args, "io", str(e), 2)
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "radon_partition",
     "space_helly_number",
     "weak_eps_net",
+    "correspondence_checks",
     "verify_correspondence",
 ]
 
@@ -262,16 +263,24 @@ def weak_eps_net(S: ConvexitySpace, mu: Measure, eps) -> tuple[int, ...]:
     return tuple(sorted(net))
 
 
-def verify_correspondence(G: Graph, r: int, budget: SearchBudget | None = None) -> Report:
-    """Check the dictionary between a graph and its star system: coloring
-    vs covering, cliques vs matchings, edges vs disjointness, clique
-    freeness vs the (r,2)-property, and independence vs intersection."""
-    stars = _ss.mis_star_system(G, budget)
-    checks = []
+def correspondence_checks(
+    G: Graph, rs, budget: SearchBudget | None = None
+) -> dict[int, list[Check]]:
+    """Check the dictionary between a graph and its star system, for each
+    r in ``rs``: coloring vs covering, cliques vs matchings, edges vs
+    disjointness, clique freeness vs the (r,2)-property, and independence
+    vs intersection.  Each list is in check-name order.
+
+    Only the clique-freeness check reads r; the others are computed once
+    and shared by every r.
+    """
+    mis = _ss.mis_family(G, budget)
+    stars = _ss.dual(mis)
+    shared = []
 
     chi = _graphs.chromatic_number(G, budget)
     tau, tau_witness = _ss.transversal_number(stars, budget)
-    checks.append(
+    shared.append(
         Check(
             "chromatic-equals-transversal",
             "chromatic-equals-transversal",
@@ -283,7 +292,7 @@ def verify_correspondence(G: Graph, r: int, budget: SearchBudget | None = None) 
 
     omega = _graphs.clique_number(G, budget)
     nu, nu_witness = _ss.matching_number(stars, budget)
-    checks.append(
+    shared.append(
         Check(
             "clique-equals-matching",
             "clique-equals-matching",
@@ -293,13 +302,17 @@ def verify_correspondence(G: Graph, r: int, budget: SearchBudget | None = None) 
         )
     )
 
+    # one star per vertex, so the rebuilt graph is on V(G).  The first pair
+    # u < v whose adjacency differs: the first differing row u, and its
+    # lowest differing bit, which lies above u since earlier rows agree
+    rebuilt = _ss.disjointness_graph(stars)
     bad_pair = None
-    for u, v in combinations(range(G.n), 2):
-        disjoint = not stars.sets[u] & stars.sets[v]
-        if G.has_edge(u, v) != disjoint:
-            bad_pair = (u, v)
+    for u in range(G.n):
+        diff = rebuilt.adj[u] ^ G.adj[u]
+        if diff:
+            bad_pair = (u, (diff & -diff).bit_length() - 1)
             break
-    checks.append(
+    shared.append(
         Check(
             "edges-match-disjoint-stars",
             "edges-match-disjoint-stars",
@@ -307,47 +320,32 @@ def verify_correspondence(G: Graph, r: int, budget: SearchBudget | None = None) 
             witness=bad_pair,
         )
     )
-
-    rebuilt = _ss.disjointness_graph(stars)
-    same = rebuilt.n == G.n and rebuilt.adj == G.adj
-    checks.append(
+    shared.append(
         Check(
             "disjointness-reconstructs-graph",
             "disjointness-reconstructs-graph",
-            "pass" if same else "fail",
-            witness=None if same else {"rebuilt_edges": rebuilt.edges()},
+            "pass" if bad_pair is None else "fail",
+            witness=None if bad_pair is None else {"rebuilt_edges": rebuilt.edges()},
         )
     )
 
-    free = _graphs.is_kr_free(G, r, budget)
-    pq = _ss.has_pq_property(stars, r, 2)
-    checks.append(
-        Check(
-            "clique-free-matches-pq",
-            "clique-free-matches-pq",
-            "pass" if free == pq else "fail",
-            value={"r": r, "kr_free": free, "pq": pq},
-            witness=None if free == pq else {"r": r},
-        )
-    )
-
-    mis = _graphs.enumerate_mis(G, budget)
+    mis_tuples = [members(s) for s in mis.sets]
     maximal_stars = _ss.maximal_intersecting_subfamilies(stars)
-    same_families = sorted(mis) == sorted(maximal_stars)
-    checks.append(
+    same_families = sorted(mis_tuples) == sorted(maximal_stars)
+    shared.append(
         Check(
             "mis-match-maximal-stars",
             "mis-match-maximal-stars",
             "pass" if same_families else "fail",
             witness=None
             if same_families
-            else {"mis": mis, "maximal_stars": maximal_stars},
+            else {"mis": mis_tuples, "maximal_stars": maximal_stars},
         )
     )
 
     expected_h = 2 if G.edge_count() >= 1 else 1
     h = _ss.helly_number(stars, budget)
-    checks.append(
+    shared.append(
         Check(
             "star-helly-matches-edges",
             "star-helly-matches-edges",
@@ -357,4 +355,21 @@ def verify_correspondence(G: Graph, r: int, budget: SearchBudget | None = None) 
         )
     )
 
-    return Report(_graph_digest(G, {"r": r}), checks)
+    out = {}
+    for r in rs:
+        free = _graphs.is_kr_free(G, r, budget)
+        pq = _ss.has_pq_property(stars, r, 2)
+        pq_check = Check(
+            "clique-free-matches-pq",
+            "clique-free-matches-pq",
+            "pass" if free == pq else "fail",
+            value={"r": r, "kr_free": free, "pq": pq},
+            witness=None if free == pq else {"r": r},
+        )
+        out[r] = sorted(shared + [pq_check], key=lambda c: c.name)
+    return out
+
+
+def verify_correspondence(G: Graph, r: int, budget: SearchBudget | None = None) -> Report:
+    """The checks of :func:`correspondence_checks` for one r, as a report."""
+    return Report(_graph_digest(G, {"r": r}), correspondence_checks(G, (r,), budget)[r])

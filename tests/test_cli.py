@@ -1,11 +1,17 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ultrafree
+import ultrafree.graphs
 import ultrafree.setsystems
 from ultrafree.cli import main
 from ultrafree.constructions import hypercube_lb
+from ultrafree.graphs import Graph
 from ultrafree.io import decomposition_from_obj, parse_graph
 
 C5_JSON = '{"n": 5, "edges": [[0, 1], [0, 4], [1, 2], [2, 3], [3, 4]]}'
@@ -319,9 +325,12 @@ class TestVerify:
             ("mindeg-ultra", "5a7603f2fc6d2bf5af89554d9949c404681cf4a7e222e9a2af4081691cab6a80"),
             ("halfgraph", "ce66d8238cfd9e67fea0eb0288d612f346958fe62be7ba04c25babbc457feffd"),
             ("construction:d=3", "d4c6fc60cc3b469f7dc17dcb81edc716ce4c446cc29dfa9700e2edeefc95a1cc"),
+            ("correspondence", "cf72670884b156bab2d2f163e713d6fba6f3b5498fc44c4c0516b2cfd15cd6d1"),
+            ("codeg-edge", "d9c9d2d9d721d5faf47e9cdd56c098e79360efc03c9424801cdd337833b74d34"),
+            ("vc-chromatic", "147171bf425f263c7ad685f3f355294c6f41c797ee7c26d6ad46b6046ed9ae74"),
         ],
     )
-    def test_report_bytes_pinned(self, suite, sha256, capsys):
+    def test_report_bytes_pinned(self, suite, sha256, small_catalog, capsys):
         assert main(["verify", "--suite", suite, "--json"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
@@ -385,6 +394,91 @@ class TestVerify:
         assert main([]) == 2
         assert main(["verify"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "suite", ["correspondence", "halfgraph", "mindeg-ultra", "codeg-edge", "vc-chromatic"]
+    )
+    def test_suite_parameter_rejected(self, suite, capsys, monkeypatch):
+        # rejected before any work: no catalog is built, no suite runs
+        monkeypatch.setattr("ultrafree.cli.connected_graphs", None)
+        monkeypatch.setattr("ultrafree.cli.ultra_parameter", None)
+        monkeypatch.setattr("ultrafree.cli.turan", None)
+        assert main(["verify", "--suite", f"{suite}:d=9", "--json"]) == 2
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["error"]["type"] == "usage"
+        assert "takes no parameter" in obj["error"]["message"]
+        assert main(["verify", "--suite", f"{suite}:"]) == 2
+        assert "takes no parameter" in capsys.readouterr().err
+
+    def test_construction_empty_parameter_rejected(self, capsys):
+        assert main(["verify", "--suite", "construction:"]) == 2
+        assert "construction:d=D" in capsys.readouterr().err
+
+    @staticmethod
+    def _two_graph_catalog(monkeypatch):
+        cat = [Graph.path(3), Graph.cycle(5)]
+        monkeypatch.setattr("ultrafree.cli.connected_graphs", lambda n: list(cat))
+        return cat
+
+    def test_correspondence_failure_witness(self, capsys, monkeypatch):
+        cat = self._two_graph_catalog(monkeypatch)
+        monkeypatch.setattr(ultrafree.setsystems, "helly_number", lambda F, budget=None: 3)
+        assert main(["verify", "--suite", "correspondence", "--json"]) == 1
+        by_name = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        helly = by_name["star-helly-matches-edges"]
+        assert helly["status"] == "fail"
+        assert helly["value"] == {"pass": 0, "total": 3 * len(cat)}
+        assert helly["witness"]["instance"] == {"n": 3, "edges": [[0, 1], [1, 2]], "r": 3}
+        assert helly["witness"]["witness"] == {"helly": 3}
+        assert by_name["clique-free-matches-pq"]["value"] == {"pass": 6, "total": 6}
+
+    def test_correspondence_one_pass_per_graph(self, capsys, monkeypatch):
+        cat = self._two_graph_catalog(monkeypatch)
+        calls = {"mis_family": 0, "chromatic_number": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(ultrafree.setsystems, "mis_family")
+        counted(ultrafree.graphs, "chromatic_number")
+        assert main(["verify", "--suite", "correspondence", "--json"]) == 0
+        capsys.readouterr()
+        # three values of r share one dictionary pass per graph
+        assert calls == {"mis_family": len(cat), "chromatic_number": len(cat)}
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "{c5}", "--metrics", "chi", "--json"],
+            ["verify", "--suite", "construction:d=2", "--json"],
+        ],
+    )
+    def test_broken_pipe_exits_two(self, argv, c5_file):
+        src = os.path.dirname(os.path.dirname(ultrafree.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        # a pipe whose read end is closed before the command starts
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ultrafree.cli", *(a.format(c5=c5_file) for a in argv)],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert b"Traceback" not in proc.stderr
 
 
 class TestBudgetEnv:

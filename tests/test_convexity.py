@@ -4,10 +4,13 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import ultrafree.setsystems
+from ultrafree.catalog import connected_graphs, seeded_random_graphs
 from ultrafree.convexity import (
     ConvexitySpace,
     Measure,
     convex_hull,
+    correspondence_checks,
     explicit_space,
     mis_space,
     radon_number,
@@ -247,3 +250,31 @@ class TestCorrespondence:
     @settings(max_examples=30, deadline=None)
     def test_always_passes(self, G, r):
         assert verify_correspondence(G, r).passed
+
+    def test_checks_match_per_r(self):
+        # one shared pass over r = 3, 4, 5 gives each r's report, check for check
+        graphs = connected_graphs(5) + seeded_random_graphs(50, 10, 20260301)
+        for G in graphs:
+            shared = correspondence_checks(G, (3, 4, 5))
+            assert list(shared) == [3, 4, 5]
+            for r, checks in shared.items():
+                want = verify_correspondence(G, r).checks
+                assert [c.to_json() for c in checks] == [c.to_json() for c in want]
+
+    def test_first_bad_pair(self, monkeypatch):
+        # a rebuilt graph that differs from C6 on three pairs: the witness
+        # is the first of them in (u, v) order
+        real = ultrafree.setsystems.disjointness_graph
+
+        def broken(F):
+            adj = list(real(F).adj)
+            for u, v in ((3, 5), (1, 4), (1, 3)):
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
+            return Graph.from_masks(adj)
+
+        monkeypatch.setattr(ultrafree.setsystems, "disjointness_graph", broken)
+        by_name = {c.name: c for c in verify_correspondence(Graph.cycle(6), 3).checks}
+        assert by_name["edges-match-disjoint-stars"].witness == (1, 3)
+        assert by_name["disjointness-reconstructs-graph"].status == "fail"
+
