@@ -44,6 +44,12 @@ class SearchBudget:
     max_nodes: int | None = None
     max_millis: int | None = None
 
+    def __post_init__(self):
+        for name in ("max_nodes", "max_millis"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
+
     def meter(self, op: str) -> "_Meter":
         return _Meter(op, self.max_nodes, self.max_millis)
 

@@ -196,7 +196,7 @@ def _setsys_metric(tok: str, F, budget):
     if head == "nu" and len(parts) == 1:
         return matching_number(F, budget)[0]
     if head == "taustar" and len(parts) == 1:
-        return fractional_transversal(F).value
+        return fractional_transversal(F, budget).value
     if head == "vc" and len(parts) == 1:
         return vc_dimension(F, budget)[0]
     if head == "helly" and len(parts) == 1:

@@ -13,13 +13,15 @@ from fractions import Fraction
 __all__ = ["max_simplex"]
 
 
-def max_simplex(c, A, b):
+def max_simplex(c, A, b, meter=None):
     """Maximize c.x subject to A.x <= b, x >= 0 (all entries rational,
     b >= 0).
 
     Returns ``(value, x, duals)`` where ``duals`` are the optimal
     multipliers of the row constraints (the solution of the dual LP).
     Raises ValueError on unbounded problems or negative entries of b.
+    ``meter`` (a budget meter, or None) is charged one node per tableau
+    row built and per row rewritten by a pivot.
     """
     m = len(A)
     n = len(c)
@@ -32,6 +34,8 @@ def max_simplex(c, A, b):
         row += [Fraction(1) if j == i else Fraction(0) for j in range(m)]
         row.append(Fraction(b[i]))
         tab.append(row)
+        if meter is not None:
+            meter.charge()
     obj = [Fraction(x) for x in c] + [Fraction(0)] * (m + 1)
     basis = list(range(n, n + m))
 
@@ -53,13 +57,19 @@ def max_simplex(c, A, b):
             raise ValueError("LP is unbounded")
         piv = tab[leave][enter]
         tab[leave] = [x / piv for x in tab[leave]]
+        if meter is not None:
+            meter.charge()
         for i in range(m):
             if i != leave and tab[i][enter]:
                 f = tab[i][enter]
                 tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+                if meter is not None:
+                    meter.charge()
         if obj[enter]:
             f = obj[enter]
             obj = [x - f * y for x, y in zip(obj, tab[leave])]
+            if meter is not None:
+                meter.charge()
         basis[leave] = enter
 
     x = [Fraction(0)] * n

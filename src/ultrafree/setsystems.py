@@ -219,9 +219,10 @@ def matching_number(F: SetSystem, budget: SearchBudget | None = None):
     return size, members(mask)
 
 
-def fractional_transversal(F: SetSystem) -> FractionalSolution:
+def fractional_transversal(F: SetSystem, budget: SearchBudget | None = None) -> FractionalSolution:
     """Optimal fractional transversal, with the optimal fractional matching
-    attached as ``.dual`` and the equality of their values certified."""
+    attached as ``.dual`` and the equality of their values certified.
+    The budget's nodes are the simplex's tableau rows built and rewritten."""
     if any(s == 0 for s in F.sets):
         raise Infeasible("system contains an empty set")
     m = len(F.sets)
@@ -231,7 +232,7 @@ def fractional_transversal(F: SetSystem) -> FractionalSolution:
     A = [[1 if F.sets[j] >> v & 1 else 0 for j in range(m)] for v in range(F.ground)]
     b = [1] * F.ground
     c = [1] * m
-    value, y, x = max_simplex(c, A, b)
+    value, y, x = max_simplex(c, A, b, _meter(budget, "fractional_transversal"))
 
     if any(w < 0 for w in y) or any(w < 0 for w in x):
         raise ClaimViolation("LP certification failed: negative weight")

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from itertools import combinations, permutations
 
 import pytest
@@ -14,6 +16,7 @@ from ultrafree.catalog import (
 )
 from ultrafree.constructions import hypercube_lb
 from ultrafree.decompose import twin_quotient
+from ultrafree.errors import ClaimViolation
 from ultrafree.graphs import Graph
 
 import oracles
@@ -180,6 +183,87 @@ class TestConnectedGraphs:
 
     def test_all_connected(self):
         assert all(G.is_connected() for G in connected_graphs(5))
+
+
+def cold_catalog(monkeypatch, path=None):
+    """Forget the loaded file and the generated levels, so the next
+    connected_graphs call starts as in a fresh process."""
+    monkeypatch.setattr(catalog, "_stored", None)
+    monkeypatch.setattr(catalog, "_LEVELS", [[Graph(0)]])
+    if path is not None:
+        monkeypatch.setattr(catalog, "_STORED_PATH", path)
+
+
+def no_canonical_form(G):
+    raise AssertionError("the stored catalog must not be canonicalized")
+
+
+class TestStoredCatalog:
+    def test_regenerates_file(self):
+        # with the A001349 counts checked on load, this proves the file
+        # holds every connected graph on <= 7 vertices once, canonically
+        generated = catalog._generated_connected(7)
+        text = "".join(catalog._encode(G) + "\n" for G in generated)
+        assert catalog._STORED_PATH.read_bytes() == text.encode("ascii")
+        assert catalog._load_stored(catalog._STORED_PATH) == generated
+
+    def test_load_needs_no_canonical_form(self, monkeypatch):
+        cold_catalog(monkeypatch)
+        monkeypatch.setattr(catalog, "canonical_form", no_canonical_form)
+        got = connected_graphs(7)
+        assert len(got) == 996
+        assert connected_graphs(4) == got[:10]
+
+    def test_fresh_list(self):
+        a = connected_graphs(7)
+        a.clear()
+        assert len(connected_graphs(7)) == 996
+
+    def test_import_reads_no_file(self):
+        code = "import ultrafree.cli, ultrafree.catalog as c; assert c._stored is None"
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda lines: lines[:500] + [lines[499]] + lines[500:],
+            lambda lines: lines[:500] + [lines[499]] + lines[501:],
+            lambda lines: lines[:500] + lines[501:],
+            lambda lines: lines[:500] + [lines[501], lines[500]] + lines[502:],
+            lambda lines: lines[:2] + ["B?"] + lines[3:],
+            lambda lines: lines[:2] + ["Bh"] + lines[3:],
+            lambda lines: lines[:2] + ["Bg?"] + lines[3:],
+            lambda lines: lines[:1] + ["A\x7f"] + lines[2:],
+            lambda lines: lines[:2] + ["B\u00e9"] + lines[3:],
+        ],
+        ids=[
+            "repeat",
+            "repeat-in-place",
+            "missing",
+            "out-of-order",
+            "disconnected",
+            "padding-bit",
+            "wrong-length",
+            "not-graph6",
+            "not-ascii",
+        ],
+    )
+    def test_corrupt_copy_rejected(self, corrupt, tmp_path, monkeypatch):
+        lines = catalog._STORED_PATH.read_text().splitlines()
+        bad = tmp_path / "connected7.g6"
+        bad.write_text("".join(line + "\n" for line in corrupt(lines)), encoding="utf-8")
+        cold_catalog(monkeypatch, bad)
+        monkeypatch.setattr(catalog, "canonical_form", no_canonical_form)
+        with pytest.raises(ClaimViolation):
+            connected_graphs(7)
+
+    @given(oracles.graphs(max_n=12))
+    @settings(max_examples=80, deadline=None)
+    def test_encode_round_trip(self, G):
+        line = catalog._encode(G)
+        assert catalog._decode(line) == G
+        pairs = G.n * (G.n - 1) // 2
+        assert len(line) == 1 + (pairs + 5) // 6
 
 
 class TestSeededRandom:

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import ultrafree
+import ultrafree.catalog
 import ultrafree.graphs
 import ultrafree.setsystems
 from ultrafree.cli import main
@@ -172,11 +173,19 @@ class TestSetsys:
         assert main(["setsys", c5_file, "--metrics", "pq:3"]) == 2
         assert "unknown set-system metric" in capsys.readouterr().err
 
+    def test_taustar_budget(self, c5_file, capsys):
+        # deriving C5's stars takes 9 nodes, the LP on them 25
+        argv = ["setsys", c5_file, "--derive", "stars", "--metrics", "taustar", "--json"]
+        assert main(argv + ["--budget-nodes", "10"]) == 3
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["error"]["type"] == "budget"
+        assert "fractional_transversal" in obj["error"]["message"]
+
     def test_failed_lp_certificate(self, monkeypatch, capsys):
         max_simplex = ultrafree.setsystems.max_simplex
 
-        def wrong_dual(c, A, b):
-            value, x, duals = max_simplex(c, A, b)
+        def wrong_dual(c, A, b, meter=None):
+            value, x, duals = max_simplex(c, A, b, meter)
             return value, x, [0] * len(duals)
 
         monkeypatch.setattr(ultrafree.setsystems, "max_simplex", wrong_dual)
@@ -432,6 +441,19 @@ class TestVerify:
         assert helly["witness"]["witness"] == {"helly": 3}
         assert by_name["clique-free-matches-pq"]["value"] == {"pass": 6, "total": 6}
 
+    def test_budgeted_catalog_suite_builds_nothing(self, capsys, monkeypatch):
+        # a cold process: nothing loaded or generated yet, and any
+        # canonicalization would be the unmetered catalog build
+        monkeypatch.setattr(ultrafree.catalog, "_stored", None)
+        monkeypatch.setattr(ultrafree.catalog, "_LEVELS", [[Graph(0)]])
+
+        def no_build(G):
+            raise AssertionError("the catalog must not be rebuilt")
+
+        monkeypatch.setattr(ultrafree.catalog, "canonical_form", no_build)
+        assert main(["verify", "--suite", "codeg-edge", "--budget-nodes", "1", "--json"]) == 3
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "budget"
+
     def test_correspondence_one_pass_per_graph(self, capsys, monkeypatch):
         cat = self._two_graph_catalog(monkeypatch)
         calls = {"mis_family": 0, "chromatic_number": 0}
@@ -493,6 +515,18 @@ class TestBudgetEnv:
         monkeypatch.setenv("ULTRAFREE_BUDGET_MS", "soon")
         assert main(["analyze", c5_file, "--metrics", "chi"]) == 2
         assert "must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, env",
+        [(["--budget-nodes", "-1"], None), (["--budget-ms", "-5"], None), ([], "-3")],
+    )
+    def test_negative_rejected(self, flags, env, c5_file, capsys, monkeypatch):
+        if env is not None:
+            monkeypatch.setenv("ULTRAFREE_BUDGET_MS", env)
+        assert main(["analyze", c5_file, "--metrics", "chi", "--json", *flags]) == 2
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["error"]["type"] == "usage"
+        assert "must be nonnegative" in obj["error"]["message"]
 
     def test_arg_overrides_env(self, c5_file, capsys, monkeypatch):
         # explicit --budget-ms wins, so the bad env value is never read

@@ -285,6 +285,12 @@ class TestBudget:
         assert chromatic_number(C5, UNLIMITED) == 3
         assert chromatic_number(C5, SearchBudget(max_nodes=10**6)) == 3
 
+    @pytest.mark.parametrize("field", ["max_nodes", "max_millis"])
+    def test_rejects_negative(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be nonnegative"):
+            SearchBudget(**{field: -1})
+        assert getattr(SearchBudget(**{field: 0}), field) == 0
+
     def test_budget_is_per_invocation(self):
         b = SearchBudget(max_nodes=10**6)
         for _ in range(3):

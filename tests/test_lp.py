@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from ultrafree.budget import BudgetExceeded, SearchBudget
 from ultrafree.lp import max_simplex
 
 
@@ -9,6 +10,16 @@ def test_box():
     value, x, duals = max_simplex([1, 1], [[1, 0], [0, 1]], [1, 2])
     assert value == 3 and x == [1, 2]
     assert duals == [1, 1]
+
+
+def test_meter_counts_rows():
+    # 2 rows built; each of the 2 pivots rewrites its pivot row and the
+    # objective row, and no other row has a nonzero entering coefficient
+    meter = SearchBudget().meter("lp")
+    assert max_simplex([1, 1], [[1, 0], [0, 1]], [1, 2], meter)[0] == 3
+    assert meter.nodes == 6
+    with pytest.raises(BudgetExceeded):
+        max_simplex([1, 1], [[1, 0], [0, 1]], [1, 2], SearchBudget(max_nodes=5).meter("lp"))
 
 
 def test_rational_optimum():

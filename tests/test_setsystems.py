@@ -181,6 +181,13 @@ class TestFractional:
         F = SetSystem(4, [(0, 1), (2, 3)])
         assert fractional_transversal(F).value == 2
 
+    def test_budget(self):
+        F = mis_star_system(C5)
+        with pytest.raises(BudgetExceeded) as exc:
+            fractional_transversal(F, SearchBudget(max_nodes=1))
+        assert exc.value.op == "fractional_transversal"
+        assert fractional_transversal(F, SearchBudget(max_nodes=10**6)).value == Fraction(5, 2)
+
 
 class TestVcDimension:
     @given(oracles.set_systems())
