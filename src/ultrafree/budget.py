@@ -9,7 +9,6 @@ returning a wrong answer.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 __all__ = ["SearchBudget", "BudgetExceeded", "UNLIMITED"]
 
@@ -33,22 +32,42 @@ class BudgetExceeded(RuntimeError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
 class SearchBudget:
     """Immutable cap on a single solver invocation.
 
     ``max_nodes`` counts search-tree nodes (solver-specific but stable for
     a given input); ``max_millis`` is wall time.  ``None`` means no cap.
+    Budgets compare and hash by their two caps; assigning to either
+    raises AttributeError.
     """
 
-    max_nodes: int | None = None
-    max_millis: int | None = None
+    __slots__ = ("max_nodes", "max_millis")
 
-    def __post_init__(self):
-        for name in ("max_nodes", "max_millis"):
-            value = getattr(self, name)
+    def __init__(self, max_nodes: int | None = None, max_millis: int | None = None):
+        for name, value in (("max_nodes", max_nodes), ("max_millis", max_millis)):
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.max_nodes, self.max_millis)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.max_nodes, self.max_millis) == (other.max_nodes, other.max_millis)
+
+    def __hash__(self):
+        return hash((self.max_nodes, self.max_millis))
+
+    def __repr__(self):
+        return f"SearchBudget(max_nodes={self.max_nodes!r}, max_millis={self.max_millis!r})"
 
     def meter(self, op: str) -> "_Meter":
         return _Meter(op, self.max_nodes, self.max_millis)
@@ -75,8 +94,14 @@ class _Meter:
         if self._max_nodes is not None and self.nodes > self._max_nodes:
             raise BudgetExceeded(self.op, self.nodes, "nodes")
         if self._deadline is not None and (self.nodes & _TIME_CHECK_MASK) == 0:
-            if time.monotonic() > self._deadline:
-                raise BudgetExceeded(self.op, self.nodes, "time")
+            self.check_time()
+
+    def check_time(self) -> None:
+        """Raise BudgetExceeded if the deadline has passed.  ``charge``
+        calls this every 1,024 nodes; a solver whose node is costly (a
+        tableau row) calls it after every node."""
+        if self._deadline is not None and time.monotonic() > self._deadline:
+            raise BudgetExceeded(self.op, self.nodes, "time")
 
 
 UNLIMITED = SearchBudget()

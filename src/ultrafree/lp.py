@@ -21,12 +21,19 @@ def max_simplex(c, A, b, meter=None):
     multipliers of the row constraints (the solution of the dual LP).
     Raises ValueError on unbounded problems or negative entries of b.
     ``meter`` (a budget meter, or None) is charged one node per tableau
-    row built and per row rewritten by a pivot.
+    row built and per row rewritten by a pivot, and reads its clock after
+    each such row, since one row can take far longer than a search node.
     """
     m = len(A)
     n = len(c)
     if any(bi < 0 for bi in b):
         raise ValueError("b must be nonnegative for the slack basis")
+
+    def row_done():
+        if meter is not None:
+            meter.charge()
+            meter.check_time()
+
     # columns: 0..n-1 structural, n..n+m-1 slack, last = RHS
     tab = []
     for i in range(m):
@@ -34,8 +41,7 @@ def max_simplex(c, A, b, meter=None):
         row += [Fraction(1) if j == i else Fraction(0) for j in range(m)]
         row.append(Fraction(b[i]))
         tab.append(row)
-        if meter is not None:
-            meter.charge()
+        row_done()
     obj = [Fraction(x) for x in c] + [Fraction(0)] * (m + 1)
     basis = list(range(n, n + m))
 
@@ -57,19 +63,16 @@ def max_simplex(c, A, b, meter=None):
             raise ValueError("LP is unbounded")
         piv = tab[leave][enter]
         tab[leave] = [x / piv for x in tab[leave]]
-        if meter is not None:
-            meter.charge()
+        row_done()
         for i in range(m):
             if i != leave and tab[i][enter]:
                 f = tab[i][enter]
                 tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-                if meter is not None:
-                    meter.charge()
+                row_done()
         if obj[enter]:
             f = obj[enter]
             obj = [x - f * y for x, y in zip(obj, tab[leave])]
-            if meter is not None:
-                meter.charge()
+            row_done()
         basis[leave] = enter
 
     x = [Fraction(0)] * n

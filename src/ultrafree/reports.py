@@ -8,7 +8,6 @@ strings.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from fractions import Fraction
 
@@ -97,6 +96,8 @@ class Report:
 
 def digest_of(*parts) -> str:
     """Short deterministic digest of the canonical form of the inputs."""
+    import hashlib  # here, not at the top: most commands take no digest
+
     h = hashlib.sha256()
     for p in parts:
         h.update(json.dumps(jsonable(p), sort_keys=True).encode())

@@ -312,25 +312,34 @@ def build_half_from_matching(
 def nu_bi(G: Graph, budget: SearchBudget | None = None):
     """Exact bipartite induced matching number with a witness.
 
-    Maximum clique of the compatibility graph on ordered adjacent pairs;
-    two pairs are compatible when vertex-disjoint with both cross pairs
-    non-adjacent.
+    Maximum clique of the compatibility graph on darts (ordered adjacent
+    pairs, sorted); two darts are compatible when vertex-disjoint with
+    both cross pairs non-adjacent.  Dart (a, b) is compatible with
+    (c, d) exactly when c is outside N(b) | {a, b} and d is outside
+    N(a) | {a, b}; since ab is an edge these are the closed
+    neighbourhoods N[b] and N[a].  So with ``tails[v]`` (``heads[v]``)
+    the mask of darts whose first (second) vertex is v, the row of
+    (a, b) is the OR of ``tails[c]`` over c outside N[b], ANDed with the
+    OR of ``heads[d]`` over d outside N[a].
     """
-    cands: list[tuple[int, int]] = []
-    for u, v in G.edges():
-        cands.append((u, v))
-        cands.append((v, u))
-    cands.sort()
-    m = len(cands)
-    compat = [0] * m
-    for i in range(m):
-        a, b = cands[i]
-        for j in range(i + 1, m):
-            c, d = cands[j]
-            if len({a, b, c, d}) == 4 and not G.has_edge(a, d) and not G.has_edge(c, b):
-                compat[i] |= 1 << j
-                compat[j] |= 1 << i
-    best, mask = _kernels.max_clique(compat, (1 << m) - 1, _meter(budget, "nu_bi"))
+    cands = sorted(dart for u, v in G.edges() for dart in ((u, v), (v, u)))
+    tails = [0] * G.n
+    heads = [0] * G.n
+    for i, (a, b) in enumerate(cands):
+        tails[a] |= 1 << i
+        heads[b] |= 1 << i
+    # far_*[v]: the darts whose first / second vertex lies outside N[v]
+    far_tails = []
+    far_heads = []
+    for v in range(G.n):
+        t = h = 0
+        for u in members(G.full_mask & ~(G.adj[v] | 1 << v)):
+            t |= tails[u]
+            h |= heads[u]
+        far_tails.append(t)
+        far_heads.append(h)
+    compat = [far_tails[b] & far_heads[a] for a, b in cands]
+    best, mask = _kernels.max_clique(compat, (1 << len(cands)) - 1, _meter(budget, "nu_bi"))
     witness = BiInducedMatching(tuple(cands[i] for i in members(mask)))
     witness.validate(G)
     return best, witness

@@ -191,6 +191,21 @@ def nu_bi(G):
     return best
 
 
+def dart_rows(G):
+    """Sorted darts (ordered adjacent pairs) and, per dart, the mask of the
+    darts compatible with it: the four vertices distinct and both cross
+    pairs non-adjacent.  Tested pair by pair, from the definition."""
+    darts = sorted([(u, v) for u, v in G.edges()] + [(v, u) for u, v in G.edges()])
+    rows = []
+    for a, b in darts:
+        row = 0
+        for j, (c, d) in enumerate(darts):
+            if len({a, b, c, d}) == 4 and not G.has_edge(a, d) and not G.has_edge(c, b):
+                row |= 1 << j
+        rows.append(row)
+    return darts, rows
+
+
 def pair_clique_counts(G, r):
     """[((u, v), number of (r-2)-cliques in N(u) & N(v))] over the
     non-adjacent pairs u < v, ascending."""

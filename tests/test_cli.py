@@ -503,6 +503,25 @@ class TestClosedStdout:
         assert b"Traceback" not in proc.stderr
 
 
+class TestStartup:
+    def test_import_skips_dataclasses_and_hashlib(self):
+        # a command that takes no digest never loads hashlib (and OpenSSL);
+        # one that does still prints its pinned bytes
+        src = os.path.dirname(os.path.dirname(ultrafree.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = (
+            "import sys, ultrafree.cli\n"
+            "loaded = {'dataclasses', 'inspect', 'hashlib'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n"
+            "sys.exit(ultrafree.cli.main(['verify', '--suite', 'halfgraph', '--json']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert hashlib.sha256(proc.stdout).hexdigest() == (
+            "ce66d8238cfd9e67fea0eb0288d612f346958fe62be7ba04c25babbc457feffd"
+        )
+
+
 class TestBudgetEnv:
     def test_env_millis(self, tmp_path, capsys, monkeypatch):
         f = tmp_path / "r.json"

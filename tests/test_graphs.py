@@ -291,6 +291,22 @@ class TestBudget:
             SearchBudget(**{field: -1})
         assert getattr(SearchBudget(**{field: 0}), field) == 0
 
+    def test_value_semantics(self):
+        b = SearchBudget(max_nodes=10, max_millis=20)
+        assert b == SearchBudget(10, 20) and hash(b) == hash(SearchBudget(10, 20))
+        assert b != SearchBudget(max_nodes=10) and b != (10, 20)
+        assert repr(b) == "SearchBudget(max_nodes=10, max_millis=20)"
+        assert repr(UNLIMITED) == "SearchBudget(max_nodes=None, max_millis=None)"
+        assert UNLIMITED == SearchBudget()
+        assert len({b, SearchBudget(10, 20), UNLIMITED}) == 2
+        with pytest.raises(AttributeError):
+            b.max_nodes = 5
+        with pytest.raises(AttributeError):
+            UNLIMITED.max_millis = 1
+        assert (b.max_nodes, b.max_millis) == (10, 20)
+        with pytest.raises(ValueError, match="max_millis must be nonnegative"):
+            SearchBudget(0, -1)
+
     def test_budget_is_per_invocation(self):
         b = SearchBudget(max_nodes=10**6)
         for _ in range(3):

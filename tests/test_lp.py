@@ -1,7 +1,9 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from ultrafree import budget
 from ultrafree.budget import BudgetExceeded, SearchBudget
 from ultrafree.lp import max_simplex
 
@@ -20,6 +22,19 @@ def test_meter_counts_rows():
     assert meter.nodes == 6
     with pytest.raises(BudgetExceeded):
         max_simplex([1, 1], [[1, 0], [0, 1]], [1, 2], SearchBudget(max_nodes=5).meter("lp"))
+
+
+def test_clock_read_per_row(monkeypatch):
+    # the clock reads 0 when the meter sets its deadline and 1 after that,
+    # so the deadline has passed by the first row; a meter that read the
+    # clock only every 1,024 nodes would let the 6-node solve finish
+    ticks = iter([0.0])
+    monkeypatch.setattr(budget, "time", SimpleNamespace(monotonic=lambda: next(ticks, 1.0)))
+    meter = SearchBudget(max_millis=0).meter("lp")
+    with pytest.raises(BudgetExceeded) as exc:
+        max_simplex([1, 1], [[1, 0], [0, 1]], [1, 2], meter)
+    assert exc.value.reason == "time"
+    assert exc.value.nodes == 1
 
 
 def test_rational_optimum():

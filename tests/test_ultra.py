@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from ultrafree import _kernels
 from ultrafree.budget import BudgetExceeded, SearchBudget
-from ultrafree.constructions import blowup, half_min, turan
+from ultrafree.constructions import blowup, half_min, random_graph, turan
 from ultrafree.errors import InternalContradiction, PreconditionViolated
-from ultrafree.graphs import Graph, is_maximal_kr_free
+from ultrafree.graphs import Graph, is_maximal_kr_free, members
 from ultrafree.ultra import (
     BiInducedMatching,
     HalfGraphEmbedding,
@@ -23,6 +24,31 @@ from ultrafree.ultra import (
 import oracles
 
 C5 = Graph.cycle(5)
+
+
+def _metered_nu_bi(G):
+    """nu_bi(G) with an unlimited budget: value, witness pairs and the
+    node count of the one meter it opens."""
+    meters = []
+
+    class Recording(SearchBudget):
+        __slots__ = ()
+
+        def meter(self, op):
+            meters.append(super().meter(op))
+            return meters[-1]
+
+    k, witness = nu_bi(G, Recording())
+    (meter,) = meters
+    return k, witness.pairs, meter.nodes
+
+
+def _clique_of_oracle_rows(G):
+    """The same search run on the pairwise-built compatibility rows."""
+    darts, rows = oracles.dart_rows(G)
+    meter = SearchBudget().meter("nu_bi")
+    k, mask = _kernels.max_clique(rows, (1 << len(darts)) - 1, meter)
+    return k, tuple(darts[i] for i in members(mask)), meter.nodes
 
 
 class TestUltraParameter:
@@ -149,6 +175,17 @@ class TestNuBi:
         assert k == oracles.nu_bi(G)
         assert len(witness.pairs) == k
         witness.validate(G)
+
+    @given(oracles.graphs(max_n=12))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_pairwise_oracle(self, G):
+        assert _metered_nu_bi(G) == _clique_of_oracle_rows(G)
+
+    def test_rows_match_pairwise_oracle_n28(self):
+        G = random_graph(28, 1, 2, 1)
+        found = _metered_nu_bi(G)
+        assert found == _clique_of_oracle_rows(G)
+        assert found[0] == 6
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded) as exc:
