@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .budget import BudgetExceeded, SearchBudget
-from .catalog import connected_graphs, is_isomorphic, seeded_random_graphs
+from .catalog import connected_graphs, seeded_random_graphs
 from .constructions import (
     blowup,
     crown,
@@ -54,9 +54,11 @@ from .graphs import (
 )
 from .io import (
     ParseError,
+    _load_json,
     decomposition_to_obj,
     emit_dimacs,
     emit_graph_json,
+    graph_from_obj,
     graph_to_obj,
     load_text,
     parse_graph,
@@ -89,7 +91,10 @@ def _parse_fraction(text: str) -> Fraction:
     # "P" or "P/Q" only; decimals would silently lose precision
     if not _FRACTION_RE.match(text):
         raise ValueError(f"expected a rational like 3 or 1/28, got {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _parse_params(text: str | None) -> dict[str, int]:
@@ -208,8 +213,7 @@ def _setsys_metric(tok: str, F, budget):
 
 def _cmd_setsys(args, budget) -> int:
     text = load_text(args.file)
-    stripped = text.lstrip()
-    obj = json.loads(text) if stripped.startswith("{") else None
+    obj = _load_json(text) if text.lstrip().startswith("{") else None
     is_system = isinstance(obj, dict) and "ground" in obj and "sets" in obj
     derive = args.derive or ("none" if is_system else "stars")
     if is_system:
@@ -219,7 +223,7 @@ def _cmd_setsys(args, budget) -> int:
         elif derive != "none":
             raise ValueError(f"--derive {derive} needs a graph input")
     else:
-        G = parse_graph(text)
+        G = parse_graph(text) if obj is None else graph_from_obj(obj)
         if derive == "stars":
             F = mis_star_system(G, budget)
         elif derive == "mis":
@@ -243,7 +247,7 @@ def _cmd_setsys(args, budget) -> int:
 def _load_measure(spec: str, size: int) -> Measure:
     if spec == "uniform":
         return Measure.uniform(size)
-    obj = json.loads(load_text(spec))
+    obj = _load_json(load_text(spec))
     if not isinstance(obj, dict):
         raise ParseError("measure JSON must map point indices to rationals")
     for k in obj:
@@ -446,11 +450,13 @@ def _suite_construction(args, budget, d: int) -> Report:
         name,
         detail=None,
     )
+    # the classes come out by first vertex and blowup lays out H's copies
+    # part-major in H's order, so the labelled quotient is H itself
     quotient = twin_quotient(G).quotient
     agg.add_bool(
         "twin-quotient-matches",
         "twin-quotient-recovers-base",
-        is_isomorphic(quotient, H),
+        quotient == H,
         name,
         detail={"quotient_size": quotient.n, "base_size": H.n},
     )
@@ -662,8 +668,6 @@ def main(argv=None) -> int:
         return _emit_error(
             args, "claim-violation", str(e), 1, witness=getattr(e, "witness", None)
         )
-    except json.JSONDecodeError as e:
-        return _emit_error(args, "parse-error", f"line {e.lineno} column {e.colno}: {e.msg}", 2)
     except ValueError as e:
         return _emit_error(args, "usage", str(e), 2)
     except OSError as e:

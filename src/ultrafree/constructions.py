@@ -33,7 +33,7 @@ def turan(n: int, parts: int) -> Graph:
         raise ValueError("need 1 <= parts <= n")
     q, r = divmod(n, parts)
     sizes = [q + 1] * r + [q] * (parts - r)
-    return Graph.complete_multipartite(sizes)
+    return blowup(Graph.complete(parts), sizes)[0]
 
 
 def kneser(m: int, k: int) -> Graph:
@@ -172,7 +172,7 @@ def ultra_vc_example(m: int) -> Graph:
     growing with m: the anchored crown over K_{m,m} with weights (1, 2)."""
     if m < 2:
         raise ValueError("need m >= 2")
-    return anchored_crown(Graph.complete_multipartite([m, m]), 1, 2)
+    return anchored_crown(blowup(Graph.complete(2), [m, m])[0], 1, 2)
 
 
 def random_graph(n: int, p_num: int, p_den: int, seed: int) -> Graph:

@@ -120,12 +120,7 @@ def separated_subfamily(F: SetSystem, s: int) -> tuple[int, ...]:
     if s < 0:
         raise ValueError("separation must be nonnegative")
     reps = _separated_reps(F.sets, s)
-    chosen = set(reps)
-    for i, m in enumerate(F.sets):
-        if i not in chosen and all(
-            (m ^ F.sets[j]).bit_count() > s for j in reps
-        ):
-            raise ClaimViolation(f"set {i} could extend the family")
+    _assign_to_reps(F.sets, reps, s)
     return tuple(reps)
 
 
@@ -139,13 +134,13 @@ def packing_bound(d: int, family_size: int, sep_level: int) -> Fraction:
 
 def _assign_to_reps(masks, reps, s) -> list[int]:
     origin = []
-    for m in masks:
+    for i, m in enumerate(masks):
         for pos, j in enumerate(reps):
             if (m ^ masks[j]).bit_count() <= s:
                 origin.append(pos)
                 break
         else:
-            raise ClaimViolation("maximality broke: a vertex fits no class")
+            raise ClaimViolation(f"maximality broke: mask {i} fits no class")
     return origin
 
 
@@ -169,26 +164,15 @@ def haussler_partition(
     for v, pos in enumerate(assign):
         groups[pos].append(v)
 
+    # cherry claim: outside {v,w} the two neighborhoods agree.  It makes
+    # any two classes complete or anti-complete; _quotient's validate
+    # re-checks that and the independence of the parts.
     for gi, group in enumerate(groups):
         for v, w in combinations(group, 2):
-            # cherry claim: outside {v,w} the two neighborhoods agree
             if G.adj[v] & ~(1 << w) != G.adj[w] & ~(1 << v):
                 raise ClaimViolation(
                     f"class {gi}: vertices {v},{w} have an outside distinguisher"
                 )
-        if len(group) >= r:
-            gmask = 0
-            for v in group:
-                gmask |= 1 << v
-            if any(G.adj[v] & gmask for v in group):
-                raise ClaimViolation(f"class {gi} of size >= r is not independent")
-    for gi, gj in combinations(range(len(groups)), 2):
-        mask_j = 0
-        for v in groups[gj]:
-            mask_j |= 1 << v
-        between = sum((G.adj[v] & mask_j).bit_count() for v in groups[gi])
-        if between not in (0, len(groups[gi]) * len(groups[gj])):
-            raise ClaimViolation(f"classes {gi},{gj} neither complete nor anti-complete")
 
     final: list[tuple[int, ...]] = []
     for group in groups:
@@ -209,13 +193,8 @@ def _quotient(G: Graph, parts) -> BlowupDecomposition:
     for i, part in enumerate(parts):
         for v in part:
             origin[v] = i
-    k = len(parts)
-    adj = [0] * k
-    for i, j in combinations(range(k), 2):
-        if G.has_edge(parts[i][0], parts[j][0]):
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    deco = BlowupDecomposition(tuple(parts), Graph.from_masks(adj), tuple(origin))
+    quotient = G.induced([part[0] for part in parts])
+    deco = BlowupDecomposition(tuple(parts), quotient, tuple(origin))
     deco.validate(G)
     return deco
 

@@ -70,8 +70,7 @@ class Graph:
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
-        full = (1 << n) - 1
-        return cls.from_masks([full & ~(1 << v) for v in range(n)])
+        return cls(n).complement()
 
     @classmethod
     def cycle(cls, n: int) -> "Graph":
@@ -82,18 +81,6 @@ class Graph:
     @classmethod
     def path(cls, n: int) -> "Graph":
         return cls(n, [(i, i + 1) for i in range(n - 1)])
-
-    @classmethod
-    def complete_multipartite(cls, sizes) -> "Graph":
-        n = sum(sizes)
-        masks = []
-        start = 0
-        full = (1 << n) - 1
-        for s in sizes:
-            part = ((1 << s) - 1) << start
-            masks.extend([full & ~part] * s)
-            start += s
-        return cls.from_masks(masks)
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -149,19 +136,19 @@ class Graph:
         return Graph.from_masks([full & ~self.adj[v] & ~(1 << v) for v in range(self.n)])
 
     def induced(self, vertices) -> "Graph":
-        """Induced subgraph on ``vertices`` (sorted), relabeled 0..k-1."""
+        """Induced subgraph on ``vertices`` (sorted), relabeled 0..k-1;
+        ValueError on a repeated or out-of-range vertex."""
         vs = sorted(vertices)
-        pos = {v: i for i, v in enumerate(vs)}
-        masks = [0] * len(vs)
+        k = len(vs)
+        if len(set(vs)) != k or (vs and (vs[0] < 0 or vs[-1] >= self.n)):
+            raise ValueError(f"induced vertices must be distinct and in 0..{self.n - 1}")
+        masks = [0] * k
         for i, v in enumerate(vs):
-            m = self.adj[v]
-            while m:
-                low = m & -m
-                w = low.bit_length() - 1
-                m ^= low
-                j = pos.get(w)
-                if j is not None:
+            row = self.adj[v]
+            for j in range(i + 1, k):
+                if row >> vs[j] & 1:
                     masks[i] |= 1 << j
+                    masks[j] |= 1 << i
         return Graph.from_masks(masks)
 
     def with_edge(self, u: int, v: int) -> "Graph":

@@ -145,14 +145,7 @@ def find_half_graph(G: Graph, k: int, budget: SearchBudget | None = None):
     classes = _twin_classes(G)
     nc = len(classes)
     caps = [len(c) for c in classes]
-    cls_adj = []
-    for ci in range(nc):
-        rep = classes[ci][0]
-        m = 0
-        for cj in range(nc):
-            if G.adj[rep] >> classes[cj][0] & 1:
-                m |= 1 << cj
-        cls_adj.append(m)
+    cls_adj = G.induced([c[0] for c in classes]).adj
     full = (1 << nc) - 1
     xs_cls = [0] * k
     ys_cls = [0] * k

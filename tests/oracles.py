@@ -249,6 +249,24 @@ def clique_codensity(G, a, b):
     return best
 
 
+def induced_edges(G, vs):
+    """Edges of G[vs] relabeled by position in sorted(vs)."""
+    vs = sorted(vs)
+    return [
+        (i, j) for i, j in combinations(range(len(vs)), 2) if G.has_edge(vs[i], vs[j])
+    ]
+
+
+def turan_edges(n, k):
+    """Edges of the Turán graph: k parts, the first n % k of them one vertex
+    larger, filled in vertex order; u ~ v iff their parts differ."""
+    q, extra = divmod(n, k)
+    part = []
+    for p in range(k):
+        part += [p] * (q + 1 if p < extra else q)
+    return [(u, v) for u, v in combinations(range(n), 2) if part[u] != part[v]]
+
+
 def isomorphic(G, H):
     if G.n != H.n or G.edge_count() != H.edge_count():
         return False

@@ -169,6 +169,13 @@ class TestSetsys:
         assert main(["setsys", c5_file, "--derive", "none", "--metrics", "tau"]) == 2
         assert "needs a set-system input" in capsys.readouterr().err
 
+    def test_bad_json(self, capsys):
+        argv = ["setsys", '{"ground": 3, "sets": [[0, 1]', "--metrics", "tau", "--json"]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": {"type": "parse-error", "message": "line 1 column 30: Expecting ',' delimiter"}
+        }
+
     def test_bad_metric_arity(self, c5_file, capsys):
         assert main(["setsys", c5_file, "--metrics", "pq:3"]) == 2
         assert "unknown set-system metric" in capsys.readouterr().err
@@ -264,9 +271,38 @@ class TestSpace:
         assert err["type"] == "parse-error"
         assert repr(key) in err["message"]
 
+    def test_measure_bad_json(self, tmp_path, capsys):
+        mf = tmp_path / "m.json"
+        mf.write_text('{"0": "1/2",')
+        code = main(
+            ["space", '{"kind": "subcubes", "dim": 2}', "--weak-net", "1/2", "--measure", str(mf), "--json"]
+        )
+        assert code == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": {
+                "type": "parse-error",
+                "message": "line 1 column 13: Expecting property name enclosed in double quotes",
+            }
+        }
+
     def test_decimal_eps_rejected(self, capsys):
         assert main(["space", '{"kind": "subcubes", "dim": 2}', "--weak-net", "0.5"]) == 2
         assert "expected a rational" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["decompose-eps", "weak-net", "measure-file"])
+    def test_zero_denominator_is_usage_error(self, where, c5_file, tmp_path, capsys):
+        space = '{"kind": "subcubes", "dim": 2}'
+        mf = tmp_path / "m.json"
+        mf.write_text('{"0": "1/0"}')
+        argv = {
+            "decompose-eps": ["decompose", c5_file, "--eps", "1/0"],
+            "weak-net": ["space", space, "--weak-net", "1/0"],
+            "measure-file": ["space", space, "--weak-net", "1/2", "--measure", str(mf)],
+        }[where]
+        assert main(argv + ["--json"]) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": {"type": "usage", "message": "zero denominator in '1/0'"}
+        }
 
 
 class TestDecompose:
@@ -343,6 +379,41 @@ class TestVerify:
         assert main(["verify", "--suite", suite, "--json"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    @pytest.mark.parametrize(
+        "family, params, flags, sha256",
+        [
+            (
+                "c5-blowup",
+                "s=3",
+                ["--method", "haussler", "--r", "3", "--eps", "1/28"],
+                "58906e0611e0924834067e829425bb83d759722a851f19295129eb2f5119df4f",
+            ),
+            (
+                "hypercube-lb",
+                "d=3",
+                ["--method", "twin"],
+                "3ba0e87f42492843d2f45649dd17af8d81c1b7328c1c1019f53c16c833a77bb0",
+            ),
+        ],
+    )
+    def test_decompose_bytes_pinned(self, family, params, flags, sha256, tmp_path, capsys):
+        f = tmp_path / "g.json"
+        assert main(["gen", family, "--params", params, "--out", str(f)]) == 0
+        assert main(["decompose", str(f), *flags, "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    def test_construction_builds_no_canonical_form(self, capsys, monkeypatch):
+        # the twin quotient is compared with H label for label
+        def no_search(G):
+            raise AssertionError("the construction suite must not canonicalise")
+
+        monkeypatch.setattr(ultrafree.catalog, "canonical_form", no_search)
+        assert main(["verify", "--suite", "construction:d=3", "--json"]) == 0
+        out = capsys.readouterr().out
+        digest = "d4c6fc60cc3b469f7dc17dcb81edc716ce4c446cc29dfa9700e2edeefc95a1cc"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_text_mode(self, capsys):
         assert main(["verify", "--suite", "construction:d=2"]) == 0

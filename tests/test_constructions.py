@@ -1,6 +1,7 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from ultrafree.catalog import is_isomorphic
@@ -15,6 +16,7 @@ from ultrafree.constructions import (
     turan,
     ultra_vc_example,
 )
+from ultrafree.decompose import twin_quotient
 from ultrafree.errors import ClaimViolation
 from ultrafree.graphs import (
     Graph,
@@ -33,6 +35,11 @@ class TestTuran:
         assert T.n == 7
         # parts of sizes 3,2,2: non-edges exactly inside parts
         assert sorted(T.non_edges()) == [(0, 1), (0, 2), (1, 2), (3, 4), (5, 6)]
+
+    def test_matches_definition(self):
+        for n in range(1, 13):
+            for k in range(1, n + 1):
+                assert turan(n, k).edges() == oracles.turan_edges(n, k), (n, k)
 
     def test_extremes(self):
         assert turan(5, 1).edge_count() == 0
@@ -112,6 +119,13 @@ class TestBlowup:
         G = random_graph(6, 1, 2, 3)
         H, origin = blowup(G, [1] * 6)
         assert H == G and origin == list(range(6))
+
+    @given(oracles.graphs(max_n=7), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_twin_quotient_recovers_twin_free_base(self, F, data):
+        assume(len(set(F.adj)) == F.n)
+        sizes = data.draw(st.lists(st.integers(1, 3), min_size=F.n, max_size=F.n))
+        assert twin_quotient(blowup(F, sizes)[0]).quotient == F
 
     def test_rejects(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from ultrafree.budget import BudgetExceeded, SearchBudget, UNLIMITED
-from ultrafree.constructions import random_graph
+from ultrafree.constructions import blowup, random_graph
 from ultrafree.graphs import (
     Graph,
     chromatic_number,
@@ -37,6 +37,10 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             Graph(-1)
 
+    def test_complete_rejects_negative(self):
+        with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+            Graph.complete(-1)
+
     def test_duplicate_edges_collapse(self):
         G = Graph(3, [(0, 1), (1, 0), (0, 1)])
         assert G.edge_count() == 1
@@ -48,7 +52,7 @@ class TestGraphBasics:
         assert Graph.path(4).edges() == [(0, 1), (1, 2), (2, 3)]
         with pytest.raises(ValueError):
             Graph.cycle(2)
-        K23 = Graph.complete_multipartite([2, 3])
+        K23 = blowup(Graph.complete(2), [2, 3])[0]
         assert K23.edge_count() == 6
         assert not K23.has_edge(0, 1) and not K23.has_edge(2, 3)
         assert K23.has_edge(0, 2)
@@ -73,6 +77,19 @@ class TestGraphBasics:
         G = Graph(5, [(0, 2), (2, 4), (1, 3)])
         H = G.induced([0, 2, 4])
         assert H.n == 3 and H.edges() == [(0, 1), (1, 2)]
+
+    @pytest.mark.parametrize("vertices", [[0, 0, 1], [-1, 0], [4, 5]])
+    def test_induced_rejects_repeated_or_out_of_range(self, vertices):
+        with pytest.raises(ValueError, match="distinct and in 0..4"):
+            C5.induced(vertices)
+
+    @given(oracles.graphs(max_n=10), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_induced_matches_edge_list(self, G, data):
+        vs = data.draw(st.lists(st.integers(0, max(G.n - 1, 0)), unique=True, max_size=G.n))
+        H = G.induced(vs)
+        assert H.n == len(vs)
+        assert H.edges() == oracles.induced_edges(G, vs)
 
     def test_with_edge(self):
         G = Graph.path(3)
@@ -253,8 +270,8 @@ class TestMaximality:
     def test_maximal(self):
         assert is_maximal_kr_free(C5, 3)
         assert not is_maximal_kr_free(Graph.path(4), 3)
-        assert is_maximal_kr_free(Graph.complete_multipartite([3, 3, 3]), 4)
-        assert not is_maximal_kr_free(Graph.complete_multipartite([3, 3, 3]), 3)
+        assert is_maximal_kr_free(blowup(Graph.complete(3), [3, 3, 3])[0], 4)
+        assert not is_maximal_kr_free(blowup(Graph.complete(3), [3, 3, 3])[0], 3)
 
     def test_r2_degenerates_to_edgeless(self):
         assert is_maximal_kr_free(Graph(3), 2)
