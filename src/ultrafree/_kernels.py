@@ -9,6 +9,7 @@ from __future__ import annotations
 
 __all__ = [
     "count_cliques",
+    "count_cliques_weighted",
     "list_cliques",
     "max_clique",
     "chromatic_number",
@@ -51,6 +52,33 @@ def _count(adj, b, mask, meter):
         sub = adj[v] & m
         if sub.bit_count() >= b - 1:
             total += _count(adj, b - 1, sub, meter)
+    return total
+
+
+def count_cliques_weighted(adj, b, mask, weights, meter=None):
+    """Sum over the b-vertex cliques inside ``mask`` of the product of
+    their vertices' ``weights``: the b-cliques of a blow-up that has
+    ``weights[v]`` copies of v, counted on the blown-up graph's base."""
+    if b < 0:
+        raise ValueError("clique size must be nonnegative")
+    if b == 0:
+        return 1
+    return _count_weighted(adj, b, mask, weights, meter)
+
+
+def _count_weighted(adj, b, mask, weights, meter):
+    if b == 1:
+        return sum(weights[v] for v in members(mask))
+    total = 0
+    m = mask
+    while m:
+        v = (m & -m).bit_length() - 1
+        m &= m - 1
+        if meter is not None:
+            meter.charge()
+        sub = adj[v] & m
+        if sub.bit_count() >= b - 1:
+            total += weights[v] * _count_weighted(adj, b - 1, sub, weights, meter)
     return total
 
 

@@ -51,6 +51,7 @@ from .graphs import (
     codegree_min,
     enumerate_mis,
     is_kr_free,
+    is_maximal_kr_free,
 )
 from .io import (
     ParseError,
@@ -445,8 +446,7 @@ def _suite_construction(args, budget, d: int) -> Report:
     agg.add_bool(
         "maximal-triangle-free",
         "construction-is-maximal-triangle-free",
-        # G+uv holds a triangle iff u, v share a neighbour: codegree >= 1
-        is_kr_free(G, 3, budget) and (cd is None or cd >= 1),
+        is_maximal_kr_free(G, 3, budget),
         name,
         detail=None,
     )

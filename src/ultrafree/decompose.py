@@ -17,11 +17,11 @@ from typing import NamedTuple
 
 from .budget import SearchBudget
 from .errors import ClaimViolation, PreconditionViolated
-from .graphs import Graph, has_induced_p4, max_clique_witness
+from .graphs import Graph, _blowup_quotient, has_induced_p4, mask_of, max_clique_witness, members
 from . import graphs as _graphs
 from .reports import Check, Report, _graph_digest
 from .setsystems import SetSystem, neighborhood_system, vc_dimension
-from .ultra import _twin_classes, is_eps_ultra, ultra_parameter
+from .ultra import is_eps_ultra, ultra_parameter
 
 __all__ = [
     "E_UP",
@@ -51,7 +51,7 @@ class BlowupDecomposition(NamedTuple):
         """Re-verify every structural invariant against G; raises
         ClaimViolation with the offending object on failure."""
         flat = sorted(v for p in self.parts for v in p)
-        if flat != list(range(G.n)):
+        if flat != list(range(G.n)) or not all(self.parts):
             raise ClaimViolation("parts do not partition the vertex set")
         if self.quotient.n != len(self.parts):
             raise ClaimViolation("quotient size differs from part count")
@@ -59,20 +59,39 @@ class BlowupDecomposition(NamedTuple):
             raise ClaimViolation("origin map is not total")
         masks = []
         for i, part in enumerate(self.parts):
-            m = 0
             for v in part:
                 if self.origin[v] != i:
                     raise ClaimViolation(f"origin[{v}] disagrees with part {i}")
-                m |= 1 << v
-            masks.append(m)
-            if len(part) > 1 and any(G.adj[v] & m for v in part):
-                raise ClaimViolation(f"part {i} is neither independent nor a singleton")
-        for i, j in combinations(range(len(self.parts)), 2):
-            between = sum((G.adj[v] & masks[j]).bit_count() for v in self.parts[i])
-            if between not in (0, len(self.parts[i]) * len(self.parts[j])):
-                raise ClaimViolation(f"parts {i},{j} neither complete nor anti-complete")
-            if self.quotient.has_edge(i, j) != (between > 0):
-                raise ClaimViolation(f"quotient edge {i},{j} disagrees with the parts")
+            masks.append(mask_of(part))
+        # G is this blow-up of the quotient iff every member of part i has
+        # the neighbourhood mask that lifts quotient row i; with no loops in
+        # G, equal masks within a part already make the part independent
+        for i, part in enumerate(self.parts):
+            row = G.adj[part[0]]
+            if row != _lift(self.quotient.adj[i], masks) or any(G.adj[v] != row for v in part):
+                raise ClaimViolation(self._mismatch(G, i, masks))
+
+    def _mismatch(self, G: Graph, i: int, masks) -> str:
+        """Why part i is not the lift of quotient row i."""
+        part = self.parts[i]
+        if any(G.adj[v] & masks[i] for v in part):
+            return f"part {i} is neither independent nor a singleton"
+        for j, m in enumerate(masks):
+            seen = {G.adj[v] & m for v in part}
+            if len(seen) > 1 or seen - {0, m}:
+                return f"parts {i},{j} neither complete nor anti-complete"
+            if self.quotient.has_edge(i, j) != (m in seen):
+                return f"quotient edge {i},{j} disagrees with the parts"
+        return f"part {i} disagrees with the quotient"
+
+
+def _lift(row: int, masks) -> int:
+    """The union of the parts ``masks[j]`` over the quotient vertices j in
+    ``row``: a quotient row read as a vertex mask of G."""
+    m = 0
+    for j in members(row):
+        m |= masks[j]
+    return m
 
 
 class ObstructionCertificate(NamedTuple):
@@ -183,17 +202,16 @@ def haussler_partition(
     final.sort(key=lambda p: p[0])
     if len(final) > (r - 1) * max(1, len(reps)):
         raise ClaimViolation("quotient larger than (r-1) times the family size")
-    return _quotient(G, final)
+    return _quotient(G, final, G.induced([part[0] for part in final]))
 
 
-def _quotient(G: Graph, parts) -> BlowupDecomposition:
-    """Decomposition of G into ``parts`` (ordered by first vertex), with the
-    quotient read off the parts' first vertices; validated against G."""
+def _quotient(G: Graph, parts, quotient: Graph) -> BlowupDecomposition:
+    """Decomposition of G into ``parts`` (ordered by first vertex), whose
+    quotient was read off the parts' first vertices; validated against G."""
     origin = [0] * G.n
     for i, part in enumerate(parts):
         for v in part:
             origin[v] = i
-    quotient = G.induced([part[0] for part in parts])
     deco = BlowupDecomposition(tuple(parts), quotient, tuple(origin))
     deco.validate(G)
     return deco
@@ -202,7 +220,7 @@ def _quotient(G: Graph, parts) -> BlowupDecomposition:
 def twin_quotient(G: Graph) -> BlowupDecomposition:
     """Coarsest blow-up decomposition: classes of equal open
     neighborhoods.  The quotient is twin-free."""
-    deco = _quotient(G, [tuple(c) for c in _twin_classes(G)])
+    deco = _quotient(G, *_blowup_quotient(G))
     if len(set(deco.quotient.adj)) != len(deco.parts):
         raise ClaimViolation("twin quotient still contains twins")
     return deco
@@ -223,20 +241,34 @@ def p4_obstruction(G: Graph, budget: SearchBudget | None = None) -> ObstructionC
 
     Maximum clique of the auxiliary graph whose edges are the pairs
     admitting such a path, with per-pair witnesses kept for audit.
+
+    The paths are found on the twin quotient F.  Twins admit no such
+    path, and u, v in classes i, j admit one iff classes i, j do in F, so
+    the auxiliary graph is a blow-up of F's.  The clique search runs on
+    that blow-up, so the core is the one found on G itself.  A witness
+    (y, z) of F lifts to the first vertices of the classes y and z: the
+    first y and then the first z that ``has_induced_p4`` meets on G.
     """
-    aux = [0] * G.n
-    pairs: dict[tuple[int, int], tuple[int, int]] = {}
-    for u, v in combinations(range(G.n), 2):
-        w = has_induced_p4(G, u, v)
+    classes, F, class_of = twin_quotient(G)
+    aux_F = [0] * F.n
+    paths: dict[tuple[int, int], tuple[int, int]] = {}
+    for i, j in combinations(range(F.n), 2):
+        w = has_induced_p4(F, i, j)
         if w is not None:
-            aux[u] |= 1 << v
-            aux[v] |= 1 << u
-            pairs[(u, v)] = w
-    size, core = max_clique_witness(Graph.from_masks(aux), budget)
-    links = {
-        (u, v): pairs[(u, v)] for u, v in combinations(core, 2)
-    }
-    cert = ObstructionCertificate(core, links)
+            aux_F[i] |= 1 << j
+            aux_F[j] |= 1 << i
+            paths[(i, j)] = w
+    class_masks = [mask_of(c) for c in classes]
+    lifted = [_lift(row, class_masks) for row in aux_F]
+    _, core = max_clique_witness(Graph.from_masks([lifted[i] for i in class_of]), budget)
+
+    def link(u: int, v: int) -> tuple[int, int]:
+        # the path runs from u's class to v's, which need not be ascending
+        i, j = class_of[u], class_of[v]
+        y, z = paths[(i, j)] if i < j else has_induced_p4(F, i, j)
+        return classes[y][0], classes[z][0]
+
+    cert = ObstructionCertificate(core, {(u, v): link(u, v) for u, v in combinations(core, 2)})
     cert.validate(G)
     return cert
 

@@ -8,6 +8,7 @@ deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import comb
 
 from . import _kernels
@@ -38,6 +39,13 @@ def mask_of(vertices) -> int:
     return m
 
 
+def _check_edge(n: int, u: int, v: int) -> None:
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+    if u == v:
+        raise ValueError(f"loop at vertex {u}")
+
+
 class Graph:
     """Simple undirected graph: no loops, no multi-edges."""
 
@@ -48,10 +56,7 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         adj = [0] * n
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
+            _check_edge(n, u, v)
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         self.n = n
@@ -152,8 +157,7 @@ class Graph:
         return Graph.from_masks(masks)
 
     def with_edge(self, u: int, v: int) -> "Graph":
-        if u == v:
-            raise ValueError("loop")
+        _check_edge(self.n, u, v)
         masks = list(self.adj)
         masks[u] |= 1 << v
         masks[v] |= 1 << u
@@ -236,11 +240,53 @@ def _coneighborhoods(G: Graph, a: int):
     return rec(0, G.full_mask, G.full_mask, a)
 
 
+def _blowup_quotient(G: Graph):
+    """``(classes, F)``: G's twin classes (vertices with one neighbourhood
+    mask), each ascending and ordered by first vertex, and the twin-free
+    quotient ``F = G.induced(first vertices)``.  G is the blow-up of F
+    with ``len(classes[i])`` independent copies of vertex i, so a quantity
+    of G can be computed on F with the class sizes as weights."""
+    by_mask: dict[int, list[int]] = {}
+    for v, m in enumerate(G.adj):
+        by_mask.setdefault(m, []).append(v)
+    classes = tuple(map(tuple, by_mask.values()))
+    # a twin-free G is its own quotient: the first vertices are 0..n-1
+    return classes, G if len(classes) == G.n else G.induced([c[0] for c in classes])
+
+
 def codegree_min(G: Graph, a: int):
-    """Minimum |N(I)| over independent a-sets I; None when no such I."""
+    """Minimum |N(I)| over independent a-sets I; None when no such I.
+
+    Computed on the twin quotient F: an independent a-set of G meets an
+    independent set S of F's classes, with |S| <= a <= (copies in S), and
+    its co-neighbourhood is the union of the classes in N_F(S)."""
     if a < 1:
         raise ValueError("set size must be at least 1")
-    return min((nbhd.bit_count() for _, nbhd in _coneighborhoods(G, a)), default=None)
+    classes, F = _blowup_quotient(G)
+    # a set of classes weighs its number of G-vertices: one popcount per
+    # distinct class size, and a blow-up has few of those
+    by_size: dict[int, int] = {}
+    for i, c in enumerate(classes):
+        by_size[len(c)] = by_size.get(len(c), 0) | 1 << i
+    groups = tuple(by_size.items())
+
+    def weight(mask: int) -> int:
+        total = 0
+        for size, m in groups:
+            total += size * (mask & m).bit_count()
+        return total
+
+    # s classes hold at least s and at most s * max(size) vertices
+    fewest = -(-a // max(by_size, default=1))
+    return min(
+        (
+            weight(nbhd)
+            for s in range(fewest, a + 1)
+            for S, nbhd in _coneighborhoods(F, s)
+            if s == a or weight(S) >= a
+        ),
+        default=None,
+    )
 
 
 def clique_codensity(G: Graph, a: int, b: int, budget: SearchBudget | None = None):
@@ -299,13 +345,17 @@ def is_kr_free(G: Graph, r: int, budget: SearchBudget | None = None) -> bool:
 
 
 def is_maximal_kr_free(G: Graph, r: int, budget: SearchBudget | None = None) -> bool:
-    """K_r-free, and adding any non-edge creates a K_r."""
-    if not is_kr_free(G, r, budget):
+    """K_r-free, and adding any non-edge creates a K_r.
+
+    G+uv holds a K_r through u,v iff N(u,v) holds a K_{r-2}; for r=2 the
+    empty clique always exists, so any edge completes a K_2.  Checked on
+    the twin quotient F, whose cliques are G's up to the choice of copies:
+    F is K_r-free, every non-adjacent pair of classes has a K_{r-2} in its
+    common neighbourhood, and so does every class of two or more twins."""
+    classes, F = _blowup_quotient(G)
+    if not is_kr_free(F, r, budget):
         return False
     meter = _meter(budget, "is_maximal_kr_free")
-    return all(
-        # G+uv holds a K_r through u,v iff N(u,v) holds a K_{r-2};
-        # for r=2 the empty clique always exists, so any edge completes a K_2
-        _kernels.count_cliques(G.adj, r - 2, nbhd, meter)
-        for _, nbhd in _coneighborhoods(G, 2)
-    )
+    pairs = (nbhd for _, nbhd in _coneighborhoods(F, 2))
+    twins = (F.adj[i] for i, c in enumerate(classes) if len(c) > 1)
+    return all(_kernels.count_cliques(F.adj, r - 2, nbhd, meter) for nbhd in chain(pairs, twins))

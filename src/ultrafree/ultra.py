@@ -12,7 +12,7 @@ from typing import NamedTuple, Optional
 from . import _kernels
 from .budget import SearchBudget, _meter
 from .errors import InternalContradiction, PreconditionViolated
-from .graphs import Graph, _coneighborhoods, list_cliques, members
+from .graphs import Graph, _blowup_quotient, _coneighborhoods, list_cliques, members
 from .reports import Check, Report, _graph_digest
 from .setsystems import neighborhood_system, vc_dimension
 
@@ -93,19 +93,37 @@ class BiInducedMatching(NamedTuple):
 def ultra_parameter(G: Graph, r: int, budget: SearchBudget | None = None) -> UltraCertificate:
     """Minimum over non-adjacent pairs u,v of the number of (r-2)-cliques
     in the common neighborhood, divided by n^(r-2).  Exact.  The K_r check
-    and every pair's count charge one meter, named ``ultra_parameter``."""
+    and every pair's count charge one meter, named ``ultra_parameter``.
+
+    Computed on the twin quotient F, with the class sizes as clique
+    weights.  Every pair of G lies in a non-adjacent pair of classes, or
+    inside one class, and shares its count; the lexicographically first
+    G-pair of a class pair is (first_i, first_j), and of a class
+    (first_i, second_i)."""
     if r < 3:
         raise ValueError("need r >= 3")
     meter = _meter(budget, "ultra_parameter")
-    if G.n >= r and _kernels.count_cliques(G.adj, r, G.full_mask, meter):
+    classes, F = _blowup_quotient(G)
+    if F.n >= r and _kernels.count_cliques(F.adj, r, F.full_mask, meter):
         raise PreconditionViolated(f"graph contains a {r}-clique")
-    worst = None
-    for pair, nbhd in _coneighborhoods(G, 2):
-        count = _kernels.count_cliques(G.adj, r - 2, nbhd, meter)
-        if worst is None or count < worst[2]:
-            worst = (*members(pair), count)
-    eps_star = None if worst is None else Fraction(worst[2], G.n ** (r - 2))
-    return UltraCertificate(r, eps_star, worst)
+    sizes = [len(c) for c in classes]
+
+    def count(nbhd: int) -> int:
+        return _kernels.count_cliques_weighted(F.adj, r - 2, nbhd, sizes, meter)
+
+    def candidates():
+        for pair, nbhd in _coneighborhoods(F, 2):
+            i, j = members(pair)
+            yield count(nbhd), classes[i][0], classes[j][0]
+        for i, c in enumerate(classes):
+            if len(c) > 1:
+                yield count(F.adj[i]), c[0], c[1]
+
+    worst = min(candidates(), default=None)
+    if worst is None:
+        return UltraCertificate(r, None, None)
+    least, u, v = worst
+    return UltraCertificate(r, Fraction(least, G.n ** (r - 2)), (u, v, least))
 
 
 def is_eps_ultra(G: Graph, r: int, eps, budget: SearchBudget | None = None) -> bool:
@@ -123,13 +141,6 @@ def is_eps_ultra(G: Graph, r: int, eps, budget: SearchBudget | None = None) -> b
         return False
 
 
-def _twin_classes(G: Graph):
-    by_mask: dict[int, list[int]] = {}
-    for v in range(G.n):
-        by_mask.setdefault(G.adj[v], []).append(v)
-    return sorted(by_mask.values())
-
-
 def find_half_graph(G: Graph, k: int, budget: SearchBudget | None = None):
     """First half-graph embedding on 2k distinct vertices, or None.
 
@@ -142,10 +153,10 @@ def find_half_graph(G: Graph, k: int, budget: SearchBudget | None = None):
     if 2 * k > G.n:
         return None
     meter = _meter(budget, "find_half_graph")
-    classes = _twin_classes(G)
+    classes, F = _blowup_quotient(G)
     nc = len(classes)
     caps = [len(c) for c in classes]
-    cls_adj = G.induced([c[0] for c in classes]).adj
+    cls_adj = F.adj
     full = (1 << nc) - 1
     xs_cls = [0] * k
     ys_cls = [0] * k

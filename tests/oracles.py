@@ -234,6 +234,43 @@ def codegree_min(G, a):
     return min(sizes, default=None)
 
 
+def is_maximal_kr_free(G, r):
+    """K_r-free, and G + uv holds a K_r for every non-edge uv: a K_r of
+    G + uv holds u and v, so it is u, v and an (r-2)-clique of common
+    neighbours."""
+    if cliques(G, r):
+        return False
+    return all(
+        any(all(G.has_edge(u, w) and G.has_edge(v, w) for w in K) for K in cliques(G, r - 2))
+        for u, v in combinations(range(G.n), 2)
+        if not G.has_edge(u, v)
+    )
+
+
+def p4_core_size(G):
+    """Size of a largest vertex set whose every pair u, v is joined by an
+    induced path u-y-z-v, by exhaustive search over paths and sets."""
+
+    def joined(u, v):
+        return not G.has_edge(u, v) and any(
+            len({u, y, z, v}) == 4
+            and G.has_edge(u, y)
+            and G.has_edge(y, z)
+            and G.has_edge(z, v)
+            and not G.has_edge(u, z)
+            and not G.has_edge(y, v)
+            for y, z in permutations(range(G.n), 2)
+        )
+
+    linked = {p for p in combinations(range(G.n), 2) if joined(*p)}
+    return max(
+        k
+        for k in range(G.n + 1)
+        for S in combinations(range(G.n), k)
+        if all(p in linked for p in combinations(S, 2))
+    )
+
+
 def clique_codensity(G, a, b):
     best = None
     for I in combinations(range(G.n), a):

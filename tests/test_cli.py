@@ -113,14 +113,15 @@ class TestAnalyze:
         assert "budget exceeded" in obj["error"]["message"]
 
     def test_ultra_budget_spans_pairs(self, tmp_path, capsys):
-        # the K_4 check takes 124 nodes and each of the 18 non-adjacent
-        # pairs 8 more: one meter for the whole call runs out
-        f = tmp_path / "t.json"
-        assert main(["gen", "turan", "--params", "n=12,parts=3", "--out", str(f)]) == 0
+        # the K_4 check takes 195 nodes and each of the 105 non-adjacent
+        # pairs 6 more: one meter for the whole call runs out.  K(7,2) is
+        # twin-free, so its twin quotient is the graph itself.
+        f = tmp_path / "k.json"
+        assert main(["gen", "kneser", "--params", "m=7,k=2", "--out", str(f)]) == 0
         argv = ["analyze", str(f), "--metrics", "ultra:4", "--json"]
         assert main(argv) == 0
-        assert json.loads(capsys.readouterr().out) == {"ultra:4": "1/9"}
-        assert main(argv + ["--budget-nodes", "124"]) == 3
+        assert json.loads(capsys.readouterr().out) == {"ultra:4": "1/147"}
+        assert main(argv + ["--budget-nodes", "195"]) == 3
         obj = json.loads(capsys.readouterr().out)
         assert obj["error"]["type"] == "budget"
         assert "ultra_parameter" in obj["error"]["message"]
@@ -414,6 +415,19 @@ class TestVerify:
         out = capsys.readouterr().out
         digest = "d4c6fc60cc3b469f7dc17dcb81edc716ce4c446cc29dfa9700e2edeefc95a1cc"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_construction_d7(self, capsys):
+        # n = 1,920: codegree, maximality and the P4 core run on 142 classes
+        assert main(["verify", "--suite", "construction:d=7", "--json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["passed"] is True
+
+    def test_construction_budget(self, capsys):
+        argv = ["verify", "--suite", "construction:d=5", "--budget-nodes", "1", "--json"]
+        assert main(argv) == 3
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["error"]["type"] == "budget"
+        assert "budget exceeded" in obj["error"]["message"]
 
     def test_text_mode(self, capsys):
         assert main(["verify", "--suite", "construction:d=2"]) == 0

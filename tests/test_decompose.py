@@ -130,6 +130,18 @@ class TestDecompositionValidate:
         with pytest.raises(ClaimViolation, match="anti-complete"):
             deco.validate(G)
 
+    def test_later_member_disagrees(self):
+        # the first member of each part matches the quotient; 1 and 3 do not
+        G = Graph(4, [(1, 3)])
+        deco = BlowupDecomposition(((0, 1), (2, 3)), Graph(2), (0, 0, 1, 1))
+        with pytest.raises(ClaimViolation, match="anti-complete"):
+            deco.validate(G)
+
+    def test_empty_part(self):
+        deco = BlowupDecomposition(((0,), (), (1,)), Graph(3), (0, 2))
+        with pytest.raises(ClaimViolation, match="partition"):
+            deco.validate(Graph(2))
+
     def test_quotient_edge_disagrees(self):
         G = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
         deco = BlowupDecomposition(((0, 1), (2, 3)), Graph(2), (0, 0, 1, 1))

@@ -1,10 +1,12 @@
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from ultrafree import _kernels
 from ultrafree.budget import BudgetExceeded, SearchBudget, UNLIMITED
 from ultrafree.constructions import blowup, random_graph
 from ultrafree.graphs import (
@@ -98,6 +100,11 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             G.with_edge(1, 1)
 
+    @pytest.mark.parametrize("u, v", [(0, 5), (-1, 0)])
+    def test_with_edge_rejects_out_of_range(self, u, v):
+        with pytest.raises(ValueError, match="out of range for n=3"):
+            Graph.path(3).with_edge(u, v)
+
     def test_connectivity(self):
         assert Graph.path(6).is_connected()
         assert Graph(0).is_connected()
@@ -134,6 +141,16 @@ class TestCliqueKernels:
             assert count_cliques(G, b, within=within) == len(want)
             assert count_cliques(G, b, within=members(within)) == len(want)
             assert [members(m) for m in list_cliques(G, b, within=within)] == want
+
+    @given(oracles.graphs(max_n=8), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_weighted_count_matches_brute(self, G, data):
+        weights = data.draw(st.lists(st.integers(1, 5), min_size=G.n, max_size=G.n))
+        within = data.draw(st.integers(min_value=0, max_value=G.full_mask))
+        for b in range(5):
+            cliques = oracles.cliques(G, b, within=members(within))
+            want = sum(prod(weights[v] for v in K) for K in cliques)
+            assert _kernels.count_cliques_weighted(G.adj, b, within, weights) == want
 
     def test_zero_size(self):
         assert count_cliques(C5, 1) == 5

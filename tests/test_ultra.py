@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 
 from ultrafree import _kernels
 from ultrafree.budget import BudgetExceeded, SearchBudget
-from ultrafree.constructions import blowup, half_min, random_graph, turan
+from ultrafree.constructions import blowup, half_min, kneser, random_graph, turan
 from ultrafree.errors import InternalContradiction, PreconditionViolated
 from ultrafree.graphs import Graph, is_maximal_kr_free, members
 from ultrafree.ultra import (
@@ -87,10 +87,11 @@ class TestUltraParameter:
             assert ((u, v), count) == first
 
     def test_one_meter_per_call(self):
-        # the K_4 check takes 124 nodes and each of the 18 non-adjacent
-        # pairs 8 more: a cap on the whole call is hit, a cap per pair never
+        # the K_4 check takes 195 nodes and each of the 105 non-adjacent
+        # pairs 6 more: a cap on the whole call is hit, a cap per pair never.
+        # K(7,2) is twin-free, so its twin quotient is the graph itself.
         with pytest.raises(BudgetExceeded) as exc:
-            ultra_parameter(turan(12, 3), 4, SearchBudget(max_nodes=124))
+            ultra_parameter(kneser(7, 2), 4, SearchBudget(max_nodes=195))
         assert exc.value.op == "ultra_parameter"
 
 
