@@ -109,8 +109,11 @@ def _parse_params(text: str | None) -> dict[str, int]:
         key, sep, val = item.partition("=")
         if not sep:
             raise ValueError(f"parameter {item!r} is not of the form key=value")
+        key = key.strip()
+        if key in out:
+            raise ValueError(f"parameter {key!r} given twice")
         try:
-            out[key.strip()] = int(val)
+            out[key] = int(val)
         except ValueError:
             raise ValueError(f"parameter {key!r} needs an integer value") from None
     return out
@@ -589,13 +592,21 @@ def _budget_from(args) -> SearchBudget | None:
     return SearchBudget(max_nodes=args.budget_nodes, max_millis=millis)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
+    class Parser(argparse.ArgumentParser):
+        # under --json a usage error becomes the ValueError that main
+        # reports as a JSON object; otherwise argparse prints its usage
+        def error(self, message):
+            if json_errors:
+                raise ValueError(message)
+            super().error(message)
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget-nodes", type=int, default=None, metavar="N")
     common.add_argument("--budget-ms", type=int, default=None, metavar="T")
     common.add_argument("--json", action="store_true")
 
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="ultrafree",
         description="Exact solvers and verification suites for clique-density-critical graphs.",
     )
@@ -648,11 +659,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    args = argparse.Namespace(json="--json" in argv)
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(args.json).parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    except ValueError as e:
+        return _emit_error(args, "usage", str(e), 2)
     try:
         budget = _budget_from(args)
         code = args.func(args, budget)

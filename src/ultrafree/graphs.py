@@ -25,7 +25,6 @@ __all__ = [
     "enumerate_mis",
     "codegree_min",
     "clique_codensity",
-    "clique_density_threshold",
     "has_induced_p4",
     "is_kr_free",
     "is_maximal_kr_free",
@@ -309,16 +308,6 @@ def clique_codensity(G: Graph, a: int, b: int, budget: SearchBudget | None = Non
     return min((density(nbhd) for _, nbhd in _coneighborhoods(G, a)), default=None)
 
 
-def clique_density_threshold(s: int, t: int) -> Fraction:
-    """Co-density threshold of the complete graph target: prod (t-1-i)/(t-1)."""
-    if not 2 <= s <= t:
-        raise ValueError("need 2 <= s <= t")
-    out = Fraction(1)
-    for i in range(1, s):
-        out *= Fraction(t - 1 - i, t - 1)
-    return out
-
-
 def has_induced_p4(G: Graph, u: int, v: int):
     """First (y, z) such that u-y-z-v is an induced 4-vertex path, else None."""
     if u == v:
@@ -351,11 +340,18 @@ def is_maximal_kr_free(G: Graph, r: int, budget: SearchBudget | None = None) -> 
     empty clique always exists, so any edge completes a K_2.  Checked on
     the twin quotient F, whose cliques are G's up to the choice of copies:
     F is K_r-free, every non-adjacent pair of classes has a K_{r-2} in its
-    common neighbourhood, and so does every class of two or more twins."""
+    common neighbourhood, and so does every class of two or more twins.
+    The meter is charged one node per co-neighbourhood tested, plus the
+    nodes of its clique search (none for r <= 3, a popcount)."""
     classes, F = _blowup_quotient(G)
     if not is_kr_free(F, r, budget):
         return False
     meter = _meter(budget, "is_maximal_kr_free")
     pairs = (nbhd for _, nbhd in _coneighborhoods(F, 2))
     twins = (F.adj[i] for i, c in enumerate(classes) if len(c) > 1)
-    return all(_kernels.count_cliques(F.adj, r - 2, nbhd, meter) for nbhd in chain(pairs, twins))
+    for nbhd in chain(pairs, twins):
+        if meter is not None:
+            meter.charge()
+        if not _kernels.count_cliques(F.adj, r - 2, nbhd, meter):
+            return False
+    return True

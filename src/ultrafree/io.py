@@ -1,9 +1,11 @@
-"""File formats: graphs (DIMACS-edge or JSON), set systems, convexity
-spaces, and blow-up decompositions.
+"""File formats.
 
-Round trips are exact: parsing an emitted graph reproduces the same
-vertex indices in both formats.  All parse failures raise
-:class:`ParseError` naming the offending line or entry.
+Graphs are parsed and emitted, in DIMACS-edge or JSON; round trips are
+exact: parsing an emitted graph reproduces the same vertex indices in
+both formats.  Set systems and convexity spaces are parsed only (JSON
+inputs), and blow-up decompositions are emitted only (``decompose``
+output).  All parse failures raise :class:`ParseError` naming the
+offending line or entry.
 """
 
 from __future__ import annotations
@@ -25,17 +27,10 @@ __all__ = [
     "emit_graph_json",
     "graph_to_obj",
     "graph_from_obj",
-    "parse_system",
-    "emit_system_json",
-    "system_to_obj",
     "system_from_obj",
     "parse_space",
-    "emit_space_json",
-    "space_to_obj",
     "space_from_obj",
-    "emit_decomposition_json",
     "decomposition_to_obj",
-    "decomposition_from_obj",
     "load_text",
 ]
 
@@ -194,22 +189,6 @@ def system_from_obj(obj) -> SetSystem:
     return SetSystem(ground, sets, labels)
 
 
-def parse_system(source) -> SetSystem:
-    return system_from_obj(_load_json(load_text(source)))
-
-
-def system_to_obj(F: SetSystem) -> dict:
-    # canonical form: members sorted inside each set, family order kept
-    obj = {"ground": F.ground, "sets": [list(F.set_members(i)) for i in range(len(F))]}
-    if F.labels is not None:
-        obj["labels"] = list(F.labels)
-    return obj
-
-
-def emit_system_json(F: SetSystem) -> str:
-    return json.dumps(system_to_obj(F))
-
-
 # ---------------------------------------------------------------- spaces
 
 
@@ -237,18 +216,6 @@ def parse_space(source, budget: SearchBudget | None = None) -> ConvexitySpace:
     return space_from_obj(_load_json(load_text(source)), budget)
 
 
-def space_to_obj(S: ConvexitySpace) -> dict:
-    if S.tag == "from_graph":
-        return {"kind": "from_graph", "graph": graph_to_obj(S.graph)}
-    if S.tag == "subcubes":
-        return {"kind": "subcubes", "dim": S.ground_size.bit_length() - 1}
-    return {"kind": "explicit", "system": system_to_obj(S.generators)}
-
-
-def emit_space_json(S: ConvexitySpace) -> str:
-    return json.dumps(space_to_obj(S))
-
-
 # -------------------------------------------------------- decompositions
 
 
@@ -258,30 +225,3 @@ def decomposition_to_obj(D: BlowupDecomposition) -> dict:
         "quotient": graph_to_obj(D.quotient),
         "origin": list(D.origin),
     }
-
-
-def emit_decomposition_json(D: BlowupDecomposition) -> str:
-    return json.dumps(decomposition_to_obj(D))
-
-
-def decomposition_from_obj(obj) -> BlowupDecomposition:
-    if not isinstance(obj, dict):
-        raise ParseError("decomposition JSON must be an object")
-    parts = obj.get("parts")
-    if not isinstance(parts, list) or not all(isinstance(p, list) for p in parts):
-        raise ParseError('decomposition key "parts" must be a list of lists')
-    for k, p in enumerate(parts):
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in p):
-            raise ParseError(f"part #{k} must contain only integers")
-    if "quotient" not in obj:
-        raise ParseError('decomposition is missing key "quotient"')
-    origin = obj.get("origin")
-    if not isinstance(origin, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in origin
-    ):
-        raise ParseError('decomposition key "origin" must be a list of integers')
-    return BlowupDecomposition(
-        tuple(tuple(p) for p in parts),
-        graph_from_obj(obj["quotient"]),
-        tuple(origin),
-    )

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 
 from . import _kernels
 from .budget import SearchBudget, _meter
 from .errors import ClaimViolation
-from .graphs import Graph, mask_of, members
+from .graphs import Graph, members
 from .lp import max_simplex
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "vc_dimension",
     "helly_number",
     "has_pq_property",
-    "frac_helly_witness",
     "maximal_intersecting_subfamilies",
     "mis_family",
     "mis_star_system",
@@ -52,9 +50,11 @@ class SetSystem:
             raise ValueError("ground size must be nonnegative")
         masks = []
         for s in sets:
-            m = mask_of(s)
-            if m >> ground:
-                raise ValueError("set element out of ground range")
+            m = 0
+            for x in s:
+                if not 0 <= x < ground:
+                    raise ValueError("set element out of ground range")
+                m |= 1 << x
             masks.append(m)
         self.ground = ground
         self.sets = tuple(masks)
@@ -353,23 +353,6 @@ def _intersection(sets, idxs, full: int) -> int:
         if not m:
             return 0
     return m
-
-
-def frac_helly_witness(F: SetSystem, k: int):
-    """Finite fractional-Helly data: (alpha, beta) where alpha is the
-    fraction of intersecting k-subfamilies and beta the largest intersecting
-    subfamily's share of the whole family."""
-    m = len(F.sets)
-    if k < 2 or m < k:
-        raise ValueError("need k >= 2 and at least k sets")
-    full = (1 << F.ground) - 1
-    good = sum(
-        1 for idxs in combinations(range(m), k) if _intersection(F.sets, idxs, full)
-    )
-    alpha = Fraction(good, comb(m, k))
-    max_deg = max((c.bit_count() for c in _element_cover_masks(F)), default=0)
-    beta = Fraction(max_deg, m)
-    return alpha, beta
 
 
 def maximal_intersecting_subfamilies(F: SetSystem) -> list[tuple[int, ...]]:

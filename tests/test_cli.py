@@ -12,8 +12,9 @@ import ultrafree.graphs
 import ultrafree.setsystems
 from ultrafree.cli import main
 from ultrafree.constructions import hypercube_lb
+from ultrafree.decompose import BlowupDecomposition
 from ultrafree.graphs import Graph
-from ultrafree.io import decomposition_from_obj, parse_graph
+from ultrafree.io import graph_from_obj, parse_graph
 
 C5_JSON = '{"n": 5, "edges": [[0, 1], [0, 4], [1, 2], [2, 3], [3, 4]]}'
 
@@ -68,6 +69,13 @@ class TestGen:
         assert "not of the form" in capsys.readouterr().err
         assert main(["gen", "cycle", "--params", "n=x"]) == 2
         assert "integer value" in capsys.readouterr().err
+
+    def test_repeated_param_rejected(self, capsys):
+        # n=3,n=4 used to emit C4: the last value won silently
+        assert main(["gen", "cycle", "--params", "n=3,n=4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error (usage): parameter 'n' given twice" in captured.err
 
 
 class TestAnalyze:
@@ -321,7 +329,12 @@ class TestDecompose:
         assert main(["decompose", str(f), "--method", "twin"]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["parts"] == [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]
-        decomposition_from_obj(obj).validate(parse_graph(str(f)))
+        D = BlowupDecomposition(
+            tuple(map(tuple, obj["parts"])),
+            graph_from_obj(obj["quotient"]),
+            tuple(obj["origin"]),
+        )
+        D.validate(parse_graph(str(f)))
 
     def test_out_and_indent(self, c5_file, tmp_path, capsys):
         dest = tmp_path / "d.json"
@@ -488,6 +501,37 @@ class TestVerify:
         assert main([]) == 2
         assert main(["verify"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["verify"], "the following arguments are required: --suite"),
+            (["space", "F", "--weak-net", "-1/2"], "argument --weak-net: expected one argument"),
+            (
+                ["verify", "--suite", "halfgraph", "--catalog", "huge"],
+                "argument --catalog: invalid choice: 'huge'",
+            ),
+        ],
+        ids=["missing-suite", "weak-net-dash-value", "bad-catalog"],
+    )
+    def test_argparse_errors_follow_json(self, argv, needle, capsys):
+        assert main(argv + ["--json"]) == 2
+        captured = capsys.readouterr()
+        obj = json.loads(captured.out)
+        assert list(obj) == ["error"] and obj["error"]["type"] == "usage"
+        assert needle in obj["error"]["message"]
+        assert captured.err == ""
+        # without --json argparse prints its usage and message on stderr
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ultrafree ")
+        assert f"error: {needle}" in captured.err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["verify", "--help"]) == 0
+        assert main(["verify", "--help", "--json"]) == 0
+        assert capsys.readouterr().out.startswith("usage: ultrafree verify")
 
     @pytest.mark.parametrize(
         "suite", ["correspondence", "halfgraph", "mindeg-ultra", "codeg-edge", "vc-chromatic"]

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from itertools import combinations
 from math import prod
 
@@ -8,12 +7,11 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from ultrafree import _kernels
 from ultrafree.budget import BudgetExceeded, SearchBudget, UNLIMITED
-from ultrafree.constructions import blowup, random_graph
+from ultrafree.constructions import blowup, hypercube_lb, random_graph
 from ultrafree.graphs import (
     Graph,
     chromatic_number,
     clique_codensity,
-    clique_density_threshold,
     clique_number,
     codegree_min,
     count_cliques,
@@ -226,13 +224,6 @@ class TestCodegree:
         with pytest.raises(ValueError):
             clique_codensity(C5, 1, 1)
 
-    def test_density_threshold(self):
-        assert clique_density_threshold(2, 3) == Fraction(1, 2)
-        assert clique_density_threshold(3, 3) == 0
-        assert clique_density_threshold(3, 7) == Fraction(5, 6) * Fraction(4, 6)
-        with pytest.raises(ValueError):
-            clique_density_threshold(4, 3)
-
 
 class TestP4:
     def test_path_endpoints(self):
@@ -289,6 +280,16 @@ class TestMaximality:
         assert not is_maximal_kr_free(Graph.path(4), 3)
         assert is_maximal_kr_free(blowup(Graph.complete(3), [3, 3, 3])[0], 4)
         assert not is_maximal_kr_free(blowup(Graph.complete(3), [3, 3, 3])[0], 3)
+
+    def test_maximality_charges_each_coneighbourhood(self):
+        # the twin quotient of hypercube_lb(5).G has 680 non-adjacent class
+        # pairs and 10 classes of two or more twins; at r = 3 each test is
+        # a popcount, so the meter counts the co-neighbourhoods themselves
+        G = hypercube_lb(5).G
+        with pytest.raises(BudgetExceeded) as exc:
+            is_maximal_kr_free(G, 3, SearchBudget(max_nodes=689))
+        assert exc.value.op == "is_maximal_kr_free"
+        assert is_maximal_kr_free(G, 3, SearchBudget(max_nodes=690))
 
     def test_r2_degenerates_to_edgeless(self):
         assert is_maximal_kr_free(Graph(3), 2)

@@ -14,7 +14,6 @@ from ultrafree.setsystems import (
     SetSystem,
     disjointness_graph,
     dual,
-    frac_helly_witness,
     fractional_transversal,
     has_pq_property,
     helly_number,
@@ -63,8 +62,10 @@ class TestSetSystem:
         assert matching_number(F)[0] == 1
 
     def test_rejects(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="set element out of ground range"):
             SetSystem(2, [(2,)])
+        with pytest.raises(ValueError, match="set element out of ground range"):
+            SetSystem(3, [(-1,)])
         with pytest.raises(ValueError):
             SetSystem(-1, [])
         with pytest.raises(ValueError):
@@ -242,18 +243,6 @@ class TestPq:
 
     def test_small_family_vacuous(self):
         assert has_pq_property(SetSystem(2, [(0,), (1,)]), 3, 2)
-
-
-class TestFracHelly:
-    def test_counts(self):
-        F = SetSystem(3, [(0, 1), (1, 2), (0, 2), ()])
-        alpha, beta = frac_helly_witness(F, 2)
-        assert alpha == Fraction(3, 6)
-        assert beta == Fraction(2, 4)
-
-    def test_rejects(self):
-        with pytest.raises(ValueError):
-            frac_helly_witness(SetSystem(2, [(0,)]), 2)
 
 
 class TestMaximalIntersecting:
