@@ -2,14 +2,15 @@
 
 ``adj`` is a list where ``adj[v]`` is the neighbor bitmask of vertex ``v``
 (no self-bit).  Vertex subsets are bitmasks too.  These are the hot inner
-loops of the package.
+loops of the package.  ``count_cliques`` takes an additive ``weigh`` of
+vertex masks, so one recursion counts the cliques of a graph and, on its
+twin quotient with the class sizes as weights, those of a blow-up.
 """
 
 from __future__ import annotations
 
 __all__ = [
     "count_cliques",
-    "count_cliques_weighted",
     "list_cliques",
     "max_clique",
     "chromatic_number",
@@ -27,58 +28,34 @@ def members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def count_cliques(adj, b, mask, meter=None):
-    """Number of b-vertex cliques (as vertex subsets) inside ``mask``."""
+def count_cliques(adj, b, mask, weigh=int.bit_count, meter=None):
+    """Number of b-vertex cliques (as vertex subsets) inside ``mask``.
+
+    ``weigh`` maps a vertex bitmask to its total weight and is additive
+    over bits; each clique counts as the product of its vertices'
+    weights.  With weights the class sizes of a blow-up, this counts the
+    blow-up's b-cliques on its quotient."""
     if b < 0:
         raise ValueError("clique size must be nonnegative")
     if b == 0:
         return 1
-    if b == 1:
-        return mask.bit_count()
-    return _count(adj, b, mask, meter)
+    return _count(adj, b, mask, weigh, meter)
 
 
-def _count(adj, b, mask, meter):
+def _count(adj, b, mask, weigh, meter):
     if b == 1:
-        return mask.bit_count()
+        return weigh(mask)
     total = 0
     m = mask
     while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
+        low = m & -m
+        m ^= low
         if meter is not None:
             meter.charge()
-        # cliques whose lowest vertex is v: rest lives among later vertices
-        sub = adj[v] & m
+        # cliques whose lowest vertex is low: rest lives among later vertices
+        sub = adj[low.bit_length() - 1] & m
         if sub.bit_count() >= b - 1:
-            total += _count(adj, b - 1, sub, meter)
-    return total
-
-
-def count_cliques_weighted(adj, b, mask, weights, meter=None):
-    """Sum over the b-vertex cliques inside ``mask`` of the product of
-    their vertices' ``weights``: the b-cliques of a blow-up that has
-    ``weights[v]`` copies of v, counted on the blown-up graph's base."""
-    if b < 0:
-        raise ValueError("clique size must be nonnegative")
-    if b == 0:
-        return 1
-    return _count_weighted(adj, b, mask, weights, meter)
-
-
-def _count_weighted(adj, b, mask, weights, meter):
-    if b == 1:
-        return sum(weights[v] for v in members(mask))
-    total = 0
-    m = mask
-    while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        if meter is not None:
-            meter.charge()
-        sub = adj[v] & m
-        if sub.bit_count() >= b - 1:
-            total += weights[v] * _count_weighted(adj, b - 1, sub, weights, meter)
+            total += weigh(low) * _count(adj, b - 1, sub, weigh, meter)
     return total
 
 

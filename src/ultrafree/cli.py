@@ -601,30 +601,32 @@ def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
                 raise ValueError(message)
             super().error(message)
 
-    common = argparse.ArgumentParser(add_help=False)
+    # main spots --json by its literal name, so no option may be abbreviated
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--budget-nodes", type=int, default=None, metavar="N")
     common.add_argument("--budget-ms", type=int, default=None, metavar="T")
     common.add_argument("--json", action="store_true")
 
     parser = Parser(
         prog="ultrafree",
+        allow_abbrev=False,
         description="Exact solvers and verification suites for clique-density-critical graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common], help="emit a constructed graph")
+    p = sub.add_parser("gen", parents=[common], allow_abbrev=False, help="emit a constructed graph")
     p.add_argument("family")
     p.add_argument("--params", default="", metavar="k=v,...")
     p.add_argument("--format", choices=("json", "dimacs"), default="json")
     p.add_argument("--out", default=None, metavar="FILE")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("analyze", parents=[common], help="graph metrics")
+    p = sub.add_parser("analyze", parents=[common], allow_abbrev=False, help="graph metrics")
     p.add_argument("file")
     p.add_argument("--metrics", required=True)
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("setsys", parents=[common], help="set-system metrics")
+    p = sub.add_parser("setsys", parents=[common], allow_abbrev=False, help="set-system metrics")
     p.add_argument("file")
     p.add_argument(
         "--derive",
@@ -634,7 +636,7 @@ def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
     p.add_argument("--metrics", required=True)
     p.set_defaults(func=_cmd_setsys)
 
-    p = sub.add_parser("space", parents=[common], help="convexity-space metrics")
+    p = sub.add_parser("space", parents=[common], allow_abbrev=False, help="convexity-space metrics")
     p.add_argument("file")
     p.add_argument("--radon-cap", type=int, default=None, metavar="K")
     p.add_argument("--weak-net", default=None, metavar="EPS")
@@ -642,7 +644,7 @@ def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
     p.add_argument("--helly", action="store_true")
     p.set_defaults(func=_cmd_space)
 
-    p = sub.add_parser("decompose", parents=[common], help="blow-up decomposition")
+    p = sub.add_parser("decompose", parents=[common], allow_abbrev=False, help="blow-up decomposition")
     p.add_argument("file")
     p.add_argument("--r", type=int, default=3)
     p.add_argument("--eps", default=None, metavar="P/Q")
@@ -650,7 +652,7 @@ def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, metavar="FILE")
     p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    p = sub.add_parser("verify", parents=[common], allow_abbrev=False, help="run a verification suite")
     p.add_argument("--suite", required=True)
     p.add_argument("--catalog", choices=("small", "extended"), default="small")
     p.add_argument("--seed", type=int, default=_DEFAULT_SEED)

@@ -143,10 +143,10 @@ def separated_subfamily(F: SetSystem, s: int) -> tuple[int, ...]:
     return tuple(reps)
 
 
-def packing_bound(d: int, family_size: int, sep_level: int) -> Fraction:
+def packing_bound(d: int, family_size: int, sep_level) -> Fraction:
     """Rational upper bound e(d+1)(2e*|F|/s)^d for an s-separated family
-    in a system of VC dimension d."""
-    if sep_level < 1:
+    in a system of VC dimension d; s is any positive rational."""
+    if sep_level <= 0:
         raise ValueError("separation level must be positive")
     return E_UP * (d + 1) * (2 * E_UP * family_size / Fraction(sep_level)) ** d
 
@@ -300,7 +300,7 @@ def vc_chromatic_partition(G: Graph, c, budget: SearchBudget | None = None):
             raise ClaimViolation(f"part {colors[u]} contains the edge {u},{v}")
     d, _ = vc_dimension(neighborhood_system(G), budget)
     m = len(reps)
-    bound = E_UP * (d + 1) * (2 * E_UP / (3 * c)) ** d
+    bound = packing_bound(d, G.n, s)
     ok = Fraction(m) <= bound
     checks = [
         Check(

@@ -8,7 +8,6 @@ deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import comb
 
 from . import _kernels
@@ -191,7 +190,7 @@ def count_cliques(G: Graph, b: int, within=None, budget: SearchBudget | None = N
     """Number of unlabeled b-cliques in G, or in G[within]."""
     if b < 1:
         raise ValueError("clique size must be at least 1")
-    return _kernels.count_cliques(G.adj, b, _within_mask(G, within), _meter(budget, "count_cliques"))
+    return _kernels.count_cliques(G.adj, b, _within_mask(G, within), meter=_meter(budget, "count_cliques"))
 
 
 def list_cliques(G: Graph, b: int, within=None, budget: SearchBudget | None = None) -> list[int]:
@@ -253,39 +252,48 @@ def _blowup_quotient(G: Graph):
     return classes, G if len(classes) == G.n else G.induced([c[0] for c in classes])
 
 
-def codegree_min(G: Graph, a: int):
-    """Minimum |N(I)| over independent a-sets I; None when no such I.
+def _class_coneighborhoods(G: Graph, a: int):
+    """``(classes, F, weight, scan)``: G's independent a-sets up to twins.
 
-    Computed on the twin quotient F: an independent a-set of G meets an
-    independent set S of F's classes, with |S| <= a <= (copies in S), and
-    its co-neighbourhood is the union of the classes in N_F(S)."""
-    if a < 1:
-        raise ValueError("set size must be at least 1")
+    ``classes`` and ``F`` are ``_blowup_quotient(G)``, and ``weight(mask)``
+    is the number of G-vertices in a set of classes.  ``scan`` yields
+    ``(S, N_F(S))`` for every independent set S of F's classes with
+    |S| <= a <= weight(S): these are the class sets met by G's independent
+    a-sets, and such a set's co-neighbourhood is the union of the classes
+    in N_F(S).  Larger S come first, each size lexicographic."""
     classes, F = _blowup_quotient(G)
-    # a set of classes weighs its number of G-vertices: one popcount per
-    # distinct class size, and a blow-up has few of those
-    by_size: dict[int, int] = {}
-    for i, c in enumerate(classes):
-        by_size[len(c)] = by_size.get(len(c), 0) | 1 << i
-    groups = tuple(by_size.items())
+    if F is G:
+        weight = int.bit_count
+    else:
+        # one popcount per distinct class size, and a blow-up has few
+        by_size: dict[int, int] = {}
+        for i, c in enumerate(classes):
+            by_size[len(c)] = by_size.get(len(c), 0) | 1 << i
+        groups = tuple(by_size.items())
 
-    def weight(mask: int) -> int:
-        total = 0
-        for size, m in groups:
-            total += size * (mask & m).bit_count()
-        return total
+        def weight(mask: int) -> int:
+            total = 0
+            for size, m in groups:
+                total += size * (mask & m).bit_count()
+            return total
 
     # s classes hold at least s and at most s * max(size) vertices
-    fewest = -(-a // max(by_size, default=1))
-    return min(
-        (
-            weight(nbhd)
-            for s in range(fewest, a + 1)
-            for S, nbhd in _coneighborhoods(F, s)
-            if s == a or weight(S) >= a
-        ),
-        default=None,
+    fewest = -(-a // max(map(len, classes), default=1))
+    scan = (
+        (S, nbhd)
+        for s in range(a, fewest - 1, -1)
+        for S, nbhd in _coneighborhoods(F, s)
+        if s == a or weight(S) >= a
     )
+    return classes, F, weight, scan
+
+
+def codegree_min(G: Graph, a: int):
+    """Minimum |N(I)| over independent a-sets I; None when no such I."""
+    if a < 1:
+        raise ValueError("set size must be at least 1")
+    _, _, weight, scan = _class_coneighborhoods(G, a)
+    return min((weight(nbhd) for _, nbhd in scan), default=None)
 
 
 def clique_codensity(G: Graph, a: int, b: int, budget: SearchBudget | None = None):
@@ -293,19 +301,22 @@ def clique_codensity(G: Graph, a: int, b: int, budget: SearchBudget | None = Non
 
     Density is k_b(G[N(I)]) / C(|N(I)|, b), exact; a co-neighborhood with
     fewer than b vertices contributes density 0.  None when no independent
-    a-set exists.
+    a-set exists.  Computed on the twin quotient F, where k_b counts each
+    b-clique of classes with the product of their sizes.
     """
     if a < 1 or b < 2:
         raise ValueError("need a >= 1 and b >= 2")
     meter = _meter(budget, "clique_codensity")
+    _, F, weight, scan = _class_coneighborhoods(G, a)
 
     def density(nbhd: int) -> Fraction:
-        size = nbhd.bit_count()
+        size = weight(nbhd)
         if size < b:
             return Fraction(0)
-        return Fraction(_kernels.count_cliques(G.adj, b, nbhd, meter), comb(size, b))
+        count = _kernels.count_cliques(F.adj, b, nbhd, weigh=weight, meter=meter)
+        return Fraction(count, comb(size, b))
 
-    return min((density(nbhd) for _, nbhd in _coneighborhoods(G, a)), default=None)
+    return min((density(nbhd) for _, nbhd in scan), default=None)
 
 
 def has_induced_p4(G: Graph, u: int, v: int):
@@ -343,15 +354,13 @@ def is_maximal_kr_free(G: Graph, r: int, budget: SearchBudget | None = None) -> 
     common neighbourhood, and so does every class of two or more twins.
     The meter is charged one node per co-neighbourhood tested, plus the
     nodes of its clique search (none for r <= 3, a popcount)."""
-    classes, F = _blowup_quotient(G)
+    _, F, _, scan = _class_coneighborhoods(G, 2)
     if not is_kr_free(F, r, budget):
         return False
     meter = _meter(budget, "is_maximal_kr_free")
-    pairs = (nbhd for _, nbhd in _coneighborhoods(F, 2))
-    twins = (F.adj[i] for i, c in enumerate(classes) if len(c) > 1)
-    for nbhd in chain(pairs, twins):
+    for _, nbhd in scan:
         if meter is not None:
             meter.charge()
-        if not _kernels.count_cliques(F.adj, r - 2, nbhd, meter):
+        if not _kernels.count_cliques(F.adj, r - 2, nbhd, meter=meter):
             return False
     return True

@@ -12,7 +12,7 @@ from typing import NamedTuple, Optional
 from . import _kernels
 from .budget import SearchBudget, _meter
 from .errors import InternalContradiction, PreconditionViolated
-from .graphs import Graph, _blowup_quotient, _coneighborhoods, list_cliques, members
+from .graphs import Graph, _blowup_quotient, _class_coneighborhoods, list_cliques, members
 from .reports import Check, Report, _graph_digest
 from .setsystems import neighborhood_system, vc_dimension
 
@@ -103,23 +103,16 @@ def ultra_parameter(G: Graph, r: int, budget: SearchBudget | None = None) -> Ult
     if r < 3:
         raise ValueError("need r >= 3")
     meter = _meter(budget, "ultra_parameter")
-    classes, F = _blowup_quotient(G)
-    if F.n >= r and _kernels.count_cliques(F.adj, r, F.full_mask, meter):
+    classes, F, weight, scan = _class_coneighborhoods(G, 2)
+    if F.n >= r and _kernels.count_cliques(F.adj, r, F.full_mask, meter=meter):
         raise PreconditionViolated(f"graph contains a {r}-clique")
-    sizes = [len(c) for c in classes]
 
-    def count(nbhd: int) -> int:
-        return _kernels.count_cliques_weighted(F.adj, r - 2, nbhd, sizes, meter)
+    def candidate(S: int, nbhd: int) -> tuple[int, int, int]:
+        ends = [classes[i] for i in members(S)]
+        u, v = (ends[0][0], ends[1][0]) if len(ends) == 2 else ends[0][:2]
+        return _kernels.count_cliques(F.adj, r - 2, nbhd, weigh=weight, meter=meter), u, v
 
-    def candidates():
-        for pair, nbhd in _coneighborhoods(F, 2):
-            i, j = members(pair)
-            yield count(nbhd), classes[i][0], classes[j][0]
-        for i, c in enumerate(classes):
-            if len(c) > 1:
-                yield count(F.adj[i]), c[0], c[1]
-
-    worst = min(candidates(), default=None)
+    worst = min((candidate(S, nbhd) for S, nbhd in scan), default=None)
     if worst is None:
         return UltraCertificate(r, None, None)
     least, u, v = worst

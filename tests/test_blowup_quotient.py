@@ -11,11 +11,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+import ultrafree._kernels
 import ultrafree.decompose
 from ultrafree.constructions import blowup, hypercube_lb
 from ultrafree.decompose import p4_obstruction, twin_quotient
 from ultrafree.errors import PreconditionViolated
-from ultrafree.graphs import Graph, codegree_min, has_induced_p4, is_maximal_kr_free
+from ultrafree.graphs import (
+    Graph,
+    clique_codensity,
+    codegree_min,
+    has_induced_p4,
+    is_maximal_kr_free,
+)
 from ultrafree.ultra import ultra_parameter
 
 
@@ -40,6 +47,13 @@ class TestRandomBlowups:
     def test_maximality(self, G):
         for r in (3, 4):
             assert is_maximal_kr_free(G, r) == oracles.is_maximal_kr_free(G, r)
+
+    @given(blowups())
+    @settings(max_examples=40, deadline=None)
+    def test_codensity(self, G):
+        for a in (1, 2, 3):
+            for b in (2, 3):
+                assert clique_codensity(G, a, b) == oracles.clique_codensity(G, a, b)
 
     @given(blowups(), st.integers(3, 4))
     @settings(max_examples=40, deadline=None)
@@ -75,6 +89,22 @@ def test_lower_bound_instance_exact(d):
     assert ultra_parameter(G, 3).epsilon_star == Fraction(1, 8 * d + 4)
     assert len(p4_obstruction(G).core) == 2 ** (d - 1) + 1
     assert twin_quotient(G).quotient == H
+
+
+def test_codensity_scans_class_pairs(monkeypatch):
+    # the twin quotient of hypercube_lb(5).G has 680 non-adjacent class
+    # pairs and 10 classes of two or more twins: one clique count each,
+    # where a scan of G's own pairs makes 51,520
+    calls = []
+    count = ultrafree._kernels.count_cliques
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return count(*args, **kwargs)
+
+    monkeypatch.setattr(ultrafree._kernels, "count_cliques", counted)
+    clique_codensity(hypercube_lb(5).G, 2, 2)
+    assert len(calls) <= 690
 
 
 def test_p4_witness_runs_from_the_later_class():

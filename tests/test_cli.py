@@ -528,6 +528,20 @@ class TestVerify:
         assert captured.err.startswith("usage: ultrafree ")
         assert f"error: {needle}" in captured.err
 
+    def test_abbreviated_options_rejected(self, capsys):
+        # main spots --json by its full name, so an abbreviation such as
+        # --js must be a usage error rather than a silent JSON switch
+        assert main(["verify", "--suite", "halfgraph", "--js"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ultrafree ")
+        assert "unrecognized arguments: --js" in captured.err
+        argv = ["analyze", '{"n":3,"edges":[[0,1]]}', "--metrics", "chi", "--budget-n", "0", "--json"]
+        assert main(argv) == 2
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["error"]["type"] == "usage"
+        assert "--budget-n" in obj["error"]["message"]
+
     def test_help_exits_zero(self, capsys):
         assert main(["verify", "--help"]) == 0
         assert main(["verify", "--help", "--json"]) == 0

@@ -232,6 +232,8 @@ class TestVcChromaticPartition:
             "colors-within-vc-bound",
             "parts-independent",
         ]
+        # Haussler's bound for 5 points, VC dimension 2, separation c*n/3
+        assert report.checks[0].value["bound"] == packing_bound(2, 5, Fraction(2, 3))
 
     def test_blowup_merges_twins(self):
         B, _ = blowup(C5, [2] * 5)
