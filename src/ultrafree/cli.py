@@ -66,7 +66,7 @@ from .io import (
     parse_space,
     system_from_obj,
 )
-from .reports import Check, Report, digest_of, jsonable
+from .reports import Check, Report, _verdict, digest_of, jsonable
 from .setsystems import (
     dual,
     fractional_transversal,
@@ -336,11 +336,7 @@ class _SuiteAgg:
 
     def add_bool(self, name: str, rule: str, ok, instance, detail=None) -> None:
         # ok may be None for a skipped instance
-        status = "skipped" if ok is None else ("pass" if ok else "fail")
-        witness = detail if status == "fail" else None
-        if status == "fail" and witness is None:
-            witness = {}
-        self.add_check(Check(name, rule, status, value=detail, witness=witness), instance)
+        self.add_check(_verdict(name, rule, ok, value=detail, witness=detail), instance)
 
     def report(self, digest: str) -> Report:
         checks = []

@@ -20,7 +20,7 @@ from .errors import ClaimViolation
 from .graphs import Graph, members
 from . import graphs as _graphs
 from . import setsystems as _ss
-from .reports import Check, Report, _graph_digest
+from .reports import Check, Report, _graph_digest, _verdict
 
 __all__ = [
     "ConvexitySpace",
@@ -276,31 +276,10 @@ def correspondence_checks(
     """
     mis = _ss.mis_family(G, budget)
     stars = _ss.dual(mis)
-    shared = []
-
     chi = _graphs.chromatic_number(G, budget)
     tau, tau_witness = _ss.transversal_number(stars, budget)
-    shared.append(
-        Check(
-            "chromatic-equals-transversal",
-            "chromatic-equals-transversal",
-            "pass" if chi == tau else "fail",
-            value={"chi": chi, "tau": tau},
-            witness=None if chi == tau else {"transversal": tau_witness},
-        )
-    )
-
     omega = _graphs.clique_number(G, budget)
     nu, nu_witness = _ss.matching_number(stars, budget)
-    shared.append(
-        Check(
-            "clique-equals-matching",
-            "clique-equals-matching",
-            "pass" if omega == nu else "fail",
-            value={"omega": omega, "nu": nu},
-            witness=None if omega == nu else {"matching": nu_witness},
-        )
-    )
 
     # one star per vertex, so the rebuilt graph is on V(G).  The first pair
     # u < v whose adjacency differs: the first differing row u, and its
@@ -312,59 +291,62 @@ def correspondence_checks(
         if diff:
             bad_pair = (u, (diff & -diff).bit_length() - 1)
             break
-    shared.append(
-        Check(
-            "edges-match-disjoint-stars",
-            "edges-match-disjoint-stars",
-            "pass" if bad_pair is None else "fail",
-            witness=bad_pair,
-        )
-    )
-    shared.append(
-        Check(
-            "disjointness-reconstructs-graph",
-            "disjointness-reconstructs-graph",
-            "pass" if bad_pair is None else "fail",
-            witness=None if bad_pair is None else {"rebuilt_edges": rebuilt.edges()},
-        )
-    )
-
     mis_tuples = [members(s) for s in mis.sets]
     maximal_stars = _ss.maximal_intersecting_subfamilies(stars)
-    same_families = sorted(mis_tuples) == sorted(maximal_stars)
-    shared.append(
-        Check(
-            "mis-match-maximal-stars",
-            "mis-match-maximal-stars",
-            "pass" if same_families else "fail",
-            witness=None
-            if same_families
-            else {"mis": mis_tuples, "maximal_stars": maximal_stars},
-        )
-    )
-
     expected_h = 2 if G.edge_count() >= 1 else 1
     h = _ss.helly_number(stars, budget)
-    shared.append(
-        Check(
-            "star-helly-matches-edges",
-            "star-helly-matches-edges",
-            "pass" if h == expected_h else "fail",
-            value={"helly": h, "expected": expected_h},
-            witness=None if h == expected_h else {"helly": h},
-        )
-    )
 
+    shared = [
+        _verdict(
+            "chromatic-equals-transversal",
+            "chromatic-equals-transversal",
+            chi == tau,
+            value={"chi": chi, "tau": tau},
+            witness={"transversal": tau_witness},
+        ),
+        _verdict(
+            "clique-equals-matching",
+            "clique-equals-matching",
+            omega == nu,
+            value={"omega": omega, "nu": nu},
+            witness={"matching": nu_witness},
+        ),
+        _verdict(
+            "edges-match-disjoint-stars",
+            "edges-match-disjoint-stars",
+            bad_pair is None,
+            witness=bad_pair,
+        ),
+        _verdict(
+            "disjointness-reconstructs-graph",
+            "disjointness-reconstructs-graph",
+            bad_pair is None,
+            witness=None if bad_pair is None else {"rebuilt_edges": rebuilt.edges()},
+        ),
+        _verdict(
+            "mis-match-maximal-stars",
+            "mis-match-maximal-stars",
+            sorted(mis_tuples) == sorted(maximal_stars),
+            witness={"mis": mis_tuples, "maximal_stars": maximal_stars},
+        ),
+        _verdict(
+            "star-helly-matches-edges",
+            "star-helly-matches-edges",
+            h == expected_h,
+            value={"helly": h, "expected": expected_h},
+            witness={"helly": h},
+        ),
+    ]
     out = {}
     for r in rs:
         free = _graphs.is_kr_free(G, r, budget)
         pq = _ss.has_pq_property(stars, r, 2)
-        pq_check = Check(
+        pq_check = _verdict(
             "clique-free-matches-pq",
             "clique-free-matches-pq",
-            "pass" if free == pq else "fail",
+            free == pq,
             value={"r": r, "kr_free": free, "pq": pq},
-            witness=None if free == pq else {"r": r},
+            witness={"r": r},
         )
         out[r] = sorted(shared + [pq_check], key=lambda c: c.name)
     return out

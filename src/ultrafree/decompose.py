@@ -19,7 +19,7 @@ from .budget import SearchBudget
 from .errors import ClaimViolation, PreconditionViolated
 from .graphs import Graph, _blowup_quotient, has_induced_p4, mask_of, max_clique_witness, members
 from . import graphs as _graphs
-from .reports import Check, Report, _graph_digest
+from .reports import Check, Report, _graph_digest, _verdict
 from .setsystems import SetSystem, neighborhood_system, vc_dimension
 from .ultra import is_eps_ultra, ultra_parameter
 
@@ -105,6 +105,8 @@ class ObstructionCertificate(NamedTuple):
     links: dict
 
     def validate(self, G: Graph) -> None:
+        if any(not 0 <= v < G.n for v in self.core):
+            raise ClaimViolation(f"core {self.core} names a vertex outside 0..{G.n - 1}")
         for u, v in combinations(self.core, 2):
             key = (u, v) if u < v else (v, u)
             if key not in self.links:
@@ -113,7 +115,9 @@ class ObstructionCertificate(NamedTuple):
             a, b = key
             quad = {a, y, z, b}
             ok = (
-                len(quad) == 4
+                0 <= y < G.n
+                and 0 <= z < G.n
+                and len(quad) == 4
                 and G.has_edge(a, y)
                 and G.has_edge(y, z)
                 and G.has_edge(z, b)
@@ -242,33 +246,31 @@ def p4_obstruction(G: Graph, budget: SearchBudget | None = None) -> ObstructionC
     Maximum clique of the auxiliary graph whose edges are the pairs
     admitting such a path, with per-pair witnesses kept for audit.
 
-    The paths are found on the twin quotient F.  Twins admit no such
-    path, and u, v in classes i, j admit one iff classes i, j do in F, so
-    the auxiliary graph is a blow-up of F's.  The clique search runs on
-    that blow-up, so the core is the one found on G itself.  A witness
-    (y, z) of F lifts to the first vertices of the classes y and z: the
-    first y and then the first z that ``has_induced_p4`` meets on G.
+    Everything runs on the twin quotient F.  Twins admit no such path,
+    and u, v in classes i, j admit one iff classes i, j do in F, so G's
+    auxiliary graph is a blow-up of F's and its cliques take at most one
+    vertex per class: F's maximum clique has the size of G's.  A class
+    stands for its first vertex: the core is the first vertex of each
+    class in the clique, and a witness (y, z) of F lifts to the first
+    vertices of the classes y and z, the path ``has_induced_p4`` finds on G.
     """
-    classes, F, class_of = twin_quotient(G)
-    aux_F = [0] * F.n
+    classes, F, _ = twin_quotient(G)
+    aux = [0] * F.n
     paths: dict[tuple[int, int], tuple[int, int]] = {}
     for i, j in combinations(range(F.n), 2):
         w = has_induced_p4(F, i, j)
         if w is not None:
-            aux_F[i] |= 1 << j
-            aux_F[j] |= 1 << i
+            aux[i] |= 1 << j
+            aux[j] |= 1 << i
             paths[(i, j)] = w
-    class_masks = [mask_of(c) for c in classes]
-    lifted = [_lift(row, class_masks) for row in aux_F]
-    _, core = max_clique_witness(Graph.from_masks([lifted[i] for i in class_of]), budget)
-
-    def link(u: int, v: int) -> tuple[int, int]:
-        # the path runs from u's class to v's, which need not be ascending
-        i, j = class_of[u], class_of[v]
-        y, z = paths[(i, j)] if i < j else has_induced_p4(F, i, j)
-        return classes[y][0], classes[z][0]
-
-    cert = ObstructionCertificate(core, {(u, v): link(u, v) for u, v in combinations(core, 2)})
+    _, clique = max_clique_witness(Graph.from_masks(aux), budget)
+    # classes are ordered by first vertex, so i < j iff first[i] < first[j]
+    first = [c[0] for c in classes]
+    links = {}
+    for i, j in combinations(clique, 2):
+        y, z = paths[(i, j)]
+        links[(first[i], first[j])] = (first[y], first[z])
+    cert = ObstructionCertificate(tuple(first[i] for i in clique), links)
     cert.validate(G)
     return cert
 
@@ -301,7 +303,6 @@ def vc_chromatic_partition(G: Graph, c, budget: SearchBudget | None = None):
     d, _ = vc_dimension(neighborhood_system(G), budget)
     m = len(reps)
     bound = packing_bound(d, G.n, s)
-    ok = Fraction(m) <= bound
     checks = [
         Check(
             "parts-independent",
@@ -309,12 +310,12 @@ def vc_chromatic_partition(G: Graph, c, budget: SearchBudget | None = None):
             "pass",
             value={"parts": m},
         ),
-        Check(
+        _verdict(
             "colors-within-vc-bound",
             "color-count-bounded-by-vc",
-            "pass" if ok else "fail",
+            Fraction(m) <= bound,
             value={"colors": m, "vc": d, "bound": bound, "c": c},
-            witness=None if ok else {"colors": m, "bound": bound},
+            witness={"colors": m, "bound": bound},
         ),
     ]
     report = Report(_graph_digest(G, {"c": c}), checks)
@@ -343,7 +344,6 @@ def min_degree_ultra_check(
     if Fraction(delta) < threshold:
         raise PreconditionViolated(f"min degree {delta} below {threshold}")
     target = eps ** (r - 2)
-    ok = cert.epsilon_star is None or cert.epsilon_star >= target
     checks = [
         Check(
             "degree-hypothesis",
@@ -351,12 +351,12 @@ def min_degree_ultra_check(
             "pass",
             value={"min_degree": delta, "threshold": threshold, "r": r, "eps": eps},
         ),
-        Check(
+        _verdict(
             "ultra-parameter-lower-bound",
             "degree-implies-clique-density",
-            "pass" if ok else "fail",
+            cert.epsilon_star is None or cert.epsilon_star >= target,
             value={"epsilon_star": cert.epsilon_star, "required": target},
-            witness=None if ok else {"worst_pair": cert.worst_pair},
+            witness={"worst_pair": cert.worst_pair},
         ),
     ]
     return Report(_graph_digest(G, {"r": r, "eps": eps}), checks)
@@ -383,7 +383,6 @@ def codegree_density_check(G: Graph, budget: SearchBudget | None = None) -> Repo
     c = Fraction(delta2, G.n)
     dens = _graphs.clique_codensity(G, 2, 2, budget)
     required = 2 - 1 / c
-    ok = dens >= required
     checks = [
         Check(
             "codegree-hypothesis",
@@ -391,12 +390,12 @@ def codegree_density_check(G: Graph, budget: SearchBudget | None = None) -> Repo
             "pass",
             value={"c": c, "min_codegree": delta2},
         ),
-        Check(
+        _verdict(
             "co-neighborhood-density",
             "codegree-forces-density",
-            "pass" if ok else "fail",
+            dens >= required,
             value={"density": dens, "required": required},
-            witness=None if ok else {"density": dens, "required": required},
+            witness={"density": dens, "required": required},
         ),
     ]
     return Report(digest, checks)

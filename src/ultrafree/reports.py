@@ -94,6 +94,17 @@ class Report:
         return out
 
 
+def _verdict(name: str, rule: str, ok, value=None, witness=None) -> Check:
+    """The check whose status follows ``ok``: None skips, truthy passes,
+    falsy fails.  Only a failure keeps its witness, ``{}`` when none is
+    given."""
+    if ok is None:
+        return Check(name, rule, "skipped", value=value)
+    if ok:
+        return Check(name, rule, "pass", value=value)
+    return Check(name, rule, "fail", value=value, witness={} if witness is None else witness)
+
+
 def digest_of(*parts) -> str:
     """Short deterministic digest of the canonical form of the inputs."""
     import hashlib  # here, not at the top: most commands take no digest

@@ -13,7 +13,7 @@ from . import _kernels
 from .budget import SearchBudget, _meter
 from .errors import InternalContradiction, PreconditionViolated
 from .graphs import Graph, _blowup_quotient, _class_coneighborhoods, list_cliques, members
-from .reports import Check, Report, _graph_digest
+from .reports import Check, Report, _graph_digest, _verdict
 from .setsystems import neighborhood_system, vc_dimension
 
 __all__ = [
@@ -59,6 +59,8 @@ class HalfGraphEmbedding(NamedTuple):
         if len(self.ys) != k:
             raise ValueError("sides must have equal length")
         seen = set(self.xs) | set(self.ys)
+        if any(not 0 <= v < G.n for v in seen):
+            raise ValueError(f"vertices must lie in 0..{G.n - 1}")
         if len(seen) != 2 * k:
             raise ValueError("vertices must be distinct")
         for i in range(k):
@@ -80,6 +82,8 @@ class BiInducedMatching(NamedTuple):
 
     def validate(self, G: Graph) -> None:
         flat = [v for p in self.pairs for v in p]
+        if any(not 0 <= v < G.n for v in flat):
+            raise ValueError(f"vertices must lie in 0..{G.n - 1}")
         if len(set(flat)) != len(flat):
             raise ValueError("vertices must be distinct")
         for i, (a, b) in enumerate(self.pairs):
@@ -357,7 +361,6 @@ def check_vc_clique_bound(
         )
     d, shattered = vc_dimension(neighborhood_system(G), budget)
     bound = 1 / eps + 1 + r - 4
-    ok = Fraction(d) <= bound
     checks = [
         Check(
             "ultra-precondition",
@@ -365,12 +368,12 @@ def check_vc_clique_bound(
             "pass",
             value={"eps": eps, "epsilon_star": cert.epsilon_star},
         ),
-        Check(
+        _verdict(
             "neighborhood-vc-bound",
             "vc-at-most-inverse-eps-plus-clique-slack",
-            "pass" if ok else "fail",
+            Fraction(d) <= bound,
             value={"vc": d, "bound": bound, "r": r},
-            witness=None if ok else {"shattered": shattered},
+            witness={"shattered": shattered},
         ),
     ]
     return Report(_graph_digest(G, {"r": r, "eps": eps}), checks)

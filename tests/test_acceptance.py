@@ -168,7 +168,7 @@ def test_criterion_07():
     assert shattered == (0, 1, 2)
     assert oracles.vc_dimension(F) == 3
     cert = p4_obstruction(G)
-    assert cert.core == (4, 5, 6, 15)
+    assert cert.core == (4, 5, 6, 14)
     assert len(cert.core) >= G.n // 4
     cert.validate(G)
 

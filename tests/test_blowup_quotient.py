@@ -22,6 +22,7 @@ from ultrafree.graphs import (
     codegree_min,
     has_induced_p4,
     is_maximal_kr_free,
+    max_clique_witness,
 )
 from ultrafree.ultra import ultra_parameter
 
@@ -77,6 +78,8 @@ class TestRandomBlowups:
         cert = p4_obstruction(G)
         assert len(cert.core) == oracles.p4_core_size(G)
         cert.validate(G)
+        # each core vertex stands for its twin class: the smallest member
+        assert all(min(w for w in range(G.n) if G.adj[w] == G.adj[u]) == u for u in cert.core)
         # each lifted witness is the one the scan on G itself finds
         for (u, v), path in cert.links.items():
             assert path == has_induced_p4(G, u, v)
@@ -107,14 +110,13 @@ def test_codensity_scans_class_pairs(monkeypatch):
     assert len(calls) <= 690
 
 
-def test_p4_witness_runs_from_the_later_class():
-    # 0 and 5 are twins, so the class of the core pair's larger vertex 5
-    # comes first; the witness still runs from 2 to 5, as on G itself
+def test_p4_core_is_first_vertices():
+    # classes {0, 5}, {1, 3}, {2}, {4}: the core is the first vertices of
+    # {0, 5} and {2}, and the witness the first vertices of {4} and {1, 3}
     G = Graph(6, [(0, 4), (1, 2), (1, 4), (2, 3), (3, 4), (4, 5)])
     cert = p4_obstruction(G)
-    assert cert.core == (2, 5)
-    assert cert.links == {(2, 5): (1, 4)}
-    assert has_induced_p4(G, 2, 5) == (1, 4)
+    assert cert.core == (0, 2)
+    assert cert.links == {(0, 2): (4, 1)} == {(0, 2): has_induced_p4(G, 0, 2)}
 
 
 def test_p4_obstruction_scans_class_pairs(monkeypatch):
@@ -128,3 +130,15 @@ def test_p4_obstruction_scans_class_pairs(monkeypatch):
     H, G = hypercube_lb(5)
     assert len(p4_obstruction(G).core) == 17
     assert len(calls) <= comb(H.n, 2) == 861
+
+
+def test_p4_obstruction_searches_the_quotient(monkeypatch):
+    orders = []
+
+    def recorded(A, budget=None):
+        orders.append(A.n)
+        return max_clique_witness(A, budget)
+
+    monkeypatch.setattr(ultrafree.decompose, "max_clique_witness", recorded)
+    assert len(p4_obstruction(hypercube_lb(5).G).core) == 17
+    assert orders == [42]

@@ -222,6 +222,15 @@ class TestP4Obstruction:
         with pytest.raises(ClaimViolation, match="not an induced path"):
             ObstructionCertificate((0, 3), {(0, 3): (2, 1)}).validate(P)
 
+    def test_validate_rejects_negative_core_vertex(self):
+        # -4 would read vertex 0's row of the 4-vertex path
+        with pytest.raises(ClaimViolation, match="outside"):
+            ObstructionCertificate((-4, 3), {(-4, 3): (1, 2)}).validate(Graph.path(4))
+
+    def test_validate_rejects_negative_witness_vertex(self):
+        with pytest.raises(ClaimViolation, match="not an induced path"):
+            ObstructionCertificate((0, 3), {(0, 3): (-3, 2)}).validate(Graph.path(4))
+
 
 class TestVcChromaticPartition:
     def test_c5(self):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import ultrafree
-from ultrafree.reports import TOOL_VERSION, Check, Report, digest_of, jsonable
+from ultrafree.reports import TOOL_VERSION, Check, Report, _verdict, digest_of, jsonable
 
 
 class TestJsonable:
@@ -46,6 +46,24 @@ class TestCheck:
             "value": "1/2",
             "witness": None,
         }
+
+
+class TestVerdict:
+    def test_pass_drops_witness(self):
+        c = _verdict("x", "r", True, value=1, witness={"w": 2})
+        assert (c.status, c.value, c.witness) == ("pass", 1, None)
+
+    def test_fail_keeps_witness(self):
+        c = _verdict("x", "r", False, value=1, witness={"w": 2})
+        assert (c.status, c.value, c.witness) == ("fail", 1, {"w": 2})
+
+    def test_none_skips(self):
+        c = _verdict("x", "r", None, value=1, witness={"w": 2})
+        assert (c.status, c.value, c.witness) == ("skipped", 1, None)
+
+    def test_fail_without_witness(self):
+        c = _verdict("x", "r", 0)
+        assert (c.status, c.witness) == ("fail", {})
 
 
 class TestReport:

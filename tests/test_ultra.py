@@ -136,6 +136,11 @@ class TestHalfGraphEmbedding:
         with pytest.raises(ValueError, match="must be an edge"):
             HalfGraphEmbedding((0, 1), (3, 4)).validate(C5)
 
+    def test_rejects_negative_vertex(self):
+        # -1 and 3 are the same vertex of the 4-vertex path
+        with pytest.raises(ValueError, match="must lie in"):
+            HalfGraphEmbedding((0, -1), (2, 3)).validate(Graph.path(4))
+
 
 class TestBiInducedMatching:
     def test_empty_and_single(self):
@@ -152,6 +157,10 @@ class TestBiInducedMatching:
             BiInducedMatching(((0, 2),)).validate(C5)  # diagonal must be an edge
         with pytest.raises(ValueError, match="pattern"):
             BiInducedMatching(((0, 1), (2, 3))).validate(C5)  # edge (2,1) off-diagonal
+
+    def test_rejects_negative_vertex(self):
+        with pytest.raises(ValueError, match="must lie in"):
+            BiInducedMatching(((0, 1), (3, -2))).validate(Graph.path(4))
 
 
 class TestNuBi:
