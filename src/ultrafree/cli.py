@@ -1,7 +1,8 @@
 """Command-line front end: generators, analyzers, and verification suites.
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 usage or input
-error, 3 search budget exhausted.  With --json every result (and every
+error, 3 a search budget or another resource (recursion depth, memory)
+ran out; no answer was computed.  With --json every result (and every
 error) is a single JSON object on stdout.
 """
 
@@ -138,6 +139,15 @@ _FAMILIES = {
 }
 
 
+def _write(args, text: str) -> None:
+    """Send ``text`` to the --out file, or to stdout when none is named."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_gen(args, budget) -> int:
     if args.family not in _FAMILIES:
         raise ValueError(
@@ -151,68 +161,53 @@ def _cmd_gen(args, budget) -> int:
             + ",".join(f"{k}=..." for k in wanted)
         )
     G = make(params)
-    text = emit_dimacs(G) if args.format == "dimacs" else emit_graph_json(G) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, emit_dimacs(G) if args.format == "dimacs" else emit_graph_json(G) + "\n")
     return 0
 
 
-# ---------------------------------------------------------------- analyze
+# ---------------------------------------------------------------- metrics
+
+# token name -> (number of integer arguments, entry(input, budget, *ints)).
+# Each entry names its function inside a lambda, as _FAMILIES does, so the
+# module global is looked up when the metric runs: a rebound global (a
+# test's patch, a profiler's wrapper) is the function called.
+_GRAPH_METRICS = {
+    "chi": (0, lambda G, budget: chromatic_number(G, budget)),
+    "omega": (0, lambda G, budget: clique_number(G, budget)),
+    "mis": (0, lambda G, budget: len(enumerate_mis(G, budget))),
+    "nubi": (0, lambda G, budget: nu_bi(G, budget)[0]),
+    "ultra": (1, lambda G, budget, r: ultra_parameter(G, r, budget).epsilon_star),
+    "codegree": (1, lambda G, budget, a: codegree_min(G, a)),
+    "codensity": (2, lambda G, budget, a, b: clique_codensity(G, a, b, budget)),
+}
+
+_SETSYS_METRICS = {
+    "tau": (0, lambda F, budget: transversal_number(F, budget)[0]),
+    "nu": (0, lambda F, budget: matching_number(F, budget)[0]),
+    "taustar": (0, lambda F, budget: fractional_transversal(F, budget).value),
+    "vc": (0, lambda F, budget: vc_dimension(F, budget)[0]),
+    "helly": (0, lambda F, budget: helly_number(F, budget)),
+    "pq": (2, lambda F, budget, p, q: has_pq_property(F, p, q)),
+}
 
 
-def _graph_metric(tok: str, G: Graph, budget):
-    parts = tok.split(":")
-    head = parts[0]
-    if head == "chi" and len(parts) == 1:
-        return chromatic_number(G, budget)
-    if head == "omega" and len(parts) == 1:
-        return clique_number(G, budget)
-    if head == "mis" and len(parts) == 1:
-        return len(enumerate_mis(G, budget))
-    if head == "nubi" and len(parts) == 1:
-        return nu_bi(G, budget)[0]
-    if head == "ultra" and len(parts) == 2:
-        return ultra_parameter(G, int(parts[1]), budget).epsilon_star
-    if head == "codegree" and len(parts) == 2:
-        return codegree_min(G, int(parts[1]))
-    if head == "codensity" and len(parts) == 3:
-        return clique_codensity(G, int(parts[1]), int(parts[2]), budget)
-    raise ValueError(f"unknown graph metric {tok!r}")
-
-
-def _cmd_analyze(args, budget) -> int:
-    G = parse_graph(args.file)
+def _print_metrics(args, table: dict, kind: str, x, budget) -> int:
+    """Evaluate each ``NAME[:INT...]`` token of --metrics on ``x``."""
     out = {}
     for tok in args.metrics.split(","):
         tok = tok.strip()
-        if tok:
-            out[tok] = _graph_metric(tok, G, budget)
+        if not tok:
+            continue
+        name, *ints = tok.split(":")
+        if name not in table or table[name][0] != len(ints):
+            raise ValueError(f"unknown {kind} metric {tok!r}")
+        out[tok] = table[name][1](x, budget, *map(int, ints))
     _print_payload(args, out)
     return 0
 
 
-# ----------------------------------------------------------------- setsys
-
-
-def _setsys_metric(tok: str, F, budget):
-    parts = tok.split(":")
-    head = parts[0]
-    if head == "tau" and len(parts) == 1:
-        return transversal_number(F, budget)[0]
-    if head == "nu" and len(parts) == 1:
-        return matching_number(F, budget)[0]
-    if head == "taustar" and len(parts) == 1:
-        return fractional_transversal(F, budget).value
-    if head == "vc" and len(parts) == 1:
-        return vc_dimension(F, budget)[0]
-    if head == "helly" and len(parts) == 1:
-        return helly_number(F, budget)
-    if head == "pq" and len(parts) == 3:
-        return has_pq_property(F, int(parts[1]), int(parts[2]))
-    raise ValueError(f"unknown set-system metric {tok!r}")
+def _cmd_analyze(args, budget) -> int:
+    return _print_metrics(args, _GRAPH_METRICS, "graph", parse_graph(args.file), budget)
 
 
 def _cmd_setsys(args, budget) -> int:
@@ -236,13 +231,7 @@ def _cmd_setsys(args, budget) -> int:
             F = neighborhood_system(G)
         else:
             raise ValueError(f"--derive {derive} needs a set-system input")
-    out = {}
-    for tok in args.metrics.split(","):
-        tok = tok.strip()
-        if tok:
-            out[tok] = _setsys_metric(tok, F, budget)
-    _print_payload(args, out)
-    return 0
+    return _print_metrics(args, _SETSYS_METRICS, "set-system", F, budget)
 
 
 # ------------------------------------------------------------------ space
@@ -286,75 +275,55 @@ def _cmd_decompose(args, budget) -> int:
         if args.eps is None:
             raise ValueError("--method haussler requires --eps P/Q")
         D = haussler_partition(G, args.r, _parse_fraction(args.eps), budget)
-    text = json.dumps(decomposition_to_obj(D), indent=2 if args.json else None)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(args, json.dumps(decomposition_to_obj(D), indent=2 if args.json else None) + "\n")
     return 0
 
 
 # ----------------------------------------------------------------- verify
+#
+# A suite is a generator of (instance, checks) pairs; _cmd_verify tallies
+# them into one check per rule.
 
 
-class _SuiteAgg:
-    """Per-rule tallies over many instances; first failure kept as witness."""
+def _check(name: str, rule: str, ok, detail=None) -> Check:
+    # ok None skips the instance; the detail is both value and witness
+    return _verdict(name, rule, ok, value=detail, witness=detail)
 
-    def __init__(self):
-        self.slots: dict[str, dict] = {}
 
-    def _slot(self, name: str, rule: str) -> dict:
-        slot = self.slots.get(name)
-        if slot is None:
-            slot = self.slots[name] = {
-                "rule": rule,
-                "pass": 0,
-                "skip": 0,
-                "total": 0,
-                "witness": None,
-            }
-        return slot
-
-    def add_check(self, chk: Check, instance) -> None:
-        slot = self._slot(chk.name, chk.rule)
-        slot["total"] += 1
-        if chk.status == "pass":
-            slot["pass"] += 1
-        elif chk.status == "skipped":
-            slot["skip"] += 1
-        elif slot["witness"] is None:
-            slot["witness"] = {
-                "instance": instance,
-                "value": jsonable(chk.value),
-                "witness": jsonable(chk.witness),
-            }
-
-    def add_report(self, rep: Report, instance) -> None:
-        for chk in rep.checks:
-            self.add_check(chk, instance)
-
-    def add_bool(self, name: str, rule: str, ok, instance, detail=None) -> None:
-        # ok may be None for a skipped instance
-        self.add_check(_verdict(name, rule, ok, value=detail, witness=detail), instance)
-
-    def report(self, digest: str) -> Report:
-        checks = []
-        for name, slot in self.slots.items():
-            fails = slot["total"] - slot["pass"] - slot["skip"]
-            if fails:
-                status = "fail"
-            elif slot["pass"] == 0 and slot["total"] > 0:
-                status = "skipped"
-            else:
-                status = "pass"
-            value = {"pass": slot["pass"], "total": slot["total"]}
-            if slot["skip"]:
-                value["skipped"] = slot["skip"]
-            checks.append(
-                Check(name, slot["rule"], status, value=value, witness=slot["witness"])
-            )
-        return Report(digest, checks)
+def _tally(pairs) -> list[Check]:
+    """One check per rule: its pass, skip and total counts over all
+    instances, with the first failing instance kept as the witness."""
+    slots: dict[str, dict] = {}
+    for instance, checks in pairs:
+        for chk in checks:
+            slot = slots.get(chk.name)
+            if slot is None:
+                slot = slots[chk.name] = {
+                    "rule": chk.rule,
+                    "pass": 0,
+                    "skip": 0,
+                    "total": 0,
+                    "witness": None,
+                }
+            slot["total"] += 1
+            if chk.status == "pass":
+                slot["pass"] += 1
+            elif chk.status == "skipped":
+                slot["skip"] += 1
+            elif slot["witness"] is None:
+                slot["witness"] = {
+                    "instance": instance,
+                    "value": jsonable(chk.value),
+                    "witness": jsonable(chk.witness),
+                }
+    out = []
+    for name, slot in slots.items():
+        value = {"pass": slot["pass"], "total": slot["total"]}
+        if slot["skip"]:
+            value["skipped"] = slot["skip"]
+        status = "fail" if slot["witness"] is not None else "pass" if slot["pass"] else "skipped"
+        out.append(Check(name, slot["rule"], status, value=value, witness=slot["witness"]))
+    return out
 
 
 def _instance(G: Graph, **extra):
@@ -370,178 +339,148 @@ def _catalog(kind: str, seed: int) -> list[Graph]:
     return cat
 
 
-def _suite_correspondence(args, budget) -> Report:
-    cat = _catalog(args.catalog, args.seed)
-    agg = _SuiteAgg()
-    for G in cat:
+def _suite_correspondence(budget, catalog, seed):
+    for G in _catalog(catalog, seed):
         for r, checks in correspondence_checks(G, (3, 4, 5), budget).items():
-            instance = _instance(G, r=r)
-            for chk in checks:
-                agg.add_check(chk, instance)
-    return agg.report(
-        digest_of({"suite": "correspondence", "catalog": args.catalog, "seed": args.seed})
-    )
+            yield _instance(G, r=r), checks
 
 
-def _suite_halfgraph(args, budget) -> Report:
+def _suite_halfgraph(budget):
     instances: list[tuple[str, Graph]] = [("cycle:n=5", Graph.cycle(5))]
     instances.append(("hypercube-lb:d=2", hypercube_lb(2).G))
     for s in range(2, 9):
         instances.append((f"c5-blowup:s={s}", blowup(Graph.cycle(5), [s] * 5)[0]))
-    agg = _SuiteAgg()
     for name, G in instances:
-        cert = ultra_parameter(G, 3, budget)
-        es = cert.epsilon_star
+        es = ultra_parameter(G, 3, budget).epsilon_star
         positive = es is not None and es > 0
-        agg.add_bool(
-            "instance-is-ultra",
-            "positive-clique-density-parameter",
-            positive,
-            name,
-            detail={"epsilon_star": es},
-        )
-        if not positive:
-            agg.add_bool(
-                "no-half-graph-at-threshold",
-                "density-forbids-large-half-graphs",
-                None,
-                name,
-            )
-            continue
-        k = math.ceil(1 / es) + 1
-        emb = find_half_graph(G, k, budget)
-        agg.add_bool(
-            "no-half-graph-at-threshold",
-            "density-forbids-large-half-graphs",
-            emb is None,
-            name,
-            detail={"k": k} if emb is None else {"k": k, "embedding": [emb.xs, emb.ys]},
-        )
-    return agg.report(digest_of({"suite": "halfgraph"}))
+        # an instance that is not ultra skips the half-graph check
+        ok = detail = None
+        if positive:
+            k = math.ceil(1 / es) + 1
+            emb = find_half_graph(G, k, budget)
+            ok = emb is None
+            detail = {"k": k} if ok else {"k": k, "embedding": [emb.xs, emb.ys]}
+        yield name, [
+            _check(
+                "instance-is-ultra",
+                "positive-clique-density-parameter",
+                positive,
+                {"epsilon_star": es},
+            ),
+            _check("no-half-graph-at-threshold", "density-forbids-large-half-graphs", ok, detail),
+        ]
 
 
-def _suite_construction(args, budget, d: int) -> Report:
+def _suite_construction(budget, d):
     if d < 2:
         raise ValueError("construction suite needs d >= 2")
     H, G = hypercube_lb(d)
-    name = f"hypercube-lb:d={d}"
-    agg = _SuiteAgg()
     expected = (2 * d + 1) << d
-    agg.add_bool(
-        "construction-size",
-        "blowup-size-formula",
-        G.n == expected,
-        name,
-        detail={"n": G.n, "expected": expected},
-    )
     cd = codegree_min(G, 2)
-    agg.add_bool(
-        "min-codegree",
-        "codegree-scales-with-dimension",
-        cd is not None and cd >= 1 << (d - 2),
-        name,
-        detail={"min_codegree": cd, "required": 1 << (d - 2)},
-    )
-    agg.add_bool(
-        "maximal-triangle-free",
-        "construction-is-maximal-triangle-free",
-        is_maximal_kr_free(G, 3, budget),
-        name,
-        detail=None,
-    )
+    maximal = is_maximal_kr_free(G, 3, budget)
     # the classes come out by first vertex and blowup lays out H's copies
     # part-major in H's order, so the labelled quotient is H itself
     quotient = twin_quotient(G).quotient
-    agg.add_bool(
-        "twin-quotient-matches",
-        "twin-quotient-recovers-base",
-        quotient == H,
-        name,
-        detail={"quotient_size": quotient.n, "base_size": H.n},
-    )
     core = p4_obstruction(G, budget).core
-    agg.add_bool(
-        "p4-core-size",
-        "obstruction-core-lower-bound",
-        len(core) >= 1 << (d - 1),
-        name,
-        detail={"core": len(core), "required": 1 << (d - 1)},
-    )
-    return agg.report(digest_of({"suite": "construction", "d": d}))
+    yield f"hypercube-lb:d={d}", [
+        _check(
+            "construction-size",
+            "blowup-size-formula",
+            G.n == expected,
+            {"n": G.n, "expected": expected},
+        ),
+        _check(
+            "min-codegree",
+            "codegree-scales-with-dimension",
+            cd is not None and cd >= 1 << (d - 2),
+            {"min_codegree": cd, "required": 1 << (d - 2)},
+        ),
+        _check("maximal-triangle-free", "construction-is-maximal-triangle-free", maximal),
+        _check(
+            "twin-quotient-matches",
+            "twin-quotient-recovers-base",
+            quotient == H,
+            {"quotient_size": quotient.n, "base_size": H.n},
+        ),
+        _check(
+            "p4-core-size",
+            "obstruction-core-lower-bound",
+            len(core) >= 1 << (d - 1),
+            {"core": len(core), "required": 1 << (d - 1)},
+        ),
+    ]
 
 
-def _suite_mindeg_ultra(args, budget) -> Report:
-    agg = _SuiteAgg()
+def _suite_mindeg_ultra(budget):
     for r in (3, 4, 5):
         for n in range(r - 1, 31):
             G = turan(n, r - 1)
             name = f"turan:n={n}:parts={r - 1}:r={r}"
             eps = Fraction(G.min_degree(), n) - Fraction(2 * r - 5, 2 * r - 3)
-            if eps <= 0:
-                agg.add_bool("degree-hypothesis", "min-degree-meets-threshold", None, name)
-                agg.add_bool(
-                    "ultra-parameter-lower-bound", "degree-implies-clique-density", None, name
-                )
-                continue
-            agg.add_report(min_degree_ultra_check(G, r, eps, budget), name)
-    return agg.report(digest_of({"suite": "mindeg-ultra"}))
+            if eps > 0:
+                yield name, min_degree_ultra_check(G, r, eps, budget).checks
+            else:
+                yield name, [
+                    _check("degree-hypothesis", "min-degree-meets-threshold", None),
+                    _check("ultra-parameter-lower-bound", "degree-implies-clique-density", None),
+                ]
 
 
-def _suite_codeg_edge(args, budget) -> Report:
-    cat = _catalog(args.catalog, args.seed)
-    agg = _SuiteAgg()
-    for G in cat:
-        agg.add_report(codegree_density_check(G, budget), _instance(G))
-    return agg.report(
-        digest_of({"suite": "codeg-edge", "catalog": args.catalog, "seed": args.seed})
-    )
+def _suite_codeg_edge(budget, catalog, seed):
+    for G in _catalog(catalog, seed):
+        checks = codegree_density_check(G, budget).checks
+        yield _instance(G), checks
 
 
-def _suite_vc_chromatic(args, budget) -> Report:
-    cat = _catalog(args.catalog, args.seed)
-    agg = _SuiteAgg()
+def _suite_vc_chromatic(budget, catalog, seed):
+    cat = _catalog(catalog, seed)
     for c in (Fraction(1, 4), Fraction(1, 3), Fraction(2, 5)):
         for G in cat:
-            if G.n == 0 or not is_kr_free(G, 3, budget):
-                continue
-            if Fraction(G.min_degree()) < c * G.n:
-                continue
-            colors, rep = vc_chromatic_partition(G, c, budget)
-            agg.add_report(rep, _instance(G, c=str(c)))
-    return agg.report(
-        digest_of({"suite": "vc-chromatic", "catalog": args.catalog, "seed": args.seed})
-    )
+            if G.n and is_kr_free(G, 3, budget) and G.min_degree() >= c * G.n:
+                checks = vc_chromatic_partition(G, c, budget)[1].checks
+                yield _instance(G, c=str(c)), checks
 
 
+_CATALOG_OPTIONS = ("catalog", "seed")
+
+# suite name -> (suite, the verify options it reads, its token parameter
+# as (key, default) or None); the digest hashes the suite name with all
+# of these parameters
 _SUITES = {
-    "correspondence": _suite_correspondence,
-    "halfgraph": _suite_halfgraph,
-    "mindeg-ultra": _suite_mindeg_ultra,
-    "codeg-edge": _suite_codeg_edge,
-    "vc-chromatic": _suite_vc_chromatic,
+    "correspondence": (_suite_correspondence, _CATALOG_OPTIONS, None),
+    "halfgraph": (_suite_halfgraph, (), None),
+    "construction": (_suite_construction, (), ("d", 3)),
+    "mindeg-ultra": (_suite_mindeg_ultra, (), None),
+    "codeg-edge": (_suite_codeg_edge, _CATALOG_OPTIONS, None),
+    "vc-chromatic": (_suite_vc_chromatic, _CATALOG_OPTIONS, None),
 }
+
+
+def _suite_form(name: str) -> str:
+    param = _SUITES[name][2]
+    return name if param is None else f"{name}:{param[0]}={param[0].upper()}"
 
 
 def _cmd_verify(args, budget) -> int:
     token = args.suite
-    name, colon, param = token.partition(":")
-    if name == "construction":
-        d = 3
-        if colon:
-            key, sep, val = param.partition("=")
-            if key != "d" or not sep:
-                raise ValueError("construction suite takes construction:d=D")
-            d = int(val)
-        rep = _suite_construction(args, budget, d)
-    elif name in _SUITES:
+    name, colon, text = token.partition(":")
+    if name not in _SUITES:
+        forms = [_suite_form(n) for n in _SUITES]
+        raise ValueError(f"unknown suite; choose {', '.join(forms[:-1])}, or {forms[-1]}")
+    suite, options, param = _SUITES[name]
+    params = {opt: getattr(args, opt) for opt in options}
+    if param is None:
         if colon:
             raise ValueError(f"suite {name} takes no parameter, got {token!r}")
-        rep = _SUITES[name](args, budget)
     else:
-        raise ValueError(
-            "unknown suite; choose correspondence, halfgraph, construction:d=D, "
-            "mindeg-ultra, codeg-edge, or vc-chromatic"
-        )
+        key, value = param
+        if colon:
+            given, sep, value = text.partition("=")
+            if given != key or not sep:
+                raise ValueError(f"{name} suite takes {_suite_form(name)}")
+        params[key] = int(value)
+    checks = _tally(suite(budget, **params))
+    rep = Report(digest_of({"suite": name, **params}), checks)
     if args.json:
         print(rep.dumps())
     else:
@@ -610,19 +549,22 @@ def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common], allow_abbrev=False, help="emit a constructed graph")
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common], allow_abbrev=False, help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("gen", _cmd_gen, "emit a constructed graph")
     p.add_argument("family")
     p.add_argument("--params", default="", metavar="k=v,...")
     p.add_argument("--format", choices=("json", "dimacs"), default="json")
     p.add_argument("--out", default=None, metavar="FILE")
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("analyze", parents=[common], allow_abbrev=False, help="graph metrics")
+    p = command("analyze", _cmd_analyze, "graph metrics")
     p.add_argument("file")
     p.add_argument("--metrics", required=True)
-    p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("setsys", parents=[common], allow_abbrev=False, help="set-system metrics")
+    p = command("setsys", _cmd_setsys, "set-system metrics")
     p.add_argument("file")
     p.add_argument(
         "--derive",
@@ -630,29 +572,25 @@ def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
         default=None,
     )
     p.add_argument("--metrics", required=True)
-    p.set_defaults(func=_cmd_setsys)
 
-    p = sub.add_parser("space", parents=[common], allow_abbrev=False, help="convexity-space metrics")
+    p = command("space", _cmd_space, "convexity-space metrics")
     p.add_argument("file")
     p.add_argument("--radon-cap", type=int, default=None, metavar="K")
     p.add_argument("--weak-net", default=None, metavar="EPS")
     p.add_argument("--measure", default="uniform", metavar="uniform|FILE")
     p.add_argument("--helly", action="store_true")
-    p.set_defaults(func=_cmd_space)
 
-    p = sub.add_parser("decompose", parents=[common], allow_abbrev=False, help="blow-up decomposition")
+    p = command("decompose", _cmd_decompose, "blow-up decomposition")
     p.add_argument("file")
     p.add_argument("--r", type=int, default=3)
     p.add_argument("--eps", default=None, metavar="P/Q")
     p.add_argument("--method", choices=("haussler", "twin"), default="haussler")
     p.add_argument("--out", default=None, metavar="FILE")
-    p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("verify", parents=[common], allow_abbrev=False, help="run a verification suite")
+    p = command("verify", _cmd_verify, "run a verification suite")
     p.add_argument("--suite", required=True)
     p.add_argument("--catalog", choices=("small", "extended"), default="small")
     p.add_argument("--seed", type=int, default=_DEFAULT_SEED)
-    p.set_defaults(func=_cmd_verify)
     return parser
 
 
@@ -672,6 +610,9 @@ def main(argv=None) -> int:
         return code
     except BudgetExceeded as e:
         return _emit_error(args, "budget", str(e), 3)
+    except (RecursionError, MemoryError) as e:
+        # a backstop: a search too deep for Python's stack, or too large
+        return _emit_error(args, "resource", str(e) or type(e).__name__, 3)
     except ParseError as e:
         return _emit_error(args, "parse-error", str(e), 2)
     except PreconditionViolated as e:

@@ -111,7 +111,14 @@ class ObstructionCertificate(NamedTuple):
             key = (u, v) if u < v else (v, u)
             if key not in self.links:
                 raise ClaimViolation(f"core pair {key} has no witness")
-            y, z = self.links[key]
+            link = self.links[key]
+            if not (
+                isinstance(link, (tuple, list))
+                and len(link) == 2
+                and all(isinstance(w, int) for w in link)
+            ):
+                raise ClaimViolation(f"witness {key} -> {link!r} is not a pair of vertices")
+            y, z = link
             a, b = key
             quad = {a, y, z, b}
             ok = (

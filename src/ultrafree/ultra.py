@@ -11,7 +11,7 @@ from typing import NamedTuple, Optional
 
 from . import _kernels
 from .budget import SearchBudget, _meter
-from .errors import InternalContradiction, PreconditionViolated
+from .errors import ClaimViolation, InternalContradiction, PreconditionViolated
 from .graphs import Graph, _blowup_quotient, _class_coneighborhoods, list_cliques, members
 from .reports import Check, Report, _graph_digest, _verdict
 from .setsystems import neighborhood_system, vc_dimension
@@ -144,6 +144,7 @@ def find_half_graph(G: Graph, k: int, budget: SearchBudget | None = None):
     Exhaustive search choosing x_i then y_i in index order.  Vertices
     with identical neighborhoods are interchangeable in any embedding,
     so the search runs over twin classes with per-class capacities.
+    The embedding is validated on G; an invalid one raises ClaimViolation.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -197,7 +198,10 @@ def find_half_graph(G: Graph, k: int, budget: SearchBudget | None = None):
             seq[i] = classes[cls][used[cls]]
             used[cls] += 1
     emb = HalfGraphEmbedding(tuple(xs), tuple(ys))
-    emb.validate(G)
+    try:
+        emb.validate(G)
+    except ValueError as exc:
+        raise ClaimViolation(f"find_half_graph returned an invalid embedding: {exc}") from exc
     return emb
 
 
@@ -321,7 +325,8 @@ def nu_bi(G: Graph, budget: SearchBudget | None = None):
     neighbourhoods N[b] and N[a].  So with ``tails[v]`` (``heads[v]``)
     the mask of darts whose first (second) vertex is v, the row of
     (a, b) is the OR of ``tails[c]`` over c outside N[b], ANDed with the
-    OR of ``heads[d]`` over d outside N[a].
+    OR of ``heads[d]`` over d outside N[a].  The witness is validated on
+    G; an invalid one raises ClaimViolation.
     """
     cands = sorted(dart for u, v in G.edges() for dart in ((u, v), (v, u)))
     tails = [0] * G.n
@@ -342,7 +347,10 @@ def nu_bi(G: Graph, budget: SearchBudget | None = None):
     compat = [far_tails[b] & far_heads[a] for a, b in cands]
     best, mask = _kernels.max_clique(compat, (1 << len(cands)) - 1, _meter(budget, "nu_bi"))
     witness = BiInducedMatching(tuple(cands[i] for i in members(mask)))
-    witness.validate(G)
+    try:
+        witness.validate(G)
+    except ValueError as exc:
+        raise ClaimViolation(f"nu_bi returned an invalid matching: {exc}") from exc
     return best, witness
 
 

@@ -8,8 +8,10 @@ import pytest
 
 import ultrafree
 import ultrafree.catalog
+import ultrafree.cli
 import ultrafree.graphs
 import ultrafree.setsystems
+import ultrafree.ultra
 from ultrafree.cli import main
 from ultrafree.constructions import hypercube_lb
 from ultrafree.decompose import BlowupDecomposition
@@ -108,6 +110,63 @@ class TestAnalyze:
     def test_unknown_metric(self, c5_file, capsys):
         assert main(["analyze", c5_file, "--metrics", "girth"]) == 2
         assert "unknown graph metric" in capsys.readouterr().err
+        # a known name with the wrong number of integers
+        for tok in ("chi:3", "ultra:3:4", "codensity:2"):
+            assert main(["analyze", c5_file, "--metrics", tok]) == 2
+            assert f"unknown graph metric {tok!r}" in capsys.readouterr().err
+
+    def test_metrics_call_the_module_global(self, c5_file, capsys, monkeypatch):
+        # the metric tables look their functions up when a metric runs, so
+        # a rebound ultrafree.cli global is the one called
+        calls = []
+
+        def recording(name):
+            fn = getattr(ultrafree.cli, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+
+            monkeypatch.setattr(ultrafree.cli, name, wrapper)
+
+        recording("chromatic_number")
+        recording("transversal_number")
+        assert main(["analyze", c5_file, "--metrics", "chi"]) == 0
+        assert main(["setsys", c5_file, "--metrics", "tau"]) == 0
+        assert capsys.readouterr().out == "chi = 3\ntau = 3\n"
+        assert calls == ["chromatic_number", "transversal_number"]
+
+    @pytest.mark.parametrize(
+        "error, message",
+        [
+            (RecursionError("maximum recursion depth"), "maximum recursion depth"),
+            (MemoryError(), "MemoryError"),
+        ],
+        ids=["recursion", "memory"],
+    )
+    def test_resource_error_exits_three(self, error, message, c5_file, capsys, monkeypatch):
+        def exhausted(G, budget=None):
+            raise error
+
+        monkeypatch.setattr(ultrafree.cli, "clique_number", exhausted)
+        assert main(["analyze", c5_file, "--metrics", "omega", "--json"]) == 3
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {"error": {"type": "resource", "message": message}}
+        assert captured.err == ""
+        assert main(["analyze", c5_file, "--metrics", "omega"]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error (resource): {message}\n")
+
+    def test_invalid_nubi_witness_exits_one(self, c5_file, capsys, monkeypatch):
+        # a clique of two darts that share vertex 0 fails nu_bi's own check
+        def two_darts(rows, cand, meter):
+            return 2, 0b11
+
+        monkeypatch.setattr(ultrafree.ultra._kernels, "max_clique", two_darts)
+        assert main(["analyze", c5_file, "--metrics", "nubi", "--json"]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "claim-violation"
+        assert "vertices must be distinct" in error["message"]
 
     def test_missing_file(self, capsys):
         assert main(["analyze", "nowhere.json", "--metrics", "chi"]) == 2

@@ -231,6 +231,11 @@ class TestP4Obstruction:
         with pytest.raises(ClaimViolation, match="not an induced path"):
             ObstructionCertificate((0, 3), {(0, 3): (-3, 2)}).validate(Graph.path(4))
 
+    @pytest.mark.parametrize("link", [(1,), (1.0, 2), None], ids=["short", "float", "none"])
+    def test_validate_rejects_malformed_witness(self, link):
+        with pytest.raises(ClaimViolation, match="not a pair of vertices"):
+            ObstructionCertificate((0, 3), {(0, 3): link}).validate(Graph.path(4))
+
 
 class TestVcChromaticPartition:
     def test_c5(self):

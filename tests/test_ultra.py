@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import ultrafree.ultra
 from ultrafree import _kernels
 from ultrafree.budget import BudgetExceeded, SearchBudget
 from ultrafree.constructions import blowup, half_min, kneser, random_graph, turan
-from ultrafree.errors import InternalContradiction, PreconditionViolated
-from ultrafree.graphs import Graph, is_maximal_kr_free, members
+from ultrafree.errors import ClaimViolation, InternalContradiction, PreconditionViolated
+from ultrafree.graphs import Graph, _blowup_quotient, is_maximal_kr_free, members
 from ultrafree.ultra import (
     BiInducedMatching,
     HalfGraphEmbedding,
@@ -202,6 +203,12 @@ class TestNuBi:
             nu_bi(Graph.cycle(9), SearchBudget(max_nodes=2))
         assert exc.value.op == "nu_bi"
 
+    def test_invalid_witness_is_claim_violation(self, monkeypatch):
+        # darts 0 and 1 of C5 are (0, 1) and (0, 4): they share vertex 0
+        monkeypatch.setattr(_kernels, "max_clique", lambda rows, cand, meter: (2, 0b11))
+        with pytest.raises(ClaimViolation, match="vertices must be distinct"):
+            nu_bi(C5)
+
 
 class TestFindHalfGraph:
     def test_half_min_found(self):
@@ -227,6 +234,15 @@ class TestFindHalfGraph:
     def test_rejects(self):
         with pytest.raises(ValueError):
             find_half_graph(C5, 0)
+
+    def test_invalid_embedding_is_claim_violation(self, monkeypatch):
+        # the search runs on the complement's quotient, so its embedding
+        # has the edges and non-edges of C5 swapped
+        monkeypatch.setattr(
+            ultrafree.ultra, "_blowup_quotient", lambda G: _blowup_quotient(G.complement())
+        )
+        with pytest.raises(ClaimViolation, match="matched pair 0 must be a non-edge"):
+            find_half_graph(C5, 2)
 
     @given(oracles.graphs(max_n=6), st.integers(1, 3))
     @settings(max_examples=40, deadline=None)
