@@ -141,25 +141,34 @@ def _expand(adj, cand, cur, size, best, meter):
 
 
 def _dsatur_bound(adj, n):
+    """Colours DSATUR uses: it colours next the uncoloured vertex with the
+    most distinct neighbour colours, then the highest degree, then the
+    lowest index, with the least colour free at it."""
     if n == 0:
         return 0
-    colors = [-1] * n
+    # key[u] = distinct neighbour colours * n + degree, which orders as the
+    # pair since a degree is below n; -1 once u is coloured.  max() returns
+    # the first maximum, so the lowest vertex wins ties.
+    key = [adj[u].bit_count() for u in range(n)]
     sat = [0] * n  # bitmask of colors seen on neighbors
+    uncolored = (1 << n) - 1
+    used = 0
     for _ in range(n):
-        v = max(
-            (u for u in range(n) if colors[u] == -1),
-            key=lambda u: (sat[u].bit_count(), adj[u].bit_count(), -u),
-        )
-        c = 0
-        while sat[v] >> c & 1:
-            c += 1
-        colors[v] = c
-        m = adj[v]
+        v = max(range(n), key=key.__getitem__)
+        key[v] = -1
+        uncolored ^= 1 << v
+        free = ~sat[v]
+        bit = free & -free
+        used = max(used, bit.bit_length())
+        m = adj[v] & uncolored
         while m:
             low = m & -m
-            sat[low.bit_length() - 1] |= 1 << c
+            u = low.bit_length() - 1
             m ^= low
-    return max(colors) + 1
+            if not sat[u] & bit:
+                sat[u] |= bit
+                key[u] += n
+    return used
 
 
 def _kcolorable(adj, order, k, meter):

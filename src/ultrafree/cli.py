@@ -187,13 +187,16 @@ _SETSYS_METRICS = {
     "taustar": (0, lambda F, budget: fractional_transversal(F, budget).value),
     "vc": (0, lambda F, budget: vc_dimension(F, budget)[0]),
     "helly": (0, lambda F, budget: helly_number(F, budget)),
-    "pq": (2, lambda F, budget, p, q: has_pq_property(F, p, q)),
+    "pq": (2, lambda F, budget, p, q: has_pq_property(F, p, q, budget)),
 }
 
 
-def _print_metrics(args, table: dict, kind: str, x, budget) -> int:
-    """Evaluate each ``NAME[:INT...]`` token of --metrics on ``x``."""
-    out = {}
+def _print_metrics(args, table: dict, kind: str, load, budget) -> int:
+    """Evaluate each ``NAME[:INT...]`` token of --metrics on ``load()``.
+    Every token is checked before the input is loaded or any metric runs,
+    so a malformed list is a usage error however costly the loading or
+    the metrics before the bad token are."""
+    calls = []
     for tok in args.metrics.split(","):
         tok = tok.strip()
         if not tok:
@@ -201,16 +204,18 @@ def _print_metrics(args, table: dict, kind: str, x, budget) -> int:
         name, *ints = tok.split(":")
         if name not in table or table[name][0] != len(ints):
             raise ValueError(f"unknown {kind} metric {tok!r}")
-        out[tok] = table[name][1](x, budget, *map(int, ints))
-    _print_payload(args, out)
+        calls.append((tok, table[name][1], [int(i) for i in ints]))
+    x = load()
+    _print_payload(args, {tok: entry(x, budget, *ints) for tok, entry, ints in calls})
     return 0
 
 
 def _cmd_analyze(args, budget) -> int:
-    return _print_metrics(args, _GRAPH_METRICS, "graph", parse_graph(args.file), budget)
+    return _print_metrics(args, _GRAPH_METRICS, "graph", lambda: parse_graph(args.file), budget)
 
 
-def _cmd_setsys(args, budget) -> int:
+def _load_system(args, budget):
+    """The set system named by ``args.file``, derived as --derive says."""
     text = load_text(args.file)
     obj = _load_json(text) if text.lstrip().startswith("{") else None
     is_system = isinstance(obj, dict) and "ground" in obj and "sets" in obj
@@ -231,7 +236,13 @@ def _cmd_setsys(args, budget) -> int:
             F = neighborhood_system(G)
         else:
             raise ValueError(f"--derive {derive} needs a set-system input")
-    return _print_metrics(args, _SETSYS_METRICS, "set-system", F, budget)
+    return F
+
+
+def _cmd_setsys(args, budget) -> int:
+    return _print_metrics(
+        args, _SETSYS_METRICS, "set-system", lambda: _load_system(args, budget), budget
+    )
 
 
 # ------------------------------------------------------------------ space
@@ -341,8 +352,10 @@ def _catalog(kind: str, seed: int) -> list[Graph]:
 
 def _suite_correspondence(budget, catalog, seed):
     for G in _catalog(catalog, seed):
+        # one edge list per graph, shared by its three instances
+        base = graph_to_obj(G)
         for r, checks in correspondence_checks(G, (3, 4, 5), budget).items():
-            yield _instance(G, r=r), checks
+            yield {**base, "r": r}, checks
 
 
 def _suite_halfgraph(budget):

@@ -340,7 +340,7 @@ def correspondence_checks(
     out = {}
     for r in rs:
         free = _graphs.is_kr_free(G, r, budget)
-        pq = _ss.has_pq_property(stars, r, 2)
+        pq = _ss.has_pq_property(stars, r, 2, budget)
         pq_check = _verdict(
             "clique-free-matches-pq",
             "clique-free-matches-pq",

@@ -299,60 +299,95 @@ def helly_number(F: SetSystem, budget: SearchBudget | None = None) -> int:
     if inter_all:
         return 1
     meter = _meter(budget, "helly_number")
-    distinct = sorted({s for s in F.sets if s}, key=members)
     best = 1 if any(s == 0 for s in F.sets) else 0
-    k = len(distinct)
 
-    # DFS over index-increasing subfamilies.  State keeps, for each chosen
-    # set, the intersection of the others; a chosen set stays eligible only
-    # while some point of that intersection avoids it (its private witness).
-    def rec(chosen: list[int], others: list[int], inter: int, start: int):
+    # DFS over index-increasing subfamilies of the distinct nonempty sets.
+    # In a minimal non-intersecting family every member has a private
+    # witness: a point in all the other members but not in it.
+    # ``witnesses`` holds each chosen member's candidates, and ``eligible``
+    # the later sets that leave every chosen member a candidate and have one
+    # of their own in ``inter``.  Adding a set only shrinks these, so the
+    # eligible sets of a child are a sublist of its parent's.  The private
+    # witnesses of the members still to come are distinct points of
+    # ``inter``, so at most popcount(inter) more can join.
+    def rec(size: int, witnesses: list[int], inter: int, eligible: list[int]):
         nonlocal best
         if meter is not None:
             meter.charge()
-        if inter == 0:
-            if len(chosen) > best:
-                best = len(chosen)
-            return
-        for j in range(start, k):
-            s = distinct[j]
-            if inter & ~s == 0:
-                continue  # no private witness for the newcomer, ever
-            new_others = [o & s for o in others]
-            if any(no & ~c == 0 for no, c in zip(new_others, chosen)):
-                continue  # an old member just lost its private witness
-            new_others.append(inter)
-            chosen.append(s)
-            rec(chosen, new_others, inter & s, j + 1)
-            chosen.pop()
+        room = inter.bit_count()
+        left = len(eligible)
+        for t, s in enumerate(eligible):
+            if size + min(left - t, room) <= best:
+                return
+            new_inter = inter & s
+            if not new_inter:
+                # s ends the family; visit it only if that is a new best
+                if size + 1 > best:
+                    if meter is not None:
+                        meter.charge()
+                    best = size + 1
+                continue
+            ws = [w & s for w in witnesses]
+            ws.append(inter & ~s)
+            later = []
+            for x in eligible[t + 1 :]:
+                if new_inter & ~x:
+                    for w in ws:
+                        if not w & x:
+                            break
+                    else:
+                        later.append(x)
+            rec(size + 1, ws, new_inter, later)
 
-    rec([], [], full, 0)
+    rec(0, [], full, sorted({s for s in F.sets if s and full & ~s}))
     return best
 
 
-def has_pq_property(F: SetSystem, p: int, q: int) -> bool:
-    """Every p of the sets (by index) include q with a common point."""
+def has_pq_property(F: SetSystem, p: int, q: int, budget: SearchBudget | None = None) -> bool:
+    """Every p of the sets (by index) include q with a common point.
+
+    The property fails exactly when some p members cover no point q times.
+    A depth-first search over index-increasing families looks for such p
+    members, keeping ``levels[i]``, the points covered more than i times,
+    for i < q - 1; a set that meets the top level is never added.  The
+    search uses an explicit stack, so p is not limited by recursion depth.
+    Each member it adds to a family costs one budget node.
+    """
     if not p >= q >= 2:
         raise ValueError("need p >= q >= 2")
-    m = len(F.sets)
+    sets = F.sets
+    m = len(sets)
     if m < p:
         return True
-    full = (1 << F.ground) - 1
-    for idxs in combinations(range(m), p):
-        if not any(
-            _intersection(F.sets, sub, full) for sub in combinations(idxs, q)
-        ):
+    meter = _meter(budget, "has_pq_property")
+    top = q - 2
+    # stack[d]: the levels of the family of the first d chosen members;
+    # nxt[d]: the next index to try as its (d+1)-th member
+    stack = [[0] * (q - 1)]
+    nxt = [0]
+    while nxt:
+        d = len(nxt) - 1
+        j = nxt[d]
+        if j > m - p + d:  # too few indices remain to reach p members
+            nxt.pop()
+            stack.pop()
+            continue
+        nxt[d] = j + 1
+        s = sets[j]
+        levels = stack[d]
+        if s & levels[top]:
+            continue
+        if meter is not None:
+            meter.charge()
+        if d + 1 == p:
             return False
+        new = levels[:]
+        for i in range(top, 0, -1):
+            new[i] |= new[i - 1] & s
+        new[0] |= s
+        stack.append(new)
+        nxt.append(j + 1)
     return True
-
-
-def _intersection(sets, idxs, full: int) -> int:
-    m = full
-    for i in idxs:
-        m &= sets[i]
-        if not m:
-            return 0
-    return m
 
 
 def maximal_intersecting_subfamilies(F: SetSystem) -> list[tuple[int, ...]]:

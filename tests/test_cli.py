@@ -115,6 +115,18 @@ class TestAnalyze:
             assert main(["analyze", c5_file, "--metrics", tok]) == 2
             assert f"unknown graph metric {tok!r}" in capsys.readouterr().err
 
+    def test_bad_token_checked_before_any_metric(self, c5_file, capsys, monkeypatch):
+        def unreachable(G, budget=None):
+            raise AssertionError("no metric may run before every token is checked")
+
+        monkeypatch.setattr(ultrafree.cli, "chromatic_number", unreachable)
+        assert main(["analyze", c5_file, "--metrics", "chi,girth", "--json"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "usage"
+        # nor is a graph input's star system derived first
+        argv = ["setsys", c5_file, "--metrics", "tau,girth", "--budget-nodes", "1", "--json"]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "usage"
+
     def test_metrics_call_the_module_global(self, c5_file, capsys, monkeypatch):
         # the metric tables look their functions up when a metric runs, so
         # a rebound ultrafree.cli global is the one called
@@ -255,6 +267,18 @@ class TestSetsys:
         obj = json.loads(capsys.readouterr().out)
         assert obj["error"]["type"] == "budget"
         assert "fractional_transversal" in obj["error"]["message"]
+
+    def test_pq_budget(self, tmp_path, capsys):
+        # a set-system input, so no mis_family runs before the (p,q) search
+        f = tmp_path / "sys.json"
+        f.write_text('{"ground": 3, "sets": [[0], [1], [2]]}', encoding="utf-8")
+        argv = ["setsys", str(f), "--metrics", "pq:3:2", "--json"]
+        assert main(argv + ["--budget-nodes", "1"]) == 3
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["error"]["type"] == "budget"
+        assert "has_pq_property" in obj["error"]["message"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == {"pq:3:2": False}
 
     def test_failed_lp_certificate(self, monkeypatch, capsys):
         max_simplex = ultrafree.setsystems.max_simplex
@@ -642,6 +666,22 @@ class TestVerify:
         assert helly["witness"]["instance"] == {"n": 3, "edges": [[0, 1], [1, 2]], "r": 3}
         assert helly["witness"]["witness"] == {"helly": 3}
         assert by_name["clique-free-matches-pq"]["value"] == {"pass": 6, "total": 6}
+
+    def test_correspondence_pq_witness_keeps_its_r(self, capsys, monkeypatch):
+        # the three instances of a graph share one edge list; each must
+        # still carry its own r
+        self._two_graph_catalog(monkeypatch)
+        has_pq_property = ultrafree.setsystems.has_pq_property
+
+        def wrong_at_four(F, p, q, budget=None):
+            return has_pq_property(F, p, q, budget) != (p == 4)
+
+        monkeypatch.setattr(ultrafree.setsystems, "has_pq_property", wrong_at_four)
+        assert main(["verify", "--suite", "correspondence", "--json"]) == 1
+        by_name = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        pq = by_name["clique-free-matches-pq"]
+        assert pq["status"] == "fail"
+        assert pq["witness"]["instance"] == {"n": 3, "edges": [[0, 1], [1, 2]], "r": 4}
 
     def test_budgeted_catalog_suite_builds_nothing(self, capsys, monkeypatch):
         # a cold process: nothing loaded or generated yet, and any

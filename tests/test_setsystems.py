@@ -227,12 +227,19 @@ class TestHelly:
         assert helly_number(mis_star_system(C5)) == 2
         assert helly_number(mis_star_system(Graph(3))) == 1
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_singleton_complements(self, n):
+        # each member's private witness is its missing point, so the whole
+        # family is minimal and the bound of popcount(inter) is tight
+        F = SetSystem(n, [tuple(x for x in range(n) if x != i) for i in range(n)])
+        assert helly_number(F) == n
+
 
 class TestPq:
     @given(oracles.set_systems())
     @settings(max_examples=40, deadline=None)
     def test_match_brute(self, F):
-        for p, q in ((2, 2), (3, 2), (3, 3)):
+        for p, q in ((2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (5, 3), (5, 5)):
             assert has_pq_property(F, p, q) == oracles.pq_property(F, p, q)
 
     def test_rejects(self):
@@ -243,6 +250,10 @@ class TestPq:
 
     def test_small_family_vacuous(self):
         assert has_pq_property(SetSystem(2, [(0,), (1,)]), 3, 2)
+
+    def test_deep_family_needs_no_recursion(self):
+        # 1500 pairwise-disjoint sets: the search goes 1500 members deep
+        assert has_pq_property(SetSystem(1500, [(i,) for i in range(1500)]), 1500, 2) is False
 
 
 class TestMaximalIntersecting:
