@@ -140,21 +140,22 @@ def _expand(adj, cand, cur, size, best, meter):
         cand &= ~bit
 
 
-def _dsatur_bound(adj, n):
-    """Colours DSATUR uses: it colours next the uncoloured vertex with the
-    most distinct neighbour colours, then the highest degree, then the
-    lowest index, with the least colour free at it."""
-    if n == 0:
-        return 0
+def _dsatur_order(adj, n):
+    """The order in which DSATUR colours the vertices, and how many colours
+    it uses: next the uncoloured vertex with the most distinct neighbour
+    colours, then the highest degree, then the lowest index, each with the
+    least colour free at it."""
     # key[u] = distinct neighbour colours * n + degree, which orders as the
     # pair since a degree is below n; -1 once u is coloured.  max() returns
     # the first maximum, so the lowest vertex wins ties.
     key = [adj[u].bit_count() for u in range(n)]
     sat = [0] * n  # bitmask of colors seen on neighbors
     uncolored = (1 << n) - 1
+    order = []
     used = 0
     for _ in range(n):
         v = max(range(n), key=key.__getitem__)
+        order.append(v)
         key[v] = -1
         uncolored ^= 1 << v
         free = ~sat[v]
@@ -168,7 +169,7 @@ def _dsatur_bound(adj, n):
             if not sat[u] & bit:
                 sat[u] |= bit
                 key[u] += n
-    return used
+    return order, used
 
 
 def _kcolorable(adj, order, k, meter):
@@ -196,16 +197,20 @@ def _kcolorable(adj, order, k, meter):
 
 
 def chromatic_number(adj, n, meter=None):
-    """Exact chromatic number of the graph on vertices 0..n-1."""
+    """Exact chromatic number of the graph on vertices 0..n-1: the least
+    k from the clique number up to DSATUR's colour count for which a
+    k-colouring search in DSATUR's order succeeds."""
     if n == 0:
         return 0
     if not any(adj):
         return 1
-    lb = max_clique(adj, (1 << n) - 1, meter)[0]
-    ub = _dsatur_bound(adj, n)
-    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-    k = lb
-    while k < ub and not _kcolorable(adj, order, k, meter):
+    # DSATUR has coloured with `used` colours, so k stops there unsearched,
+    # and a graph whose clique number meets it (every bipartite one) runs
+    # no search.  _kcolorable tries the least free colour first, so in
+    # DSATUR's order its first path is the DSATUR colouring.
+    order, used = _dsatur_order(adj, n)
+    k = max_clique(adj, (1 << n) - 1, meter)[0]
+    while k < used and not _kcolorable(adj, order, k, meter):
         k += 1
     return k
 

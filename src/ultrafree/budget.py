@@ -33,21 +33,26 @@ class BudgetExceeded(RuntimeError):
 
 
 class SearchBudget:
-    """Immutable cap on a single solver invocation.
+    """Immutable cap on the solver invocations it is passed to.
 
     ``max_nodes`` counts search-tree nodes (solver-specific but stable for
-    a given input); ``max_millis`` is wall time.  ``None`` means no cap.
-    Budgets compare and hash by their two caps; assigning to either
-    raises AttributeError.
+    a given input) and caps each invocation on its own.  ``max_millis`` is
+    wall time counted from the budget's creation: its deadline is fixed
+    then and shared by every invocation, so a time cap bounds them all
+    together.  ``None`` means no cap.  Budgets compare, hash and print by
+    their two caps; assigning to either raises AttributeError.  Unpickling
+    makes a new budget, whose deadline counts from then.
     """
 
-    __slots__ = ("max_nodes", "max_millis")
+    __slots__ = ("max_nodes", "max_millis", "_deadline")
 
     def __init__(self, max_nodes: int | None = None, max_millis: int | None = None):
         for name, value in (("max_nodes", max_nodes), ("max_millis", max_millis)):
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
             object.__setattr__(self, name, value)
+        deadline = None if max_millis is None else time.monotonic() + max_millis / 1000.0
+        object.__setattr__(self, "_deadline", deadline)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -70,24 +75,31 @@ class SearchBudget:
         return f"SearchBudget(max_nodes={self.max_nodes!r}, max_millis={self.max_millis!r})"
 
     def meter(self, op: str) -> "_Meter":
-        return _Meter(op, self.max_nodes, self.max_millis)
+        return _Meter(op, self.max_nodes, self._deadline)
 
 
 def _meter(budget: SearchBudget | None, op: str):
-    """A meter for one invocation of ``op``, or None without a budget."""
-    return None if budget is None else budget.meter(op)
+    """A meter for one invocation of ``op``, or None without a budget.
+    It reads the clock once as it opens, so an invocation that starts
+    after the budget's deadline raises before its first node."""
+    if budget is None:
+        return None
+    meter = budget.meter(op)
+    meter.check_time()
+    return meter
 
 
 class _Meter:
-    """Per-invocation counter; cheap enough to charge in inner loops."""
+    """Per-invocation counter; cheap enough to charge in inner loops.
+    ``deadline`` is its budget's, on the ``time.monotonic`` clock."""
 
     __slots__ = ("op", "nodes", "_max_nodes", "_deadline")
 
-    def __init__(self, op: str, max_nodes: int | None, max_millis: int | None):
+    def __init__(self, op: str, max_nodes: int | None, deadline: float | None):
         self.op = op
         self.nodes = 0
         self._max_nodes = max_nodes
-        self._deadline = None if max_millis is None else time.monotonic() + max_millis / 1000.0
+        self._deadline = deadline
 
     def charge(self, n: int = 1) -> None:
         self.nodes += n

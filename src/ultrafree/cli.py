@@ -254,9 +254,13 @@ def _load_measure(spec: str, size: int) -> Measure:
     obj = _load_json(load_text(spec))
     if not isinstance(obj, dict):
         raise ParseError("measure JSON must map point indices to rationals")
+    seen = set()
     for k in obj:
         if not (k.isdecimal() and int(k) < size):
             raise ParseError(f"measure point {k!r} is not in 0..{size - 1}")
+        if int(k) in seen:
+            raise ParseError(f"measure names point {int(k)} twice (key {k!r})")
+        seen.add(int(k))
     return Measure({int(k): _parse_fraction(str(v)) for k, v in obj.items()})
 
 

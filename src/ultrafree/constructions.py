@@ -11,7 +11,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .errors import ClaimViolation
-from .graphs import Graph, is_maximal_kr_free
+from .graphs import Graph, _lift, is_maximal_kr_free
 
 __all__ = [
     "turan",
@@ -144,17 +144,10 @@ def blowup(F: Graph, sizes) -> tuple[Graph, list[int]]:
     for v in range(F.n):
         start.append(acc)
         acc += sizes[v]
-    n = acc
     class_mask = [((1 << sizes[v]) - 1) << start[v] for v in range(F.n)]
     masks = []
     for v in range(F.n):
-        m = 0
-        nb = F.adj[v]
-        while nb:
-            low = nb & -nb
-            m |= class_mask[low.bit_length() - 1]
-            nb ^= low
-        masks.extend([m] * sizes[v])
+        masks.extend([_lift(F.adj[v], class_mask)] * sizes[v])
     return Graph.from_masks(masks), origin
 
 

@@ -234,8 +234,20 @@ def radon_number(S: ConvexitySpace, cap: int):
 
 
 def space_helly_number(S: ConvexitySpace, budget: SearchBudget | None = None) -> int:
-    """Helly number over the space's convex sets."""
-    sets = S.convex_sets(budget)
+    """Helly number over the space's convex sets, computed on the family
+    that :meth:`ConvexitySpace.convex_sets` closes: the nonempty
+    generators plus the ground.
+
+    The two numbers are equal.  Generators are convex, so theirs is at
+    most the closure's.  Conversely, take a minimal non-intersecting
+    family C_1..C_k of convex sets and write each C_i as the intersection
+    of a family E_i of those generators.  The union of the E_i does not
+    intersect, so it holds a minimal non-intersecting subfamily.  That
+    subfamily holds, for each i, a generator in E_i and in no other E_j,
+    because the C_j with j != i meet; so it has k or more members.
+    """
+    sets = [g for g in S.generators.sets if g]
+    sets.append(S.full_mask)
     return _ss.helly_number(_ss.SetSystem.from_masks(S.ground_size, sets), budget)
 
 
@@ -251,16 +263,12 @@ def weak_eps_net(S: ConvexitySpace, mu: Measure, eps) -> tuple[int, ...]:
     for p in sorted(mu.weights):
         if not 0 <= p < S.ground_size:
             raise ValueError(f"measure point {p} is not in 0..{S.ground_size - 1}")
-    heavy = [c for c in S.convex_sets() if mu.mass(c) >= eps]
-    net: list[int] = []
-    while heavy:
-        best_p = min(
-            range(S.ground_size),
-            key=lambda p: (-sum(1 for c in heavy if c >> p & 1), p),
-        )
-        net.append(best_p)
-        heavy = [c for c in heavy if not c >> best_p & 1]
-    return tuple(sorted(net))
+    heavy = _ss.SetSystem.from_masks(
+        S.ground_size, [c for c in S.convex_sets() if mu.mass(c) >= eps]
+    )
+    # a heavy set has positive mass, so it is nonempty
+    covers = _ss._element_cover_masks(heavy)
+    return tuple(sorted(_ss._greedy_cover(covers, (1 << len(heavy)) - 1)))
 
 
 def correspondence_checks(

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .budget import SearchBudget
 from .errors import ClaimViolation, PreconditionViolated
-from .graphs import Graph, _blowup_quotient, has_induced_p4, mask_of, max_clique_witness, members
+from .graphs import Graph, _blowup_quotient, _lift, has_induced_p4, mask_of, max_clique_witness
 from . import graphs as _graphs
 from .reports import Check, Report, _graph_digest, _verdict
 from .setsystems import SetSystem, neighborhood_system, vc_dimension
@@ -83,15 +83,6 @@ class BlowupDecomposition(NamedTuple):
             if self.quotient.has_edge(i, j) != (m in seen):
                 return f"quotient edge {i},{j} disagrees with the parts"
         return f"part {i} disagrees with the quotient"
-
-
-def _lift(row: int, masks) -> int:
-    """The union of the parts ``masks[j]`` over the quotient vertices j in
-    ``row``: a quotient row read as a vertex mask of G."""
-    m = 0
-    for j in members(row):
-        m |= masks[j]
-    return m
 
 
 class ObstructionCertificate(NamedTuple):

@@ -238,6 +238,15 @@ def _coneighborhoods(G: Graph, a: int):
     return rec(0, G.full_mask, G.full_mask, a)
 
 
+def _lift(row: int, masks) -> int:
+    """The union of the classes ``masks[j]`` over the quotient vertices j
+    in ``row``: a quotient row read as a vertex mask of its blow-up."""
+    m = 0
+    for j in members(row):
+        m |= masks[j]
+    return m
+
+
 def _blowup_quotient(G: Graph):
     """``(classes, F)``: G's twin classes (vertices with one neighbourhood
     mask), each ascending and ordered by first vertex, and the twin-free

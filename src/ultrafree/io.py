@@ -58,9 +58,20 @@ def load_text(source) -> str:
     raise ParseError(f"not a recognized format and no such file: {source!r}")
 
 
+def _unique_keys(pairs) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"JSON object repeats key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_json(text: str):
+    """Parse JSON text; a key repeated in one object is a ParseError,
+    not a silent overwrite."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
 

@@ -151,6 +151,18 @@ def _disjoint_packing_bound(F: SetSystem, unhit: int) -> int:
     return count
 
 
+def _greedy_cover(covers: list[int], unhit: int) -> list[int]:
+    """Greedy hitting set, in pick order: while a set in ``unhit`` is
+    unhit, pick the point ``p`` whose ``covers[p]`` holds the most of them,
+    the lowest point on ties.  Every set in ``unhit`` must be nonempty."""
+    picks = []
+    while unhit:
+        p = max(range(len(covers)), key=lambda v: ((covers[v] & unhit).bit_count(), -v))
+        picks.append(p)
+        unhit &= ~covers[p]
+    return picks
+
+
 def transversal_number(F: SetSystem, budget: SearchBudget | None = None):
     """Exact minimum hitting set: ``(size, witness_elements)``.
 
@@ -166,13 +178,7 @@ def transversal_number(F: SetSystem, budget: SearchBudget | None = None):
     covers = _element_cover_masks(F)
     all_sets = (1 << m) - 1
 
-    # greedy cover for the initial upper bound
-    unhit = all_sets
-    greedy: list[int] = []
-    while unhit:
-        e = max(range(F.ground), key=lambda v: ((covers[v] & unhit).bit_count(), -v))
-        greedy.append(e)
-        unhit &= ~covers[e]
+    greedy = _greedy_cover(covers, all_sets)
     best_size = len(greedy)
     best = tuple(sorted(greedy))
 

@@ -371,3 +371,77 @@ def set_systems(draw, max_ground=6, max_sets=6):
     from ultrafree.setsystems import SetSystem
 
     return SetSystem.from_masks(ground, tuple(masks))
+
+
+def first_fit_colour_count(G, order):
+    """Colours used by first-fit in ``order``: each vertex takes the least
+    colour none of its earlier neighbours has."""
+    colour = {}
+    for v in order:
+        taken = {colour[u] for u in colour if G.has_edge(u, v)}
+        colour[v] = min(c for c in range(len(taken) + 1) if c not in taken)
+    return len(set(colour.values()))
+
+
+def convex_closure(ground, masks):
+    """All nonempty intersections of nonempty subfamilies of ``masks``,
+    plus the ground, as a sorted list of distinct bitmasks."""
+    full = (1 << ground) - 1
+    out = {full}
+    for k in range(1, len(masks) + 1):
+        for sub in combinations(masks, k):
+            x = full
+            for s in sub:
+                x &= s
+            if x:
+                out.add(x)
+    return sorted(out)
+
+
+def closure_helly_number(ground, closure):
+    """Helly number of an intersection-closed family holding the ground,
+    by Levi's point characterisation, under the library's conventions:
+    1 when the family shares a point or the ground is empty, else the
+    largest point set Y, |Y| >= 2, whose hulls conv(Y - y) share no point.
+    Checks 2^ground point sets, not 2^len(closure) subfamilies.
+
+    Witnesses y_i, one per member C_i of a minimal non-intersecting
+    family (in every C_j but C_i), form such a Y, since conv(Y - y_i) lies
+    in C_i.  Conversely such a Y makes the hulls conv(Y - y) a minimal
+    non-intersecting family of |Y| distinct members: all but conv(Y - y)
+    contain y."""
+    full = (1 << ground) - 1
+
+    def hull(Y):
+        x = full
+        for c in closure:
+            if all(c >> p & 1 for p in Y):
+                x &= c
+        return x
+
+    common = full
+    for c in closure:
+        common &= c
+    if ground == 0 or common:
+        return 1
+    best = 0
+    for k in range(2, ground + 1):
+        for Y in combinations(range(ground), k):
+            x = full
+            for y in Y:
+                x &= hull([p for p in Y if p != y])
+            if not x:
+                best = k
+    return best
+
+
+def weak_eps_net(ground, closure, weights, eps):
+    """Greedy net over the convex sets of mass >= eps: pick the point in
+    the most of them still unhit, the lowest point on ties."""
+    heavy = [c for c in closure if sum(w for p, w in weights.items() if c >> p & 1) >= eps]
+    net = []
+    while heavy:
+        best_p = min(range(ground), key=lambda p: (-sum(1 for c in heavy if c >> p & 1), p))
+        net.append(best_p)
+        heavy = [c for c in heavy if not c >> best_p & 1]
+    return tuple(sorted(net))

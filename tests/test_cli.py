@@ -794,3 +794,37 @@ class TestBudgetEnv:
         monkeypatch.setenv("ULTRAFREE_BUDGET_MS", "soon")
         assert main(["analyze", c5_file, "--metrics", "chi", "--budget-ms", "100000"]) == 0
         capsys.readouterr()
+
+
+class TestCommandBudget:
+    def test_budget_ms_bounds_the_whole_suite(self):
+        # each solver call of the suite is short, but together they take
+        # far more than 1 ms: one deadline for the command stops them
+        src = os.path.dirname(os.path.dirname(ultrafree.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("ULTRAFREE_BUDGET_MS", None)
+        argv = ["verify", "--suite", "correspondence", "--budget-ms", "1", "--json"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "ultrafree.cli", *argv], capture_output=True, env=env, timeout=120
+        )
+        assert proc.returncode == 3, proc.stderr.decode()
+        error = json.loads(proc.stdout)["error"]
+        assert error["type"] == "budget" and "(time)" in error["message"]
+
+
+class TestRepeatedKeys:
+    def test_graph_key_twice(self, capsys):
+        assert main(["analyze", '{"n": 3, "edges": [], "n": 5}', "--metrics", "omega", "--json"]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"type": "parse-error", "message": "JSON object repeats key 'n'"}
+
+    def test_measure_point_twice(self, tmp_path, capsys):
+        # "1" and "01" name one point; read as a dict, the total 3/2 was 1
+        mf = tmp_path / "m.json"
+        mf.write_text('{"0": "1/2", "1": "1/2", "01": "1/2"}')
+        space = json.dumps({"kind": "from_graph", "graph": json.loads(C5_JSON)})
+        code = main(["space", space, "--weak-net", "1/2", "--measure", str(mf), "--json"])
+        assert code == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "parse-error"
+        assert "'01'" in error["message"]

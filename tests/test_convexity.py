@@ -222,6 +222,62 @@ class TestWeakEpsNet:
                 assert c & mask
 
 
+class TestHellyFromGenerators:
+    @given(oracles.set_systems(max_ground=6, max_sets=4))
+    @settings(max_examples=60, deadline=None)
+    def test_explicit_matches_closure(self, F):
+        # at most 2^4 closure members, so the subfamily oracle stays small
+        closure = oracles.convex_closure(F.ground, F.sets)
+        want = oracles.helly_number(SetSystem.from_masks(F.ground, closure))
+        assert space_helly_number(explicit_space(F)) == want
+
+    @given(oracles.set_systems(max_ground=6, max_sets=6))
+    @settings(max_examples=60, deadline=None)
+    def test_explicit_matches_point_oracle(self, F):
+        closure = oracles.convex_closure(F.ground, F.sets)
+        want = oracles.closure_helly_number(F.ground, closure)
+        assert space_helly_number(explicit_space(F)) == want
+
+    @given(oracles.graphs(max_n=8))
+    @settings(max_examples=40, deadline=None)
+    def test_mis_space_matches_point_oracle(self, G):
+        S = mis_space(G)
+        closure = oracles.convex_closure(S.ground_size, S.generators.sets)
+        want = oracles.closure_helly_number(S.ground_size, closure)
+        assert space_helly_number(S) == want
+
+    def test_oracles_agree(self):
+        # the point oracle against the subfamily oracle, on closures small
+        # enough for the latter
+        for d in (1, 2):
+            S = subcube_space(d)
+            closure = oracles.convex_closure(S.ground_size, S.generators.sets)
+            assert oracles.closure_helly_number(S.ground_size, closure) == oracles.helly_number(
+                SetSystem.from_masks(S.ground_size, closure)
+            )
+
+
+@st.composite
+def _spaces_with_measures(draw):
+    F = draw(oracles.set_systems(max_ground=6, max_sets=6).filter(lambda F: F.ground))
+    raw = draw(st.lists(st.integers(0, 3), min_size=F.ground, max_size=F.ground))
+    if not any(raw):
+        raw[0] = 1
+    weights = {p: Fraction(w, sum(raw)) for p, w in enumerate(raw)}
+    eps = Fraction(draw(st.integers(1, 6)), 6)
+    return F, weights, eps
+
+
+class TestWeakEpsNetGreedy:
+    @given(_spaces_with_measures())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference_loop(self, case):
+        F, weights, eps = case
+        closure = oracles.convex_closure(F.ground, F.sets)
+        want = oracles.weak_eps_net(F.ground, closure, weights, eps)
+        assert weak_eps_net(explicit_space(F), Measure(weights), eps) == want
+
+
 class TestCorrespondence:
     def test_c5(self):
         R = verify_correspondence(Graph.cycle(5), 3)

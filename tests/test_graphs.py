@@ -1,11 +1,12 @@
 from itertools import combinations
 from math import prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from ultrafree import _kernels
+from ultrafree import _kernels, budget
 from ultrafree.budget import BudgetExceeded, SearchBudget, UNLIMITED
 from ultrafree.constructions import blowup, hypercube_lb, random_graph
 from ultrafree.graphs import (
@@ -187,6 +188,37 @@ class TestChromatic:
         assert chromatic_number(Graph.cycle(6)) == 2
 
 
+class TestChromaticOrder:
+    def test_blowup_within_cap(self):
+        # 144 vertices; the search in DSATUR's order takes about 1.1 M nodes
+        G = hypercube_lb(4).G
+        assert chromatic_number(G, SearchBudget(max_nodes=2_000_000)) == 4
+
+    @given(oracles.graphs(max_n=12))
+    @settings(max_examples=60, deadline=None)
+    def test_dsatur_count_succeeds_on_first_path(self, G):
+        # in DSATUR's order, k = the first-fit colour count colours the
+        # graph on the search's first path, one node per vertex; that count
+        # is the one DSATUR reports
+        order, used = _kernels._dsatur_order(G.adj, G.n)
+        assert sorted(order) == list(range(G.n))
+        k = oracles.first_fit_colour_count(G, order)
+        assert k == used
+        meter = SearchBudget().meter("chromatic_number")
+        assert _kernels._kcolorable(G.adj, order, k, meter)
+        assert meter.nodes == G.n
+
+
+class TestChromaticAtDsaturCount:
+    # ω = DSATUR's count = 2 on a path: χ is answered with no colouring
+    # search, so neither the recursion depth nor the node count grows with n
+    def test_long_path(self):
+        assert chromatic_number(Graph.path(1500)) == 2
+
+    def test_path_within_node_cap(self):
+        assert chromatic_number(Graph.path(100), SearchBudget(max_nodes=50)) == 2
+
+
 class TestMis:
     @given(oracles.graphs(max_n=8))
     @settings(max_examples=60, deadline=None)
@@ -350,3 +382,17 @@ class TestBudget:
         b = SearchBudget(max_nodes=10**6)
         for _ in range(3):
             assert clique_number(C5, b) == 2
+
+
+class TestBudgetDeadline:
+    def test_deadline_is_shared(self, monkeypatch):
+        # the clock reads 0 as the budget and the first meter are made and
+        # 1 after that: the 500 ms deadline passes between the two calls,
+        # so the second raises as it opens, before its first node
+        ticks = iter([0.0, 0.0])
+        monkeypatch.setattr(budget, "time", SimpleNamespace(monotonic=lambda: next(ticks, 1.0)))
+        b = SearchBudget(max_millis=500)
+        assert clique_number(C5, b) == 2
+        with pytest.raises(BudgetExceeded) as exc:
+            clique_number(C5, b)
+        assert (exc.value.op, exc.value.reason, exc.value.nodes) == ("clique_number", "time", 0)

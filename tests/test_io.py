@@ -220,3 +220,11 @@ class TestDecompositionJson:
             "quotient": {"n": 2, "edges": [[0, 1]]},
             "origin": [0, 0, 1],
         }
+
+
+class TestRepeatedJsonKeys:
+    def test_nested_key_twice(self):
+        spec = '{"kind": "explicit", "system": {"ground": 2, "sets": [], "ground": 3}}'
+        with pytest.raises(ParseError, match="repeats key 'ground'"):
+            parse_space(spec)
+
