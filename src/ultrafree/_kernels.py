@@ -5,6 +5,8 @@
 loops of the package.  ``count_cliques`` takes an additive ``weigh`` of
 vertex masks, so one recursion counts the cliques of a graph and, on its
 twin quotient with the class sizes as weights, those of a blow-up.
+``_independent_sets`` is the one walk over independent sets, and
+``list_cliques`` runs it on the complement.
 """
 
 from __future__ import annotations
@@ -59,35 +61,42 @@ def _count(adj, b, mask, weigh, meter):
     return total
 
 
+def _independent_sets(adj, a, mask, meter=None):
+    """``(I, N(I))`` as bitmasks for every independent a-set I inside
+    ``mask`` (a >= 1), lexicographic by I's member tuple, where N(I) is
+    the common neighbourhood of I.  The meter is charged one node per
+    vertex added below the last level."""
+
+    def rec(I, cand, common, need):
+        # cand: the vertices of mask after max(I) adjacent to nothing in I
+        if need == 1:
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                yield I | low, common & adj[low.bit_length() - 1]
+            return
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            if meter is not None:
+                meter.charge()
+            row = adj[low.bit_length() - 1]
+            sub = cand & ~row
+            if sub.bit_count() >= need - 1:
+                yield from rec(I | low, sub, common & row, need - 1)
+
+    return rec(0, mask, -1, a)
+
+
 def list_cliques(adj, b, mask, meter=None):
-    """All b-cliques inside ``mask`` as bitmasks, lexicographic by member tuple."""
+    """All b-cliques inside ``mask`` as bitmasks, lexicographic by member
+    tuple: the independent b-sets of the complement within ``mask``."""
     if b < 0:
         raise ValueError("clique size must be nonnegative")
     if b == 0:
         return [0]
-    out = []
-    _list(adj, b, mask, 0, out, meter)
-    return out
-
-
-def _list(adj, need, cand, cur, out, meter):
-    if need == 1:
-        m = cand
-        while m:
-            low = m & -m
-            m ^= low
-            out.append(cur | low)
-        return
-    m = cand
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        m ^= low
-        if meter is not None:
-            meter.charge()
-        sub = adj[v] & m
-        if sub.bit_count() >= need - 1:
-            _list(adj, need - 1, sub, cur | low, out, meter)
+    co = [mask & ~row & ~(1 << v) for v, row in enumerate(adj)]
+    return [I for I, _ in _independent_sets(co, b, mask, meter)]
 
 
 def max_clique(adj, mask, meter=None):

@@ -458,7 +458,8 @@ def _suite_vc_chromatic(budget, catalog, seed):
                 yield _instance(G, c=str(c)), checks
 
 
-_CATALOG_OPTIONS = ("catalog", "seed")
+# the options only the catalog suites read, with their defaults
+_CATALOG_OPTIONS = {"catalog": "small", "seed": _DEFAULT_SEED}
 
 # suite name -> (suite, the verify options it reads, its token parameter
 # as (key, default) or None); the digest hashes the suite name with all
@@ -485,7 +486,13 @@ def _cmd_verify(args, budget) -> int:
         forms = [_suite_form(n) for n in _SUITES]
         raise ValueError(f"unknown suite; choose {', '.join(forms[:-1])}, or {forms[-1]}")
     suite, options, param = _SUITES[name]
-    params = {opt: getattr(args, opt) for opt in options}
+    params = {}
+    for opt, default in _CATALOG_OPTIONS.items():
+        given = getattr(args, opt)
+        if opt in options:
+            params[opt] = default if given is None else given
+        elif given is not None:
+            raise ValueError(f"suite {name} takes no --{opt}")
     if param is None:
         if colon:
             raise ValueError(f"suite {name} takes no parameter, got {token!r}")
@@ -606,8 +613,9 @@ def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
 
     p = command("verify", _cmd_verify, "run a verification suite")
     p.add_argument("--suite", required=True)
-    p.add_argument("--catalog", choices=("small", "extended"), default="small")
-    p.add_argument("--seed", type=int, default=_DEFAULT_SEED)
+    # None when not given: _cmd_verify fills in the catalog suites' defaults
+    p.add_argument("--catalog", choices=("small", "extended"), default=None)
+    p.add_argument("--seed", type=int, default=None)
     return parser
 
 

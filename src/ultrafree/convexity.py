@@ -347,7 +347,8 @@ def correspondence_checks(
     ]
     out = {}
     for r in rs:
-        free = _graphs.is_kr_free(G, r, budget)
+        # G is K_r-free exactly when its clique number is below r
+        free = omega < r
         pq = _ss.has_pq_property(stars, r, 2, budget)
         pq_check = _verdict(
             "clique-free-matches-pq",

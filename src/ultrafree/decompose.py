@@ -127,22 +127,28 @@ class ObstructionCertificate(NamedTuple):
                 raise ClaimViolation(f"witness {key} -> {(y, z)} is not an induced path")
 
 
-def _separated_reps(masks, s) -> list[int]:
-    # greedy ascending scan; pairwise symmetric difference stays > s
+def _separate(masks, s) -> tuple[list[int], list[int]]:
+    """``(reps, origin)`` in one ascending scan: a mask joins ``reps``
+    unless an earlier representative is within symmetric difference s,
+    and its origin is the position of the first such one, or its own."""
     reps: list[int] = []
+    origin: list[int] = []
     for i, m in enumerate(masks):
-        if all((m ^ masks[j]).bit_count() > s for j in reps):
+        for pos, j in enumerate(reps):
+            if (m ^ masks[j]).bit_count() <= s:
+                origin.append(pos)
+                break
+        else:
+            origin.append(len(reps))
             reps.append(i)
-    return reps
+    return reps, origin
 
 
 def separated_subfamily(F: SetSystem, s: int) -> tuple[int, ...]:
     """Greedy maximal subfamily with pairwise symmetric difference > s."""
     if s < 0:
         raise ValueError("separation must be nonnegative")
-    reps = _separated_reps(F.sets, s)
-    _assign_to_reps(F.sets, reps, s)
-    return tuple(reps)
+    return tuple(_separate(F.sets, s)[0])
 
 
 def packing_bound(d: int, family_size: int, sep_level) -> Fraction:
@@ -151,18 +157,6 @@ def packing_bound(d: int, family_size: int, sep_level) -> Fraction:
     if sep_level <= 0:
         raise ValueError("separation level must be positive")
     return E_UP * (d + 1) * (2 * E_UP * family_size / Fraction(sep_level)) ** d
-
-
-def _assign_to_reps(masks, reps, s) -> list[int]:
-    origin = []
-    for i, m in enumerate(masks):
-        for pos, j in enumerate(reps):
-            if (m ^ masks[j]).bit_count() <= s:
-                origin.append(pos)
-                break
-        else:
-            raise ClaimViolation(f"maximality broke: mask {i} fits no class")
-    return origin
 
 
 def haussler_partition(
@@ -179,8 +173,7 @@ def haussler_partition(
     if not is_eps_ultra(G, r, eps, budget):
         raise PreconditionViolated("graph is not eps-ultra maximal K_r-free")
     s = eps * G.n / 10
-    reps = _separated_reps(G.adj, s)
-    assign = _assign_to_reps(G.adj, reps, s)
+    reps, assign = _separate(G.adj, s)
     groups: list[list[int]] = [[] for _ in reps]
     for v, pos in enumerate(assign):
         groups[pos].append(v)
@@ -293,8 +286,7 @@ def vc_chromatic_partition(G: Graph, c, budget: SearchBudget | None = None):
             f"min degree {G.min_degree()} below c*n = {c * G.n}"
         )
     s = c * G.n / 3
-    reps = _separated_reps(G.adj, s)
-    colors = _assign_to_reps(G.adj, reps, s)
+    reps, colors = _separate(G.adj, s)
     for u, v in G.edges():
         if colors[u] == colors[v]:
             raise ClaimViolation(f"part {colors[u]} contains the edge {u},{v}")

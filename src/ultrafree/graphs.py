@@ -122,7 +122,7 @@ class Graph:
 
     def non_edges(self):
         """Unordered non-adjacent pairs (u, v), u < v, ascending."""
-        return (members(pair) for pair, _ in _coneighborhoods(self, 2))
+        return (members(pair) for pair, _ in _kernels._independent_sets(self.adj, 2, self.full_mask))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return members(self.adj[v])
@@ -219,25 +219,6 @@ def enumerate_mis(G: Graph, budget: SearchBudget | None = None) -> list[tuple[in
     return [members(m) for m in masks]
 
 
-def _coneighborhoods(G: Graph, a: int):
-    """``(I, N(I))`` as bitmasks for every independent a-set I (a >= 1),
-    lexicographic by I's member tuple.  Charges no meter."""
-    adj = G.adj
-
-    def rec(I: int, cand: int, common: int, need: int):
-        # cand: the vertices after max(I) adjacent to nothing in I
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            if need == 1:
-                yield I | low, common & adj[v]
-            else:
-                yield from rec(I | low, cand & ~adj[v], common & adj[v], need - 1)
-
-    return rec(0, G.full_mask, G.full_mask, a)
-
-
 def _lift(row: int, masks) -> int:
     """The union of the classes ``masks[j]`` over the quotient vertices j
     in ``row``: a quotient row read as a vertex mask of its blow-up."""
@@ -291,7 +272,7 @@ def _class_coneighborhoods(G: Graph, a: int):
     scan = (
         (S, nbhd)
         for s in range(a, fewest - 1, -1)
-        for S, nbhd in _coneighborhoods(F, s)
+        for S, nbhd in _kernels._independent_sets(F.adj, s, F.full_mask)
         if s == a or weight(S) >= a
     )
     return classes, F, weight, scan

@@ -205,7 +205,7 @@ def find_half_graph(G: Graph, k: int, budget: SearchBudget | None = None):
     return emb
 
 
-def _qualifying_cliques(G, cliques, conbrs, threshold):
+def _qualifying_cliques(cliques, conbrs, threshold):
     """(clique, covered-pair-positions) for every clique contained in at
     least ``threshold`` of the given co-neighborhoods, in input order."""
     out = []
@@ -274,7 +274,7 @@ def build_half_from_matching(
             (i, G.common_neighbors((remaining[i][0], b1))) for i in range(1, m)
         ]
         threshold = eps * q / 2
-        qualified = _qualifying_cliques(G, cliques, conbrs, threshold)
+        qualified = _qualifying_cliques(cliques, conbrs, threshold)
         if not qualified:
             raise InternalContradiction(
                 "no clique reaches the pigeonhole multiplicity",

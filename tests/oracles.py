@@ -445,3 +445,61 @@ def weak_eps_net(ground, closure, weights, eps):
         net.append(best_p)
         heavy = [c for c in heavy if not c >> best_p & 1]
     return tuple(sorted(net))
+
+
+def independent_sets(G, a, mask):
+    """``(I, N(I))`` as bitmasks for every independent a-subset I of the
+    vertices in ``mask`` (a >= 1), lexicographic by member tuple, where
+    N(I) is the set of vertices adjacent to all of I."""
+    out = []
+    pool = [v for v in range(G.n) if mask >> v & 1]
+    for vs in combinations(pool, a):
+        if is_independent(G, vs):
+            common = [w for w in range(G.n) if all(G.has_edge(w, v) for v in vs)]
+            out.append((sum(1 << v for v in vs), sum(1 << w for w in common)))
+    return out
+
+
+def list_cliques_metered(adj, b, mask, meter):
+    """The b-cliques inside ``mask`` by the lexicographic recursion that
+    ``list_cliques`` once ran on its own, charging ``meter`` one node per
+    vertex added below the last level: the reference node count."""
+    if b == 0:
+        return [0]
+    out = []
+
+    def rec(need, cand, cur):
+        if need == 1:
+            m = cand
+            while m:
+                low = m & -m
+                m ^= low
+                out.append(cur | low)
+            return
+        m = cand
+        while m:
+            low = m & -m
+            m ^= low
+            meter.charge()
+            sub = adj[low.bit_length() - 1] & m
+            if sub.bit_count() >= need - 1:
+                rec(need - 1, sub, cur | low)
+
+    rec(b, mask, 0)
+    return out
+
+
+def separated_partition(masks, s):
+    """``(reps, origin)`` by two scans: the greedy ascending family of
+    masks pairwise more than s apart in symmetric difference, then each
+    mask's first representative within s."""
+    reps = []
+    for i, m in enumerate(masks):
+        if all(bin(m ^ masks[j]).count("1") > s for j in reps):
+            reps.append(i)
+    origin = []
+    for m in masks:
+        origin.append(
+            next(pos for pos, j in enumerate(reps) if bin(m ^ masks[j]).count("1") <= s)
+        )
+    return reps, origin

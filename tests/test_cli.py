@@ -828,3 +828,32 @@ class TestRepeatedKeys:
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["type"] == "parse-error"
         assert "'01'" in error["message"]
+
+
+class TestOptionChecks:
+    def test_random_probability_out_of_range(self, capsys):
+        argv = ["gen", "random", "--params", "n=3,num=1,den=0,seed=1", "--json"]
+        assert main(argv) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "usage"
+        assert "p_num=1, p_den=0" in error["message"]
+
+    @pytest.mark.parametrize(
+        "options", [["--catalog", "extended"], ["--seed", "3"], ["--catalog", "extended", "--seed", "3"]]
+    )
+    @pytest.mark.parametrize("suite", ["halfgraph", "mindeg-ultra", "construction:d=2"])
+    def test_catalog_options_rejected_where_unread(self, suite, options, capsys):
+        assert main(["verify", "--suite", suite, *options, "--json"]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "usage"
+        assert error["message"] == f"suite {suite.partition(':')[0]} takes no {options[0]}"
+
+    def test_catalog_defaults_keep_the_digest(self, small_catalog, capsys):
+        # the defaults filled in for a catalog suite are the ones it always had
+        assert main(["verify", "--suite", "correspondence", "--json"]) == 0
+        implicit = capsys.readouterr().out
+        argv = ["verify", "--suite", "correspondence", "--catalog", "small", "--seed", "20260301", "--json"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == implicit
+        digest = "cf72670884b156bab2d2f163e713d6fba6f3b5498fc44c4c0516b2cfd15cd6d1"
+        assert hashlib.sha256(implicit.encode()).hexdigest() == digest

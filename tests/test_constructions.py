@@ -179,3 +179,8 @@ class TestRandomGraph:
     def test_density_extremes(self):
         assert random_graph(8, 0, 1, 1).edge_count() == 0
         assert random_graph(8, 1, 1, 1) == Graph.complete(8)
+
+    @pytest.mark.parametrize("num, den", [(5, 2), (1, 0), (-1, 3), (0, 0)])
+    def test_rejects_a_probability_outside_0_1(self, num, den):
+        with pytest.raises(ValueError, match=f"p_num={num}, p_den={den}"):
+            random_graph(3, num, den, 1)

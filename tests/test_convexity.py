@@ -334,3 +334,11 @@ class TestCorrespondence:
         assert by_name["edges-match-disjoint-stars"].witness == (1, 3)
         assert by_name["disjointness-reconstructs-graph"].status == "fail"
 
+
+
+class TestCliqueFreeFromOmega:
+    @given(oracles.graphs(max_n=8), st.sampled_from((3, 4, 5)))
+    @settings(max_examples=60, deadline=None)
+    def test_kr_free_value(self, G, r):
+        by_name = {c.name: c for c in verify_correspondence(G, r).checks}
+        assert by_name["clique-free-matches-pq"].value["kr_free"] == (not oracles.cliques(G, r))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import ultrafree.decompose
 import ultrafree.graphs
 from ultrafree.catalog import is_isomorphic
 from ultrafree.constructions import blowup, half_min, hypercube_lb, turan
@@ -333,3 +334,13 @@ class TestCodegreeDensity:
     def test_never_fails(self, G):
         R = codegree_density_check(G)
         assert all(c.status != "fail" for c in R.checks)
+
+
+class TestSeparate:
+    @given(
+        st.lists(st.integers(0, (1 << 7) - 1), max_size=12),
+        st.fractions(min_value=0, max_value=8, max_denominator=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_scan_matches_two(self, masks, s):
+        assert ultrafree.decompose._separate(masks, s) == oracles.separated_partition(masks, s)

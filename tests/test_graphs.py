@@ -396,3 +396,29 @@ class TestBudgetDeadline:
         with pytest.raises(BudgetExceeded) as exc:
             clique_number(C5, b)
         assert (exc.value.op, exc.value.reason, exc.value.nodes) == ("clique_number", "time", 0)
+
+
+class TestIndependentSets:
+    @given(oracles.graphs(max_n=9), st.integers(1, 4), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force(self, G, a, data):
+        mask = data.draw(st.integers(0, G.full_mask))
+        got = list(_kernels._independent_sets(G.adj, a, mask))
+        assert got == oracles.independent_sets(G, a, mask)
+
+    @given(oracles.graphs(max_n=9), st.integers(0, 4), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_list_cliques_nodes_match_reference(self, G, b, data):
+        mask = data.draw(st.integers(0, G.full_mask))
+        meter, ref = SearchBudget().meter("list_cliques"), SearchBudget().meter("list_cliques")
+        got = _kernels.list_cliques(G.adj, b, mask, meter)
+        assert got == oracles.list_cliques_metered(G.adj, b, mask, ref)
+        assert meter.nodes == ref.nodes
+
+    def test_list_cliques_nodes_on_a_dense_graph(self):
+        G = random_graph(60, 3, 4, 1)
+        meter, ref = SearchBudget().meter("list_cliques"), SearchBudget().meter("list_cliques")
+        got = _kernels.list_cliques(G.adj, 4, G.full_mask, meter)
+        assert len(got) == 96_207
+        assert got == oracles.list_cliques_metered(G.adj, 4, G.full_mask, ref)
+        assert meter.nodes == ref.nodes
