@@ -265,6 +265,8 @@ def _load_measure(spec: str, size: int) -> Measure:
 
 
 def _cmd_space(args, budget) -> int:
+    if args.measure is not None and args.weak_net is None:
+        raise ValueError("--measure needs --weak-net")
     S = parse_space(args.file, budget)
     out = {"kind": S.tag, "points": S.ground_size, "generators": len(S.generators)}
     if args.helly:
@@ -273,7 +275,7 @@ def _cmd_space(args, budget) -> int:
         out["radon"] = radon_number(S, args.radon_cap)
     if args.weak_net is not None:
         eps = _parse_fraction(args.weak_net)
-        mu = _load_measure(args.measure, S.ground_size)
+        mu = _load_measure("uniform" if args.measure is None else args.measure, S.ground_size)
         out["weak_net"] = list(weak_eps_net(S, mu, eps))
     _print_payload(args, out)
     return 0
@@ -283,13 +285,16 @@ def _cmd_space(args, budget) -> int:
 
 
 def _cmd_decompose(args, budget) -> int:
-    G = parse_graph(args.file)
     if args.method == "twin":
-        D = twin_quotient(G)
+        for opt in ("r", "eps"):
+            if getattr(args, opt) is not None:
+                raise ValueError(f"--method twin takes no --{opt}")
+        D = twin_quotient(parse_graph(args.file))
     else:
         if args.eps is None:
             raise ValueError("--method haussler requires --eps P/Q")
-        D = haussler_partition(G, args.r, _parse_fraction(args.eps), budget)
+        r = 3 if args.r is None else args.r
+        D = haussler_partition(parse_graph(args.file), r, _parse_fraction(args.eps), budget)
     _write(args, json.dumps(decomposition_to_obj(D), indent=2 if args.json else None) + "\n")
     return 0
 
@@ -601,12 +606,14 @@ def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--radon-cap", type=int, default=None, metavar="K")
     p.add_argument("--weak-net", default=None, metavar="EPS")
-    p.add_argument("--measure", default="uniform", metavar="uniform|FILE")
+    # None when not given: _cmd_space reads it only with --weak-net
+    p.add_argument("--measure", default=None, metavar="uniform|FILE")
     p.add_argument("--helly", action="store_true")
 
     p = command("decompose", _cmd_decompose, "blow-up decomposition")
     p.add_argument("file")
-    p.add_argument("--r", type=int, default=3)
+    # None when not given: _cmd_decompose uses r = 3 with haussler
+    p.add_argument("--r", type=int, default=None)
     p.add_argument("--eps", default=None, metavar="P/Q")
     p.add_argument("--method", choices=("haussler", "twin"), default="haussler")
     p.add_argument("--out", default=None, metavar="FILE")

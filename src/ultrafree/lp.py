@@ -34,20 +34,24 @@ def max_simplex(c, A, b, meter=None):
             meter.charge()
             meter.check_time()
 
-    # columns: 0..n-1 structural, n..n+m-1 slack, last = RHS
+    # variables 0..n-1 are structural, n..n+m-1 slack.  The tableau is
+    # condensed: row i < m holds basic variable basis[i] and row m the
+    # reduced costs; column j < n holds nonbasic variable free[j] and the
+    # last column the right-hand side.  A basic variable's column would be
+    # a unit vector that no pivot reads, so none is stored.
     tab = []
     for i in range(m):
-        row = [Fraction(x) for x in A[i]]
-        row += [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-        row.append(Fraction(b[i]))
-        tab.append(row)
+        tab.append([Fraction(x) for x in A[i]] + [Fraction(b[i])])
         row_done()
-    obj = [Fraction(x) for x in c] + [Fraction(0)] * (m + 1)
+    cost = [Fraction(x) for x in c] + [Fraction(0)]
+    tab.append(cost)
     basis = list(range(n, n + m))
+    free = list(range(n))
 
     while True:
-        # Bland: entering = lowest-index column with positive reduced cost
-        enter = next((j for j in range(n + m) if obj[j] > 0), None)
+        # Bland: the entering variable is the lowest-index one with a
+        # positive reduced cost; a basic one's is 0, so it is a column
+        enter = min((j for j in range(n) if cost[j] > 0), key=free.__getitem__, default=None)
         if enter is None:
             break
         leave = None
@@ -61,24 +65,26 @@ def max_simplex(c, A, b, meter=None):
                     leave = i
         if leave is None:
             raise ValueError("LP is unbounded")
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
+        # the entering column comes to hold the leaving variable, whose
+        # unit column is 1 in the pivot row and 0 elsewhere
+        pivot = tab[leave]
+        piv, pivot[enter] = pivot[enter], 1
+        pivot[:] = [x / piv for x in pivot]
         row_done()
-        for i in range(m):
-            if i != leave and tab[i][enter]:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+        support = [j for j, y in enumerate(pivot) if y]
+        for i, row in enumerate(tab):
+            f = row[enter]
+            if i != leave and f:
+                row[enter] = 0
+                for j in support:
+                    row[j] -= f * pivot[j]
                 row_done()
-        if obj[enter]:
-            f = obj[enter]
-            obj = [x - f * y for x, y in zip(obj, tab[leave])]
-            row_done()
-        basis[leave] = enter
+        basis[leave], free[enter] = free[enter], basis[leave]
 
-    x = [Fraction(0)] * n
-    for i, var in enumerate(basis):
-        if var < n:
-            x[var] = tab[i][-1]
+    # a nonbasic variable is 0, and a basic slack's dual is 0
+    rhs = {var: tab[i][-1] for i, var in enumerate(basis)}
+    price = {var: -cost[j] for j, var in enumerate(free)}
+    x = [rhs.get(v, Fraction(0)) for v in range(n)]
+    duals = [price.get(n + i, Fraction(0)) for i in range(m)]
     value = sum((Fraction(ci) * xi for ci, xi in zip(c, x)), Fraction(0))
-    duals = [-obj[n + i] for i in range(m)]
     return value, x, duals

@@ -16,10 +16,17 @@ TOOL_VERSION = "0.1.0"
 __all__ = ["Check", "Report", "jsonable", "digest_of", "TOOL_VERSION"]
 
 
+def _fraction_text(value) -> str:
+    """A rational as its 'P/Q' string; the ``default`` hook of json.dumps."""
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def jsonable(value):
     """Rationals as 'P/Q' strings; containers recursively; rest as is."""
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return _fraction_text(value)
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -106,12 +113,13 @@ def _verdict(name: str, rule: str, ok, value=None, witness=None) -> Check:
 
 
 def digest_of(*parts) -> str:
-    """Short deterministic digest of the canonical form of the inputs."""
+    """Short deterministic digest of the canonical form of the inputs.
+    Every dict key in them must be a ``str``."""
     import hashlib  # here, not at the top: most commands take no digest
 
     h = hashlib.sha256()
     for p in parts:
-        h.update(json.dumps(jsonable(p), sort_keys=True).encode())
+        h.update(json.dumps(p, sort_keys=True, default=_fraction_text).encode())
         h.update(b"\x00")
     return h.hexdigest()[:12]
 

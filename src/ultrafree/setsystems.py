@@ -13,7 +13,7 @@ from itertools import combinations
 
 from . import _kernels
 from .budget import SearchBudget, _meter
-from .errors import ClaimViolation
+from .errors import ClaimViolation, PreconditionViolated
 from .graphs import Graph, members
 from .lp import max_simplex
 
@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 
-class Infeasible(ValueError):
+class Infeasible(PreconditionViolated):
     """No transversal exists (the system contains an empty set)."""
 
 
@@ -272,21 +272,22 @@ def vc_dimension(F: SetSystem, budget: SearchBudget | None = None):
         traces = {d & s_mask for d in distinct}
         return len(traces) == 1 << size
 
-    level: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    # each level holds the shattered sets of its size as masks, in
+    # lexicographic order, so level[0] is the witness
+    level = [0]
     depth = 0
     while depth < cap:
         nxt = []
-        for pts, s_mask in level:
-            start = pts[-1] + 1 if pts else 0
-            for x in range(start, F.ground):
+        for s_mask in level:
+            for x in range(s_mask.bit_length(), F.ground):
                 m2 = s_mask | (1 << x)
                 if shattered(m2, depth + 1):
-                    nxt.append((pts + (x,), m2))
+                    nxt.append(m2)
         if not nxt:
             break
         level = nxt
         depth += 1
-    return depth, level[0][0]
+    return depth, members(level[0])
 
 
 def helly_number(F: SetSystem, budget: SearchBudget | None = None) -> int:

@@ -503,3 +503,131 @@ def separated_partition(masks, s):
             next(pos for pos, j in enumerate(reps) if bin(m ^ masks[j]).count("1") <= s)
         )
     return reps, origin
+
+
+def max_simplex_full_tableau(c, A, b, meter=None):
+    """``lp.max_simplex`` as it once ran on the full tableau, one column
+    per variable, basic ones included: the same Bland pivots, charging
+    ``meter`` one node per row built and per row rewritten.  The reference
+    for the condensed tableau's results and node counts."""
+    m = len(A)
+    n = len(c)
+    if any(bi < 0 for bi in b):
+        raise ValueError("b must be nonnegative for the slack basis")
+
+    def row_done():
+        if meter is not None:
+            meter.charge()
+            meter.check_time()
+
+    tab = []
+    for i in range(m):
+        row = [Fraction(x) for x in A[i]]
+        row += [Fraction(1) if j == i else Fraction(0) for j in range(m)]
+        row.append(Fraction(b[i]))
+        tab.append(row)
+        row_done()
+    obj = [Fraction(x) for x in c] + [Fraction(0)] * (m + 1)
+    basis = list(range(n, n + m))
+
+    while True:
+        enter = next((j for j in range(n + m) if obj[j] > 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                ratio = tab[i][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            raise ValueError("LP is unbounded")
+        piv = tab[leave][enter]
+        tab[leave] = [x / piv for x in tab[leave]]
+        row_done()
+        for i in range(m):
+            if i != leave and tab[i][enter]:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+                row_done()
+        if obj[enter]:
+            f = obj[enter]
+            obj = [x - f * y for x, y in zip(obj, tab[leave])]
+            row_done()
+        basis[leave] = enter
+
+    x = [Fraction(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = tab[i][-1]
+    value = sum((Fraction(ci) * xi for ci, xi in zip(c, x)), Fraction(0))
+    duals = [-obj[n + i] for i in range(m)]
+    return value, x, duals
+
+
+def vc_dimension_metered(F, meter):
+    """``vc_dimension`` as it once ran, each level holding (tuple, mask)
+    pairs, charging ``meter`` one node per shattering test."""
+    distinct = sorted(set(F.sets))
+    if not distinct:
+        return 0, ()
+    cap = len(distinct).bit_length() - 1
+
+    def shattered(s_mask, size):
+        meter.charge()
+        return len({d & s_mask for d in distinct}) == 1 << size
+
+    level = [((), 0)]
+    depth = 0
+    while depth < cap:
+        nxt = []
+        for pts, s_mask in level:
+            start = pts[-1] + 1 if pts else 0
+            for x in range(start, F.ground):
+                m2 = s_mask | (1 << x)
+                if shattered(m2, depth + 1):
+                    nxt.append((pts + (x,), m2))
+        if not nxt:
+            break
+        level = nxt
+        depth += 1
+    return depth, level[0][0]
+
+
+def _jsonable(value):
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    return value
+
+
+def digest_of(*parts):
+    """``reports.digest_of`` as it once ran: each part rebuilt with its
+    rationals as 'P/Q' strings, then dumped."""
+    import hashlib
+    import json
+
+    h = hashlib.sha256()
+    for p in parts:
+        h.update(json.dumps(_jsonable(p), sort_keys=True).encode())
+        h.update(b"\x00")
+    return h.hexdigest()[:12]
+
+
+json_parts = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.text(max_size=4)
+    | st.fractions(max_denominator=50),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)

@@ -857,3 +857,40 @@ class TestOptionChecks:
         assert capsys.readouterr().out == implicit
         digest = "cf72670884b156bab2d2f163e713d6fba6f3b5498fc44c4c0516b2cfd15cd6d1"
         assert hashlib.sha256(implicit.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("options, name", [(["--eps", "1/2", "--r", "7"], "--r"), (["--eps", "1/2"], "--eps")])
+    def test_twin_takes_no_haussler_options(self, options, name, tmp_path, capsys):
+        f = tmp_path / "b.json"
+        assert main(["gen", "c5-blowup", "--params", "s=2", "--out", str(f)]) == 0
+        assert main(["decompose", str(f), "--method", "twin", *options, "--json"]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"type": "usage", "message": f"--method twin takes no {name}"}
+
+    def test_haussler_r_defaults_to_3(self, c5_file, capsys):
+        assert main(["decompose", c5_file, "--method", "haussler", "--eps", "1/5"]) == 0
+        implicit = capsys.readouterr().out
+        assert main(["decompose", c5_file, "--method", "haussler", "--r", "3", "--eps", "1/5"]) == 0
+        assert capsys.readouterr().out == implicit
+        digest = "e5fdf6f0da3d987e1ba0aff8a0dfb0a3780e777a895e1bfb5913e3d14e4ff0f1"
+        assert hashlib.sha256(implicit.encode()).hexdigest() == digest
+
+    def test_measure_needs_weak_net(self, c5_file, capsys):
+        space = json.dumps({"kind": "from_graph", "graph": json.loads(C5_JSON)})
+        assert main(["space", space, "--measure", "/nonexistent.json", "--json"]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"type": "usage", "message": "--measure needs --weak-net"}
+
+    def test_weak_net_measure_defaults_to_uniform(self, capsys):
+        space = json.dumps({"kind": "from_graph", "graph": json.loads(C5_JSON)})
+        assert main(["space", space, "--weak-net", "1/2", "--json"]) == 0
+        implicit = capsys.readouterr().out
+        assert main(["space", space, "--weak-net", "1/2", "--measure", "uniform", "--json"]) == 0
+        assert capsys.readouterr().out == implicit
+        assert json.loads(implicit)["weak_net"] == [0]
+
+    @pytest.mark.parametrize("metric", ["tau", "taustar"])
+    def test_empty_set_is_a_precondition_error(self, metric, capsys):
+        argv = ["setsys", '{"ground":2,"sets":[[],[1]]}', "--metrics", metric, "--json"]
+        assert main(argv) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"type": "precondition", "message": "system contains an empty set"}

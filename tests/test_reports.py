@@ -2,7 +2,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 import ultrafree
 from ultrafree.reports import TOOL_VERSION, Check, Report, _verdict, digest_of, jsonable
 
@@ -125,6 +128,15 @@ class TestDigest:
     def test_sensitive_to_content_and_order(self):
         assert digest_of(1, 2) != digest_of(2, 1)
         assert digest_of("a") != digest_of("b")
+
+    @given(st.lists(oracles.json_parts, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_rebuilt_parts(self, parts):
+        assert digest_of(*parts) == oracles.digest_of(*parts)
+
+    def test_rejects_what_json_cannot_write(self):
+        with pytest.raises(TypeError, match="set is not JSON serializable"):
+            digest_of({"s": {1}})
 
 
 def test_version_consistency():

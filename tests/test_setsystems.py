@@ -6,7 +6,8 @@ from hypothesis import given, settings
 import oracles
 import ultrafree.setsystems
 from ultrafree.budget import BudgetExceeded, SearchBudget
-from ultrafree.constructions import kneser
+from ultrafree.constructions import hypercube_lb, kneser
+from ultrafree.errors import PreconditionViolated
 from ultrafree.graphs import Graph, chromatic_number, mask_of
 from ultrafree.setsystems import (
     FractionalSolution,
@@ -173,6 +174,20 @@ class TestFractional:
         if F.sets:
             assert matching_number(F)[0] <= sol.value <= transversal_number(F)[0]
 
+    def test_hypercube_lb4_star_system(self):
+        # 24 sets over 328 points and 22,875 nodes, which the full
+        # tableau took about 30 s to write
+        F = mis_star_system(hypercube_lb(4).H)
+        sol = fractional_transversal(F, SearchBudget(max_millis=20000))
+        assert sol.value == Fraction(104, 31)
+        certify(sol, F)
+
+    def test_empty_set_is_a_precondition(self):
+        F = SetSystem(2, [(), (1,)])
+        for solve in (fractional_transversal, transversal_number):
+            with pytest.raises(PreconditionViolated):
+                solve(F)
+
     def test_c5_value(self):
         sol = fractional_transversal(mis_star_system(C5))
         assert sol.value == Fraction(5, 2)
@@ -190,7 +205,37 @@ class TestFractional:
         assert fractional_transversal(F, SearchBudget(max_nodes=10**6)).value == Fraction(5, 2)
 
 
+def _metered_vc_dimension(F):
+    """``vc_dimension(F)`` under an unlimited budget: its result and the
+    node count of the one meter it opens."""
+    meters = []
+
+    class Recording(SearchBudget):
+        __slots__ = ()
+
+        def meter(self, op):
+            meters.append(super().meter(op))
+            return meters[-1]
+
+    result = vc_dimension(F, Recording())
+    (meter,) = meters
+    return result, meter.nodes
+
+
 class TestVcDimension:
+    @given(oracles.set_systems(max_ground=8, max_sets=12))
+    @settings(max_examples=150, deadline=None)
+    def test_masks_match_the_tuple_levels(self, F):
+        ref = SearchBudget().meter("vc_dimension")
+        assert _metered_vc_dimension(F) == (oracles.vc_dimension_metered(F, ref), ref.nodes)
+
+    def test_graph_systems_match_the_tuple_levels(self, small_catalog):
+        for G in small_catalog:
+            for F in (neighborhood_system(G), mis_star_system(G), mis_family(G)):
+                ref = SearchBudget().meter("vc_dimension")
+                want = oracles.vc_dimension_metered(F, ref), ref.nodes
+                assert _metered_vc_dimension(F) == want
+
     @given(oracles.set_systems())
     @settings(max_examples=80, deadline=None)
     def test_match_brute(self, F):
