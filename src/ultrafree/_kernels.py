@@ -205,10 +205,11 @@ def _kcolorable(adj, order, k, meter):
     return rec(0, 0)
 
 
-def chromatic_number(adj, n, meter=None):
+def chromatic_number(adj, n, meter=None, omega=None):
     """Exact chromatic number of the graph on vertices 0..n-1: the least
     k from the clique number up to DSATUR's colour count for which a
-    k-colouring search in DSATUR's order succeeds."""
+    k-colouring search in DSATUR's order succeeds.  ``omega`` is the
+    graph's clique number when the caller has it; None searches for it."""
     if n == 0:
         return 0
     if not any(adj):
@@ -218,7 +219,7 @@ def chromatic_number(adj, n, meter=None):
     # no search.  _kcolorable tries the least free colour first, so in
     # DSATUR's order its first path is the DSATUR colouring.
     order, used = _dsatur_order(adj, n)
-    k = max_clique(adj, (1 << n) - 1, meter)[0]
+    k = max_clique(adj, (1 << n) - 1, meter)[0] if omega is None else omega
     while k < used and not _kcolorable(adj, order, k, meter):
         k += 1
     return k

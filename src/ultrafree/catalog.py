@@ -198,13 +198,23 @@ def _decode(line: str) -> Graph:
     pairs = n * (n - 1) // 2
     if len(words) != 1 + (pairs + 5) // 6:
         raise ValueError(f"graph6 line of wrong length for n = {n}: {line!r}")
-    bits = "".join(f"{w:06b}" for w in words[1:])
-    if "1" in bits[pairs:]:
+    # the data characters as one integer, six bits each, first ones highest
+    x = 0
+    for w in words[1:]:
+        x = x << 6 | w
+    pad = 6 * (len(words) - 1) - pairs
+    if x & ((1 << pad) - 1):
         raise ValueError(f"graph6 padding bits set: {line!r}")
+    # column j holds the pairs (0, j)..(j - 1, j), with (i, j) at bit j - 1 - i
     adj = [0] * n
-    upper = ((i, j) for j in range(1, n) for i in range(j))
-    for bit, (i, j) in zip(bits, upper):
-        if bit == "1":
+    shift = len(words) * 6 - 6
+    for j in range(1, n):
+        shift -= j
+        col = x >> shift & ((1 << j) - 1)
+        while col:
+            low = col & -col
+            col ^= low
+            i = j - low.bit_length()
             adj[i] |= 1 << j
             adj[j] |= 1 << i
     return Graph.from_masks(adj)

@@ -280,14 +280,14 @@ def correspondence_checks(
     vs intersection.  Each list is in check-name order.
 
     Only the clique-freeness check reads r; the others are computed once
-    and shared by every r.
+    and shared by every r.  ω is searched once: χ's search starts from
+    it, and ν is ω whenever the disjointness graph is G itself.
     """
     mis = _ss.mis_family(G, budget)
     stars = _ss.dual(mis)
-    chi = _graphs.chromatic_number(G, budget)
-    tau, tau_witness = _ss.transversal_number(stars, budget)
     omega = _graphs.clique_number(G, budget)
-    nu, nu_witness = _ss.matching_number(stars, budget)
+    chi = _graphs.chromatic_number(G, budget, omega=omega)
+    tau, tau_witness = _ss.transversal_number(stars, budget)
 
     # one star per vertex, so the rebuilt graph is on V(G).  The first pair
     # u < v whose adjacency differs: the first differing row u, and its
@@ -299,11 +299,18 @@ def correspondence_checks(
         if diff:
             bad_pair = (u, (diff & -diff).bit_length() - 1)
             break
-    mis_tuples = [members(s) for s in mis.sets]
+    # ν is the clique number of the rebuilt graph, so when its rows are
+    # all G's the same deterministic search would return ω again
+    if bad_pair is None:
+        nu, nu_witness = omega, None
+    else:
+        nu, nu_witness = _ss.matching_number(stars, budget)
     maximal_stars = _ss.maximal_intersecting_subfamilies(stars)
+    mis_ok = sorted(mis.sets) == maximal_stars
     expected_h = 2 if G.edge_count() >= 1 else 1
     h = _ss.helly_number(stars, budget)
 
+    # in name order, with each r's (r,2) check to go third
     shared = [
         _verdict(
             "chromatic-equals-transversal",
@@ -320,22 +327,25 @@ def correspondence_checks(
             witness={"matching": nu_witness},
         ),
         _verdict(
-            "edges-match-disjoint-stars",
-            "edges-match-disjoint-stars",
-            bad_pair is None,
-            witness=bad_pair,
-        ),
-        _verdict(
             "disjointness-reconstructs-graph",
             "disjointness-reconstructs-graph",
             bad_pair is None,
             witness=None if bad_pair is None else {"rebuilt_edges": rebuilt.edges()},
         ),
         _verdict(
+            "edges-match-disjoint-stars",
+            "edges-match-disjoint-stars",
+            bad_pair is None,
+            witness=bad_pair,
+        ),
+        _verdict(
             "mis-match-maximal-stars",
             "mis-match-maximal-stars",
-            sorted(mis_tuples) == sorted(maximal_stars),
-            witness={"mis": mis_tuples, "maximal_stars": maximal_stars},
+            mis_ok,
+            witness=None if mis_ok else {
+                "mis": [members(s) for s in mis.sets],
+                "maximal_stars": sorted(members(s) for s in maximal_stars),
+            },
         ),
         _verdict(
             "star-helly-matches-edges",
@@ -357,7 +367,7 @@ def correspondence_checks(
             value={"r": r, "kr_free": free, "pq": pq},
             witness={"r": r},
         )
-        out[r] = sorted(shared + [pq_check], key=lambda c: c.name)
+        out[r] = shared[:2] + [pq_check] + shared[2:]
     return out
 
 

@@ -209,8 +209,11 @@ def max_clique_witness(G: Graph, budget: SearchBudget | None = None) -> tuple[in
     return size, members(mask)
 
 
-def chromatic_number(G: Graph, budget: SearchBudget | None = None) -> int:
-    return _kernels.chromatic_number(G.adj, G.n, _meter(budget, "chromatic_number"))
+def chromatic_number(G: Graph, budget: SearchBudget | None = None, *, omega: int | None = None) -> int:
+    """χ(G), searched upward from ω.  ``omega`` is G's clique number, for
+    a caller that already has it; without it, χ searches for ω first,
+    and its meter is charged for that search too."""
+    return _kernels.chromatic_number(G.adj, G.n, _meter(budget, "chromatic_number"), omega)
 
 
 def enumerate_mis(G: Graph, budget: SearchBudget | None = None) -> list[tuple[int, ...]]:

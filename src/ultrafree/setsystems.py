@@ -157,7 +157,11 @@ def _greedy_cover(covers: list[int], unhit: int) -> list[int]:
     the lowest point on ties.  Every set in ``unhit`` must be nonempty."""
     picks = []
     while unhit:
-        p = max(range(len(covers)), key=lambda v: ((covers[v] & unhit).bit_count(), -v))
+        p, most = 0, -1
+        for v, c in enumerate(covers):
+            hit = (c & unhit).bit_count()
+            if hit > most:
+                p, most = v, hit
         picks.append(p)
         unhit &= ~covers[p]
     return picks
@@ -397,16 +401,15 @@ def has_pq_property(F: SetSystem, p: int, q: int, budget: SearchBudget | None = 
     return True
 
 
-def maximal_intersecting_subfamilies(F: SetSystem) -> list[tuple[int, ...]]:
-    """All inclusion-maximal intersecting subfamilies, as sorted index
-    tuples, in lexicographic order.
+def maximal_intersecting_subfamilies(F: SetSystem) -> list[int]:
+    """All inclusion-maximal intersecting subfamilies, as bitmasks of set
+    indices, in ascending order.
 
     Every intersecting subfamily lives inside the family of sets through
     some common point, so the maximal ones are the maximal point stars.
     """
     stars = {c for c in _element_cover_masks(F) if c}
-    maximal = [s for s in stars if not any(s != t and s & t == s for t in stars)]
-    return sorted(members(s) for s in maximal)
+    return sorted(s for s in stars if not any(s != t and s & t == s for t in stars))
 
 
 def mis_family(G: Graph, budget: SearchBudget | None = None) -> SetSystem:

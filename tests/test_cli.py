@@ -470,10 +470,21 @@ class TestVerify:
             ("correspondence", "cf72670884b156bab2d2f163e713d6fba6f3b5498fc44c4c0516b2cfd15cd6d1"),
             ("codeg-edge", "d9c9d2d9d721d5faf47e9cdd56c098e79360efc03c9424801cdd337833b74d34"),
             ("vc-chromatic", "147171bf425f263c7ad685f3f355294c6f41c797ee7c26d6ad46b6046ed9ae74"),
+            # the verify-correspondence benchmark workload, at seed 1 and
+            # at the default seed
+            (
+                "correspondence --catalog extended --seed 1",
+                "c83710f8b03d56220e7f036a996939f56f9e86de697303c7689809be177112a5",
+            ),
+            (
+                "correspondence --catalog extended --seed 20260301",
+                "5bbd75f6105d624c13505a1530f981911f89ab441100493ea4b34d24e56d46d7",
+            ),
         ],
     )
     def test_report_bytes_pinned(self, suite, sha256, small_catalog, capsys):
-        assert main(["verify", "--suite", suite, "--json"]) == 0
+        # ``suite`` is the suite name, then any options it takes
+        assert main(["verify", "--suite", *suite.split(), "--json"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
@@ -698,7 +709,7 @@ class TestVerify:
 
     def test_correspondence_one_pass_per_graph(self, capsys, monkeypatch):
         cat = self._two_graph_catalog(monkeypatch)
-        calls = {"mis_family": 0, "chromatic_number": 0}
+        calls = {"mis_family": 0, "clique_number": 0, "chromatic_number": 0}
 
         def counted(module, name):
             fn = getattr(module, name)
@@ -710,11 +721,13 @@ class TestVerify:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(ultrafree.setsystems, "mis_family")
+        counted(ultrafree.graphs, "clique_number")
         counted(ultrafree.graphs, "chromatic_number")
         assert main(["verify", "--suite", "correspondence", "--json"]) == 0
         capsys.readouterr()
-        # three values of r share one dictionary pass per graph
-        assert calls == {"mis_family": len(cat), "chromatic_number": len(cat)}
+        # three values of r share one dictionary pass per graph, and χ
+        # starts from the one ω search
+        assert calls == dict.fromkeys(("mis_family", "clique_number", "chromatic_number"), len(cat))
 
 
 class TestClosedStdout:

@@ -334,6 +334,33 @@ class TestCorrespondence:
         assert by_name["edges-match-disjoint-stars"].witness == (1, 3)
         assert by_name["disjointness-reconstructs-graph"].status == "fail"
 
+    @pytest.mark.parametrize("rebuilt_is_g", [True, False])
+    def test_matching_searched_only_off_g(self, rebuilt_is_g, monkeypatch):
+        # ν is read from ω only when the rebuilt graph is G; a rebuilt
+        # graph with one pair flipped gets its own matching search
+        real_rebuild = ultrafree.setsystems.disjointness_graph
+        real_matching = ultrafree.setsystems.matching_number
+        calls = []
+
+        def flipped(F):
+            adj = list(real_rebuild(F).adj)
+            adj[0] ^= 1 << 1
+            adj[1] ^= 1 << 0
+            return Graph.from_masks(adj)
+
+        def matching_number(F, budget=None):
+            calls.append(F)
+            return real_matching(F, budget)
+
+        if not rebuilt_is_g:
+            monkeypatch.setattr(ultrafree.setsystems, "disjointness_graph", flipped)
+        monkeypatch.setattr(ultrafree.setsystems, "matching_number", matching_number)
+        graphs = [G for G in connected_graphs(5) if G.n >= 2]
+        for G in graphs:
+            by_name = {c.name: c for c in correspondence_checks(G, (3,))[3]}
+            assert by_name["edges-match-disjoint-stars"].witness == (None if rebuilt_is_g else (0, 1))
+        assert len(calls) == (0 if rebuilt_is_g else len(graphs))
+
 
 
 class TestCliqueFreeFromOmega:

@@ -180,6 +180,14 @@ class TestChromatic:
     def test_matches_brute(self, G):
         assert chromatic_number(G) == oracles.chromatic_number(G)
 
+    @given(oracles.graphs(max_n=9))
+    @settings(max_examples=40, deadline=None)
+    def test_given_omega_matches_brute(self, G):
+        # a caller's ω replaces the kernel's own clique search, not the answer
+        want = oracles.chromatic_number(G)
+        assert chromatic_number(G, omega=clique_number(G)) == want
+        assert chromatic_number(G) == want
+
     def test_pinned(self):
         assert chromatic_number(Graph(0)) == 0
         assert chromatic_number(Graph(3)) == 1

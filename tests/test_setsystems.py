@@ -8,7 +8,7 @@ import ultrafree.setsystems
 from ultrafree.budget import BudgetExceeded, SearchBudget
 from ultrafree.constructions import hypercube_lb, kneser
 from ultrafree.errors import PreconditionViolated
-from ultrafree.graphs import Graph, chromatic_number, mask_of
+from ultrafree.graphs import Graph, chromatic_number, mask_of, members
 from ultrafree.setsystems import (
     FractionalSolution,
     Infeasible,
@@ -305,12 +305,15 @@ class TestMaximalIntersecting:
     @given(oracles.set_systems())
     @settings(max_examples=60, deadline=None)
     def test_match_brute(self, F):
-        assert maximal_intersecting_subfamilies(F) == oracles.maximal_intersecting(F)
+        got = maximal_intersecting_subfamilies(F)
+        assert got == sorted(got)
+        assert sorted(map(members, got)) == oracles.maximal_intersecting(F)
 
     def test_stars_recover_mis(self):
         stars = mis_star_system(C5)
         got = maximal_intersecting_subfamilies(stars)
-        assert got == [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)]
+        assert got == sorted(mis_family(C5).sets)
+        assert sorted(map(members, got)) == [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)]
 
 
 class TestGraphSystems:
