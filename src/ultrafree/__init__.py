@@ -49,7 +49,7 @@ from .decompose import (
     vc_chromatic_partition,
     verify_hom,
 )
-from .errors import ClaimViolation, InternalContradiction, PreconditionViolated
+from .errors import ClaimViolation, PreconditionViolated
 from .graphs import (
     Graph,
     chromatic_number,
@@ -81,7 +81,6 @@ from .ultra import (
     BiInducedMatching,
     HalfGraphEmbedding,
     UltraCertificate,
-    build_half_from_matching,
     check_vc_clique_bound,
     find_half_graph,
     is_eps_ultra,
@@ -134,7 +133,6 @@ __all__ = [
     "vc_chromatic_partition",
     "verify_hom",
     "ClaimViolation",
-    "InternalContradiction",
     "PreconditionViolated",
     "Graph",
     "chromatic_number",
@@ -165,7 +163,6 @@ __all__ = [
     "BiInducedMatching",
     "HalfGraphEmbedding",
     "UltraCertificate",
-    "build_half_from_matching",
     "check_vc_clique_bound",
     "find_half_graph",
     "is_eps_ultra",

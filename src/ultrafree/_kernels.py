@@ -5,15 +5,13 @@
 loops of the package.  ``count_cliques`` takes an additive ``weigh`` of
 vertex masks, so one recursion counts the cliques of a graph and, on its
 twin quotient with the class sizes as weights, those of a blow-up.
-``_independent_sets`` is the one walk over independent sets, and
-``list_cliques`` runs it on the complement.
+``_independent_sets`` is the one walk over independent sets.
 """
 
 from __future__ import annotations
 
 __all__ = [
     "count_cliques",
-    "list_cliques",
     "max_clique",
     "chromatic_number",
     "enumerate_mis",
@@ -86,17 +84,6 @@ def _independent_sets(adj, a, mask, meter=None):
                 yield from rec(I | low, sub, common & row, need - 1)
 
     return rec(0, mask, -1, a)
-
-
-def list_cliques(adj, b, mask, meter=None):
-    """All b-cliques inside ``mask`` as bitmasks, lexicographic by member
-    tuple: the independent b-sets of the complement within ``mask``."""
-    if b < 0:
-        raise ValueError("clique size must be nonnegative")
-    if b == 0:
-        return [0]
-    co = [mask & ~row & ~(1 << v) for v, row in enumerate(adj)]
-    return [I for I, _ in _independent_sets(co, b, mask, meter)]
 
 
 def max_clique(adj, mask, meter=None):

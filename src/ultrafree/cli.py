@@ -43,7 +43,7 @@ from .decompose import (
     twin_quotient,
     vc_chromatic_partition,
 )
-from .errors import ClaimViolation, InternalContradiction, PreconditionViolated
+from .errors import ClaimViolation, PreconditionViolated
 from .graphs import (
     Graph,
     chromatic_number,
@@ -202,9 +202,12 @@ def _print_metrics(args, table: dict, kind: str, load, budget) -> int:
         if not tok:
             continue
         name, *ints = tok.split(":")
-        if name not in table or table[name][0] != len(ints):
-            raise ValueError(f"unknown {kind} metric {tok!r}")
-        calls.append((tok, table[name][1], [int(i) for i in ints]))
+        try:
+            if name not in table or table[name][0] != len(ints):
+                raise ValueError
+            calls.append((tok, table[name][1], [int(i) for i in ints]))
+        except ValueError:
+            raise ValueError(f"unknown {kind} metric {tok!r}") from None
     x = load()
     _print_payload(args, {tok: entry(x, budget, *ints) for tok, entry, ints in calls})
     return 0
@@ -455,10 +458,10 @@ def _suite_codeg_edge(budget, catalog, seed):
 
 
 def _suite_vc_chromatic(budget, catalog, seed):
-    cat = _catalog(catalog, seed)
+    triangle_free = [G for G in _catalog(catalog, seed) if G.n and is_kr_free(G, 3, budget)]
     for c in (Fraction(1, 4), Fraction(1, 3), Fraction(2, 5)):
-        for G in cat:
-            if G.n and is_kr_free(G, 3, budget) and G.min_degree() >= c * G.n:
+        for G in triangle_free:
+            if G.min_degree() >= c * G.n:
                 checks = vc_chromatic_partition(G, c, budget)[1].checks
                 yield _instance(G, c=str(c)), checks
 
@@ -505,9 +508,12 @@ def _cmd_verify(args, budget) -> int:
         key, value = param
         if colon:
             given, sep, value = text.partition("=")
-            if given != key or not sep:
-                raise ValueError(f"{name} suite takes {_suite_form(name)}")
-        params[key] = int(value)
+        try:
+            if colon and (given != key or not sep):
+                raise ValueError
+            params[key] = int(value)
+        except ValueError:
+            raise ValueError(f"{name} suite takes {_suite_form(name)}") from None
     checks = _tally(suite(budget, **params))
     rep = Report(digest_of({"suite": name, **params}), checks)
     if args.json:
@@ -531,11 +537,9 @@ def _print_payload(args, payload: dict) -> None:
             print(f"{k} = {json.dumps(jsonable(v))}")
 
 
-def _emit_error(args, kind: str, message: str, code: int, witness=None) -> int:
+def _emit_error(args, kind: str, message: str, code: int) -> int:
     if getattr(args, "json", False):
         obj = {"error": {"type": kind, "message": message}}
-        if witness is not None:
-            obj["error"]["witness"] = jsonable(witness)
         print(json.dumps(obj, indent=2, sort_keys=True))
     else:
         print(f"error ({kind}): {message}", file=sys.stderr)
@@ -649,10 +653,8 @@ def main(argv=None) -> int:
         return _emit_error(args, "parse-error", str(e), 2)
     except PreconditionViolated as e:
         return _emit_error(args, "precondition", str(e), 2)
-    except (ClaimViolation, InternalContradiction) as e:
-        return _emit_error(
-            args, "claim-violation", str(e), 1, witness=getattr(e, "witness", None)
-        )
+    except ClaimViolation as e:
+        return _emit_error(args, "claim-violation", str(e), 1)
     except ValueError as e:
         return _emit_error(args, "usage", str(e), 2)
     except OSError as e:

@@ -1,6 +1,6 @@
 """Shared failure modes for the self-checking pipelines."""
 
-__all__ = ["PreconditionViolated", "ClaimViolation", "InternalContradiction"]
+__all__ = ["PreconditionViolated", "ClaimViolation"]
 
 
 class PreconditionViolated(ValueError):
@@ -14,11 +14,3 @@ class ClaimViolation(RuntimeError):
     that does not satisfy the theory the pipeline encodes.
     """
 
-
-class InternalContradiction(RuntimeError):
-    """A constructive procedure hit a state its hypothesis rules out
-    (e.g. a forbidden clique appeared); carries the offending witness."""
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness

@@ -127,13 +127,6 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return members(self.adj[v])
 
-    def common_neighbors(self, vertices) -> int:
-        """Bitmask of vertices adjacent to everything in ``vertices``."""
-        m = self.full_mask
-        for v in vertices:
-            m &= self.adj[v]
-        return m
-
     def complement(self) -> "Graph":
         full = self.full_mask
         return Graph.from_masks([full & ~self.adj[v] & ~(1 << v) for v in range(self.n)])
@@ -191,13 +184,6 @@ def count_cliques(G: Graph, b: int, within=None, budget: SearchBudget | None = N
     if b < 1:
         raise ValueError("clique size must be at least 1")
     return _kernels.count_cliques(G.adj, b, _within_mask(G, within), meter=_meter(budget, "count_cliques"))
-
-
-def list_cliques(G: Graph, b: int, within=None, budget: SearchBudget | None = None) -> list[int]:
-    """All b-cliques as bitmasks, lexicographic by member tuple."""
-    if b < 0:
-        raise ValueError("clique size must be nonnegative")
-    return _kernels.list_cliques(G.adj, b, _within_mask(G, within), _meter(budget, "list_cliques"))
 
 
 def clique_number(G: Graph, budget: SearchBudget | None = None) -> int:

@@ -193,11 +193,7 @@ def system_from_obj(obj) -> SetSystem:
                 raise ParseError(f"set #{k} must contain only integers")
             if not 0 <= x < ground:
                 raise ParseError(f"set #{k}: element {x} out of ground range 0..{ground - 1}")
-    labels = obj.get("labels")
-    if labels is not None:
-        if not isinstance(labels, list) or len(labels) != len(sets):
-            raise ParseError('set-system JSON key "labels" must list one label per set')
-    return SetSystem(ground, sets, labels)
+    return SetSystem(ground, sets)
 
 
 # ---------------------------------------------------------------- spaces

@@ -43,9 +43,9 @@ class Infeasible(PreconditionViolated):
 class SetSystem:
     """Ordered family of subsets of range(ground); duplicates allowed."""
 
-    __slots__ = ("ground", "sets", "labels")
+    __slots__ = ("ground", "sets")
 
-    def __init__(self, ground: int, sets, labels=None):
+    def __init__(self, ground: int, sets):
         if ground < 0:
             raise ValueError("ground size must be nonnegative")
         masks = []
@@ -58,18 +58,12 @@ class SetSystem:
             masks.append(m)
         self.ground = ground
         self.sets = tuple(masks)
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != len(masks):
-                raise ValueError("one label per set required")
-        self.labels = labels
 
     @classmethod
-    def from_masks(cls, ground: int, masks, labels=None) -> "SetSystem":
+    def from_masks(cls, ground: int, masks) -> "SetSystem":
         f = object.__new__(cls)
         f.ground = ground
         f.sets = tuple(masks)
-        f.labels = tuple(labels) if labels is not None else None
         return f
 
     def __len__(self):

@@ -1,7 +1,6 @@
 """Ultra-freeness: the clique-multiplicity parameter of a maximal
-K_r-free graph, half-graph search, the greedy construction turning a
-bipartite induced matching into a half graph, and the exact bipartite
-induced matching number.
+K_r-free graph, half-graph search, and the exact bipartite induced
+matching number.
 """
 
 from __future__ import annotations
@@ -11,8 +10,8 @@ from typing import NamedTuple, Optional
 
 from . import _kernels
 from .budget import SearchBudget, _meter
-from .errors import ClaimViolation, InternalContradiction, PreconditionViolated
-from .graphs import Graph, _blowup_quotient, _class_coneighborhoods, list_cliques, members
+from .errors import ClaimViolation, PreconditionViolated
+from .graphs import Graph, _blowup_quotient, _class_coneighborhoods, members
 from .reports import Check, Report, _graph_digest, _verdict
 from .setsystems import neighborhood_system, vc_dimension
 
@@ -23,7 +22,6 @@ __all__ = [
     "ultra_parameter",
     "is_eps_ultra",
     "find_half_graph",
-    "build_half_from_matching",
     "nu_bi",
     "check_vc_clique_bound",
 ]
@@ -202,115 +200,6 @@ def find_half_graph(G: Graph, k: int, budget: SearchBudget | None = None):
         emb.validate(G)
     except ValueError as exc:
         raise ClaimViolation(f"find_half_graph returned an invalid embedding: {exc}") from exc
-    return emb
-
-
-def _qualifying_cliques(cliques, conbrs, threshold):
-    """(clique, covered-pair-positions) for every clique contained in at
-    least ``threshold`` of the given co-neighborhoods, in input order."""
-    out = []
-    for K in cliques:
-        covered = tuple(i for i, cn in conbrs if K & ~cn == 0)
-        if len(covered) >= threshold:
-            out.append((K, covered))
-    return out
-
-
-def build_half_from_matching(
-    G: Graph,
-    M,
-    r: int,
-    eps,
-    budget: SearchBudget | None = None,
-    trust_ultra: bool = False,
-) -> HalfGraphEmbedding:
-    """Greedy half-graph construction from a bipartite induced matching.
-
-    Each round pigeonholes an (r-2)-clique shared by enough of the
-    current co-neighborhoods and picks a non-neighbor of the head vertex
-    inside it.  Runs max{j >= 0 : (2/eps)^j <= t} rounds for a matching
-    of size t.  ``trust_ultra=True`` skips the ultra check; if the input
-    was not in fact ultra the construction may then run out of qualifying
-    cliques or expose a genuine r-clique, reported as
-    InternalContradiction.
-    """
-    eps = Fraction(eps)
-    if not 0 < eps < 2:
-        raise ValueError("need 0 < eps < 2")
-    if r < 3:
-        raise ValueError("need r >= 3")
-    if not isinstance(M, BiInducedMatching):
-        M = BiInducedMatching(tuple((int(a), int(b)) for a, b in M))
-    try:
-        M.validate(G)
-    except ValueError as exc:
-        raise PreconditionViolated(f"not a bipartite induced matching: {exc}")
-    if not trust_ultra and not is_eps_ultra(G, r, eps, budget):
-        raise PreconditionViolated("graph is not eps-ultra maximal K_r-free")
-    t = len(M.pairs)
-    if Fraction(t) < 2 / eps:
-        raise PreconditionViolated(f"matching size {t} below 2/eps = {2 / eps}")
-
-    ratio = 2 / eps
-    rounds = 0
-    power = Fraction(1)
-    while power * ratio <= t:
-        power *= ratio
-        rounds += 1
-
-    cliques = list_cliques(G, r - 2, budget=budget)
-    remaining = list(M.pairs)
-    xs: list[int] = []
-    ys: list[int] = []
-    q = Fraction(t)
-    for _ in range(rounds):
-        a1, b1 = remaining[0]
-        m = min(int(q), len(remaining))
-        if m < 2:
-            raise InternalContradiction(
-                "round shrank below two pairs", witness=tuple(remaining)
-            )
-        conbrs = [
-            (i, G.common_neighbors((remaining[i][0], b1))) for i in range(1, m)
-        ]
-        threshold = eps * q / 2
-        qualified = _qualifying_cliques(cliques, conbrs, threshold)
-        if not qualified:
-            raise InternalContradiction(
-                "no clique reaches the pigeonhole multiplicity",
-                witness=(a1, b1),
-            )
-        # max() keeps the first maximum, so this is the lex-least clique
-        # achieving the top multiplicity; the rest follow in lex order.
-        best = max(qualified, key=lambda kc: len(kc[1]))
-        ordered = [best] + [kc for kc in qualified if kc is not best]
-        pick = None
-        for K, covered in ordered:
-            cands = [c for c in members(K) if c != a1 and not G.has_edge(a1, c)]
-            if cands:
-                pick = (min(cands), covered)
-                break
-            if not K >> a1 & 1:
-                # a1 completes the clique through b1: a genuine K_r
-                raise InternalContradiction(
-                    "head vertex dominates a shared clique",
-                    witness=members(K | 1 << a1 | 1 << b1),
-                )
-        if pick is None:
-            raise InternalContradiction(
-                "no valid pick in any qualifying clique", witness=(a1, b1)
-            )
-        c1, covered = pick
-        xs.append(a1)
-        ys.append(c1)
-        remaining = [remaining[i] for i in covered]
-        q = eps * q / 2
-
-    emb = HalfGraphEmbedding(tuple(xs), tuple(ys))
-    try:
-        emb.validate(G)
-    except ValueError as exc:
-        raise InternalContradiction(f"constructed embedding invalid: {exc}")
     return emb
 
 

@@ -473,11 +473,10 @@ def independent_sets(G, a, mask):
 
 
 def list_cliques_metered(adj, b, mask, meter):
-    """The b-cliques inside ``mask`` by the lexicographic recursion that
-    ``list_cliques`` once ran on its own, charging ``meter`` one node per
-    vertex added below the last level: the reference node count."""
-    if b == 0:
-        return [0]
+    """The b-cliques inside ``mask`` (b >= 1) by a direct lexicographic
+    recursion, charging ``meter`` one node per vertex added below the
+    last level: the reference node count for the kernels' generator of
+    independent sets run on the complement."""
     out = []
 
     def rec(need, cand, cur):

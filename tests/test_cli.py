@@ -861,6 +861,18 @@ class TestOptionChecks:
         assert error["type"] == "usage"
         assert error["message"] == f"suite {suite.partition(':')[0]} takes no {options[0]}"
 
+    @pytest.mark.parametrize("tok", ["ultra:x", "codensity:2:", "codegree:1.5"])
+    def test_non_integer_metric_argument_names_its_token(self, tok, c5_file, capsys):
+        assert main(["analyze", c5_file, "--metrics", f"chi,{tok}", "--json"]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"type": "usage", "message": f"unknown graph metric {tok!r}"}
+
+    @pytest.mark.parametrize("suite", ["construction:d=", "construction:d=x", "construction:d=3/2"])
+    def test_non_integer_suite_parameter_names_the_form(self, suite, capsys):
+        assert main(["verify", "--suite", suite, "--json"]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"type": "usage", "message": "construction suite takes construction:d=D"}
+
     def test_catalog_defaults_keep_the_digest(self, small_catalog, capsys):
         # the defaults filled in for a catalog suite are the ones it always had
         assert main(["verify", "--suite", "correspondence", "--json"]) == 0

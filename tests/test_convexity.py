@@ -5,6 +5,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import ultrafree.setsystems
+from ultrafree.budget import SearchBudget
 from ultrafree.catalog import connected_graphs, seeded_random_graphs
 from ultrafree.convexity import (
     ConvexitySpace,
@@ -361,6 +362,32 @@ class TestCorrespondence:
             assert by_name["edges-match-disjoint-stars"].witness == (None if rebuilt_is_g else (0, 1))
         assert len(calls) == (0 if rebuilt_is_g else len(graphs))
 
+
+
+class TestCompositeMeters:
+    def test_readme_example(self, monkeypatch):
+        # the README's example of a composite call: each sub-solver opens
+        # its own full meter, so 75 nodes in all stay under a cap of 40
+        meters = []
+        meter = SearchBudget.meter
+
+        def recording_meter(budget, op):
+            meters.append((op, meter(budget, op)))
+            return meters[-1][1]
+
+        monkeypatch.setattr(SearchBudget, "meter", recording_meter)
+        correspondence_checks(Graph.cycle(7), (3, 4, 5), SearchBudget(max_nodes=40))
+        assert [(op, m.nodes) for op, m in meters] == [
+            ("mis_family", 16),
+            ("clique_number", 2),
+            ("chromatic_number", 6),
+            ("transversal_number", 10),
+            ("helly_number", 17),
+            ("has_pq_property", 10),
+            ("has_pq_property", 8),
+            ("has_pq_property", 6),
+        ]
+        assert sum(m.nodes for _, m in meters) == 75
 
 
 class TestCliqueFreeFromOmega:

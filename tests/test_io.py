@@ -153,10 +153,6 @@ class TestSystemJson:
         obj = {"ground": 4, "sets": [[0, 1], [], [2, 3], [0, 1]]}
         assert system_from_obj(obj) == SetSystem(4, [(0, 1), (), (2, 3), (0, 1)])
 
-    def test_labels(self):
-        obj = {"ground": 2, "sets": [[0], [1]], "labels": ["a", "b"]}
-        assert system_from_obj(obj).labels == ("a", "b")
-
     def test_errors(self):
         bad = [
             ("[]", "must be an object"),
@@ -165,10 +161,6 @@ class TestSystemJson:
             ('{"ground": 2, "sets": [0]}', "set #0 must be a list"),
             ('{"ground": 2, "sets": [[true]]}', "only integers"),
             ('{"ground": 2, "sets": [[2]]}', "element 2 out of ground range 0..1"),
-            (
-                '{"ground": 2, "sets": [[0]], "labels": []}',
-                "one label per set",
-            ),
         ]
         for text, needle in bad:
             with pytest.raises(ParseError) as exc:

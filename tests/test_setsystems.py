@@ -69,8 +69,6 @@ class TestSetSystem:
             SetSystem(3, [(-1,)])
         with pytest.raises(ValueError):
             SetSystem(-1, [])
-        with pytest.raises(ValueError):
-            SetSystem(2, [(0,)], labels=["a", "b"])
 
     def test_identity(self):
         assert SetSystem(3, [(0, 1)]) == SetSystem(3, [(1, 0)])

@@ -8,13 +8,12 @@ import ultrafree.ultra
 from ultrafree import _kernels
 from ultrafree.budget import BudgetExceeded, SearchBudget
 from ultrafree.constructions import blowup, half_min, kneser, random_graph, turan
-from ultrafree.errors import ClaimViolation, InternalContradiction, PreconditionViolated
+from ultrafree.errors import ClaimViolation, PreconditionViolated
 from ultrafree.graphs import Graph, _blowup_quotient, is_maximal_kr_free, members
 from ultrafree.ultra import (
     BiInducedMatching,
     HalfGraphEmbedding,
     UltraCertificate,
-    build_half_from_matching,
     check_vc_clique_bound,
     find_half_graph,
     is_eps_ultra,
@@ -250,71 +249,6 @@ class TestFindHalfGraph:
         emb = find_half_graph(G, k)
         if emb is not None:
             emb.validate(G)
-
-
-def _crafted():
-    # four matched pairs (i, i+4) plus two heads 8 and 9 whose neighborhoods
-    # drive the pigeonhole rounds deterministically
-    return Graph(
-        10,
-        [(0, 4), (1, 5), (2, 6), (3, 7), (8, 1), (8, 2), (8, 4), (9, 2), (9, 5)],
-    )
-
-
-CRAFTED_M = BiInducedMatching(((0, 4), (1, 5), (2, 6), (3, 7)))
-
-
-class TestBuildHalf:
-    def test_success(self):
-        emb = build_half_from_matching(_crafted(), CRAFTED_M, 3, 1, trust_ultra=True)
-        assert emb == HalfGraphEmbedding((0, 1), (8, 9))
-        emb.validate(_crafted())
-
-    def test_accepts_plain_pairs(self):
-        emb = build_half_from_matching(
-            _crafted(), [(0, 4), (1, 5), (2, 6), (3, 7)], 3, 1, trust_ultra=True
-        )
-        assert emb == HalfGraphEmbedding((0, 1), (8, 9))
-
-    def test_out_of_cliques(self):
-        G = _crafted()
-        edges = [e for e in G.edges() if e != (2, 9)]
-        broken = Graph(10, edges)
-        with pytest.raises(InternalContradiction, match="pigeonhole") as exc:
-            build_half_from_matching(broken, CRAFTED_M, 3, 1, trust_ultra=True)
-        assert exc.value.witness == (1, 5)
-
-    def test_exposed_clique(self):
-        G = _crafted()
-        bulked = G.with_edge(0, 8)
-        with pytest.raises(InternalContradiction, match="dominates") as exc:
-            build_half_from_matching(bulked, CRAFTED_M, 3, 1, trust_ultra=True)
-        assert exc.value.witness == (0, 4, 8)
-
-    def test_matching_too_small(self):
-        with pytest.raises(PreconditionViolated, match="below 2/eps"):
-            build_half_from_matching(
-                C5, BiInducedMatching(((0, 1), (3, 2))), 3, Fraction(1, 5)
-            )
-
-    def test_not_ultra(self):
-        G = half_min(2)
-        with pytest.raises(PreconditionViolated, match="not eps-ultra"):
-            build_half_from_matching(
-                G, BiInducedMatching(((1, 2),)), 3, Fraction(3, 2)
-            )
-
-    def test_invalid_matching(self):
-        with pytest.raises(PreconditionViolated, match="not a bipartite"):
-            build_half_from_matching(C5, [(0, 1), (1, 2)], 3, 1, trust_ultra=True)
-
-    def test_rejects(self):
-        with pytest.raises(ValueError, match="eps"):
-            build_half_from_matching(C5, CRAFTED_M, 3, 0)
-        with pytest.raises(ValueError, match="eps"):
-            build_half_from_matching(C5, CRAFTED_M, 3, 2)
-        with pytest.raises(ValueError, match="r >= 3"):
-            build_half_from_matching(C5, CRAFTED_M, 2, 1)
 
 
 class TestVcCliqueBound:
