@@ -33,7 +33,6 @@ from .convexity import (
     radon_partition,
     space_helly_number,
     subcube_space,
-    verify_correspondence,
     weak_eps_net,
 )
 from .decompose import (
@@ -119,7 +118,6 @@ __all__ = [
     "space_helly_number",
     "subcube_space",
     "correspondence_checks",
-    "verify_correspondence",
     "weak_eps_net",
     "BlowupDecomposition",
     "ObstructionCertificate",

@@ -57,6 +57,7 @@ from .graphs import (
 from .io import (
     ParseError,
     _load_json,
+    _parse_dimacs,
     decomposition_to_obj,
     emit_dimacs,
     emit_graph_json,
@@ -230,7 +231,7 @@ def _load_system(args, budget):
         elif derive != "none":
             raise ValueError(f"--derive {derive} needs a graph input")
     else:
-        G = parse_graph(text) if obj is None else graph_from_obj(obj)
+        G = _parse_dimacs(text) if obj is None else graph_from_obj(obj)
         if derive == "stars":
             F = mis_star_system(G, budget)
         elif derive == "mis":
@@ -443,7 +444,7 @@ def _suite_mindeg_ultra(budget):
             name = f"turan:n={n}:parts={r - 1}:r={r}"
             eps = Fraction(G.min_degree(), n) - Fraction(2 * r - 5, 2 * r - 3)
             if eps > 0:
-                yield name, min_degree_ultra_check(G, r, eps, budget).checks
+                yield name, min_degree_ultra_check(G, r, eps, budget)
             else:
                 yield name, [
                     _check("degree-hypothesis", "min-degree-meets-threshold", None),
@@ -453,8 +454,7 @@ def _suite_mindeg_ultra(budget):
 
 def _suite_codeg_edge(budget, catalog, seed):
     for G in _catalog(catalog, seed):
-        checks = codegree_density_check(G, budget).checks
-        yield _instance(G), checks
+        yield _instance(G), codegree_density_check(G, budget)
 
 
 def _suite_vc_chromatic(budget, catalog, seed):
@@ -462,8 +462,7 @@ def _suite_vc_chromatic(budget, catalog, seed):
     for c in (Fraction(1, 4), Fraction(1, 3), Fraction(2, 5)):
         for G in triangle_free:
             if G.min_degree() >= c * G.n:
-                checks = vc_chromatic_partition(G, c, budget)[1].checks
-                yield _instance(G, c=str(c)), checks
+                yield _instance(G, c=str(c)), vc_chromatic_partition(G, c, budget)[1]
 
 
 # the options only the catalog suites read, with their defaults

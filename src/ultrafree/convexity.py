@@ -20,7 +20,7 @@ from .errors import ClaimViolation
 from .graphs import Graph, members
 from . import graphs as _graphs
 from . import setsystems as _ss
-from .reports import Check, Report, _graph_digest, _verdict
+from .reports import Check, _verdict
 
 __all__ = [
     "ConvexitySpace",
@@ -34,7 +34,6 @@ __all__ = [
     "space_helly_number",
     "weak_eps_net",
     "correspondence_checks",
-    "verify_correspondence",
 ]
 
 
@@ -370,7 +369,3 @@ def correspondence_checks(
         out[r] = shared[:2] + [pq_check] + shared[2:]
     return out
 
-
-def verify_correspondence(G: Graph, r: int, budget: SearchBudget | None = None) -> Report:
-    """The checks of :func:`correspondence_checks` for one r, as a report."""
-    return Report(_graph_digest(G, {"r": r}), correspondence_checks(G, (r,), budget)[r])

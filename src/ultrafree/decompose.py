@@ -19,7 +19,7 @@ from .budget import SearchBudget
 from .errors import ClaimViolation, PreconditionViolated
 from .graphs import Graph, _blowup_quotient, _lift, has_induced_p4, mask_of, max_clique_witness
 from . import graphs as _graphs
-from .reports import Check, Report, _graph_digest, _verdict
+from .reports import Check, _verdict
 from .setsystems import SetSystem, neighborhood_system, vc_dimension
 from .ultra import is_eps_ultra, ultra_parameter
 
@@ -270,9 +270,9 @@ def vc_chromatic_partition(G: Graph, c, budget: SearchBudget | None = None):
     """Proper coloring from the neighborhood-proximity partition at
     threshold c*n/3 on a triangle-free graph of min degree >= c*n.
 
-    Returns (colors, report); independence of the parts raises
-    ClaimViolation on failure, while the color-count bound is recorded
-    in the report.
+    Returns (colors, checks), the checks in name order; independence of
+    the parts raises ClaimViolation on failure, while the color-count
+    bound is recorded as a check.
     """
     c = Fraction(c)
     if c <= 0:
@@ -293,13 +293,7 @@ def vc_chromatic_partition(G: Graph, c, budget: SearchBudget | None = None):
     d, _ = vc_dimension(neighborhood_system(G), budget)
     m = len(reps)
     bound = packing_bound(d, G.n, s)
-    checks = [
-        Check(
-            "parts-independent",
-            "close-neighborhoods-forbid-edges",
-            "pass",
-            value={"parts": m},
-        ),
+    return tuple(colors), [
         _verdict(
             "colors-within-vc-bound",
             "color-count-bounded-by-vc",
@@ -307,16 +301,21 @@ def vc_chromatic_partition(G: Graph, c, budget: SearchBudget | None = None):
             value={"colors": m, "vc": d, "bound": bound, "c": c},
             witness={"colors": m, "bound": bound},
         ),
+        Check(
+            "parts-independent",
+            "close-neighborhoods-forbid-edges",
+            "pass",
+            value={"parts": m},
+        ),
     ]
-    report = Report(_graph_digest(G, {"c": c}), checks)
-    return tuple(colors), report
 
 
 def min_degree_ultra_check(
     G: Graph, r: int, eps, budget: SearchBudget | None = None
-) -> Report:
+) -> list[Check]:
     """Degree hypothesis ((2r-5)/(2r-3) + eps)*n forces the clique
-    density parameter up to eps^(r-2); checked exactly."""
+    density parameter up to eps^(r-2); checked exactly.  The checks come
+    in name order."""
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -334,7 +333,7 @@ def min_degree_ultra_check(
     if Fraction(delta) < threshold:
         raise PreconditionViolated(f"min degree {delta} below {threshold}")
     target = eps ** (r - 2)
-    checks = [
+    return [
         Check(
             "degree-hypothesis",
             "min-degree-meets-threshold",
@@ -349,37 +348,27 @@ def min_degree_ultra_check(
             witness={"worst_pair": cert.worst_pair},
         ),
     ]
-    return Report(_graph_digest(G, {"r": r, "eps": eps}), checks)
 
 
-def codegree_density_check(G: Graph, budget: SearchBudget | None = None) -> Report:
+def codegree_density_check(G: Graph, budget: SearchBudget | None = None) -> list[Check]:
     """Min codegree c*n over non-adjacent pairs forces co-neighborhood
-    edge density at least 2 - 1/c; vacuous instances are skipped."""
-    digest = _graph_digest(G)
+    edge density at least 2 - 1/c; vacuous instances are skipped.  The
+    checks come in name order."""
     delta2 = _graphs.codegree_min(G, 2)
     if delta2 is None or delta2 == 0:
         reason = "no non-adjacent pair" if delta2 is None else "zero min codegree"
-        return Report(
-            digest,
-            [
-                Check(
-                    "co-neighborhood-density",
-                    "codegree-forces-density",
-                    "skipped",
-                    value={"reason": reason},
-                )
-            ],
-        )
+        return [
+            Check(
+                "co-neighborhood-density",
+                "codegree-forces-density",
+                "skipped",
+                value={"reason": reason},
+            )
+        ]
     c = Fraction(delta2, G.n)
     dens = _graphs.clique_codensity(G, 2, 2, budget)
     required = 2 - 1 / c
-    checks = [
-        Check(
-            "codegree-hypothesis",
-            "codegree-constant-computed",
-            "pass",
-            value={"c": c, "min_codegree": delta2},
-        ),
+    return [
         _verdict(
             "co-neighborhood-density",
             "codegree-forces-density",
@@ -387,5 +376,10 @@ def codegree_density_check(G: Graph, budget: SearchBudget | None = None) -> Repo
             value={"density": dens, "required": required},
             witness={"density": dens, "required": required},
         ),
+        Check(
+            "codegree-hypothesis",
+            "codegree-constant-computed",
+            "pass",
+            value={"c": c, "min_codegree": delta2},
+        ),
     ]
-    return Report(digest, checks)

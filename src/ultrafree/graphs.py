@@ -120,13 +120,6 @@ class Graph:
                 m ^= low
         return out
 
-    def non_edges(self):
-        """Unordered non-adjacent pairs (u, v), u < v, ascending."""
-        return (members(pair) for pair, _ in _kernels._independent_sets(self.adj, 2, self.full_mask))
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return members(self.adj[v])
-
     def complement(self) -> "Graph":
         full = self.full_mask
         return Graph.from_masks([full & ~self.adj[v] & ~(1 << v) for v in range(self.n)])
@@ -145,13 +138,6 @@ class Graph:
                 if row >> vs[j] & 1:
                     masks[i] |= 1 << j
                     masks[j] |= 1 << i
-        return Graph.from_masks(masks)
-
-    def with_edge(self, u: int, v: int) -> "Graph":
-        _check_edge(self.n, u, v)
-        masks = list(self.adj)
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
         return Graph.from_masks(masks)
 
     def is_connected(self) -> bool:

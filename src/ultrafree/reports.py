@@ -75,9 +75,6 @@ class Report:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self) -> list[Check]:
-        return [c for c in self.checks if c.status == "fail"]
-
     def to_json(self) -> dict:
         return {
             "tool_version": TOOL_VERSION,
@@ -123,7 +120,3 @@ def digest_of(*parts) -> str:
         h.update(b"\x00")
     return h.hexdigest()[:12]
 
-
-def _graph_digest(G, *extra) -> str:
-    """Digest of a graph's order and edge list, followed by ``extra``."""
-    return digest_of({"n": G.n, "edges": G.edges()}, *extra)

@@ -82,9 +82,6 @@ class SetSystem:
     def __repr__(self):
         return f"SetSystem(ground={self.ground}, m={len(self.sets)})"
 
-    def set_members(self, i: int) -> tuple[int, ...]:
-        return members(self.sets[i])
-
 
 class FractionalSolution:
     """Rational weights plus their total; ``dual`` holds the certified

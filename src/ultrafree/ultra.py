@@ -12,7 +12,7 @@ from . import _kernels
 from .budget import SearchBudget, _meter
 from .errors import ClaimViolation, PreconditionViolated
 from .graphs import Graph, _blowup_quotient, _class_coneighborhoods, members
-from .reports import Check, Report, _graph_digest, _verdict
+from .reports import Check, _verdict
 from .setsystems import neighborhood_system, vc_dimension
 
 __all__ = [
@@ -245,9 +245,10 @@ def nu_bi(G: Graph, budget: SearchBudget | None = None):
 
 def check_vc_clique_bound(
     G: Graph, r: int, eps, budget: SearchBudget | None = None
-) -> Report:
+) -> list[Check]:
     """VC-dimension of the neighborhood system against the clique-driven
-    bound (1/eps + 1) + r - 4, all rational and exact."""
+    bound (1/eps + 1) + r - 4, all rational and exact.  The checks come
+    in name order."""
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -258,13 +259,7 @@ def check_vc_clique_bound(
         )
     d, shattered = vc_dimension(neighborhood_system(G), budget)
     bound = 1 / eps + 1 + r - 4
-    checks = [
-        Check(
-            "ultra-precondition",
-            "clique-density-admits-eps",
-            "pass",
-            value={"eps": eps, "epsilon_star": cert.epsilon_star},
-        ),
+    return [
         _verdict(
             "neighborhood-vc-bound",
             "vc-at-most-inverse-eps-plus-clique-slack",
@@ -272,5 +267,10 @@ def check_vc_clique_bound(
             value={"vc": d, "bound": bound, "r": r},
             witness={"shattered": shattered},
         ),
+        Check(
+            "ultra-precondition",
+            "clique-density-admits-eps",
+            "pass",
+            value={"eps": eps, "epsilon_star": cert.epsilon_star},
+        ),
     ]
-    return Report(_graph_digest(G, {"r": r, "eps": eps}), checks)

@@ -13,10 +13,10 @@ from fractions import Fraction
 from ultrafree.catalog import is_isomorphic
 from ultrafree.constructions import blowup, hypercube_lb, turan, ultra_vc_example
 from ultrafree.convexity import (
+    correspondence_checks,
     radon_number,
     space_helly_number,
     subcube_space,
-    verify_correspondence,
 )
 from ultrafree.decompose import (
     codegree_density_check,
@@ -53,9 +53,9 @@ def test_criterion_01(small_catalog):
     bad = []
     for G in small_catalog:
         for r in (3, 4, 5):
-            rep = verify_correspondence(G, r)
-            if not rep.passed:
-                bad.append((G, r, rep.failures()))
+            failures = [c for c in correspondence_checks(G, (r,))[r] if not c.passed]
+            if failures:
+                bad.append((G, r, failures))
     assert bad == []
     assert time.monotonic() - start < 300
 
@@ -208,16 +208,16 @@ def test_criterion_09(small_catalog):
             if eps <= 0:
                 skips += 1
                 continue
-            rep = min_degree_ultra_check(G, r, eps)
-            assert rep.passed, (r, n, rep.failures())
+            checks = min_degree_ultra_check(G, r, eps)
+            assert all(c.passed for c in checks), (r, n, [c.to_json() for c in checks])
             passes += 1
     assert (passes, skips) == (70, 14)
 
     informative = 0
     for G in small_catalog:
-        rep = codegree_density_check(G)
-        assert rep.failures() == [], rep.summary_lines()
-        if all(c.status == "pass" for c in rep.checks):
+        checks = codegree_density_check(G)
+        assert [c for c in checks if not c.passed] == [], [c.to_json() for c in checks]
+        if all(c.status == "pass" for c in checks):
             informative += 1
     assert informative > 0
 
@@ -231,8 +231,8 @@ def test_criterion_10(small_catalog):
         for G in small_catalog:
             if not is_kr_free(G, 3) or G.min_degree() < c * G.n:
                 continue
-            colors, rep = vc_chromatic_partition(G, c)
-            assert rep.passed, (G, c, rep.summary_lines())
+            colors, checks = vc_chromatic_partition(G, c)
+            assert all(chk.passed for chk in checks), (G, c, [chk.to_json() for chk in checks])
             for u, v in G.edges():
                 assert colors[u] != colors[v]
             checked += 1

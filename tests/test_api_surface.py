@@ -3,7 +3,9 @@
 A public module-level function must be exported by ``ultrafree.__all__``
 or be read by live package code other than its own body: code outside
 any function, or a function that is itself exported or read so.  Tests
-do not count as callers.  Every name listed in an ``__all__`` must exist.
+do not count as callers.  A public method of a module-level class must
+be read as an attribute by package code outside its own body.  Every
+name listed in an ``__all__`` must exist.
 """
 
 import ast
@@ -63,8 +65,36 @@ def _dead_functions():
     ]
 
 
+def _unread_methods():
+    """The public methods of module-level classes that no package code
+    reads as an attribute outside the method's own body, as
+    "module.Class.name"."""
+    trees = {
+        stem: ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8")) for stem in MODULES
+    }
+    reads: dict[str, set] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, set()).add(node)
+    return [
+        f"{stem}.{cls.name}.{fn.name}"
+        for stem, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not fn.name.startswith("_")
+        and not reads.get(fn.name, set()) - set(ast.walk(fn))
+    ]
+
+
 def test_every_public_function_is_exported_or_used():
     assert _dead_functions() == []
+
+
+def test_every_public_method_is_read():
+    assert _unread_methods() == []
 
 
 def test_scan_sees_the_package():

@@ -1,7 +1,7 @@
 import random
 import subprocess
 import sys
-from itertools import combinations, permutations
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings

@@ -256,6 +256,25 @@ class TestSetsys:
             "error": {"type": "parse-error", "message": "line 1 column 30: Expecting ',' delimiter"}
         }
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("c5.json", "line 1: unknown record type 'c5.json'"),
+            ("", "missing 'p edge <n> <m>' problem line"),
+        ],
+        ids=["path-of-another-file", "empty"],
+    )
+    def test_file_read_once(self, text, message, c5_file, tmp_path, monkeypatch, capsys):
+        # a file's text is parsed as it stands, even when it names another file
+        monkeypatch.chdir(tmp_path)
+        f = tmp_path / "b.txt"
+        f.write_text(text, encoding="utf-8")
+        assert main(["analyze", str(f), "--metrics", "omega", "--json"]) == 2
+        want = json.loads(capsys.readouterr().out)
+        assert want["error"]["message"] == message
+        assert main(["setsys", str(f), "--metrics", "tau,nu", "--json"]) == 2
+        assert json.loads(capsys.readouterr().out) == want
+
     def test_bad_metric_arity(self, c5_file, capsys):
         assert main(["setsys", c5_file, "--metrics", "pq:3"]) == 2
         assert "unknown set-system metric" in capsys.readouterr().err

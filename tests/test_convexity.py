@@ -18,7 +18,6 @@ from ultrafree.convexity import (
     radon_partition,
     space_helly_number,
     subcube_space,
-    verify_correspondence,
     weak_eps_net,
 )
 from ultrafree.errors import ClaimViolation
@@ -281,9 +280,8 @@ class TestWeakEpsNetGreedy:
 
 class TestCorrespondence:
     def test_c5(self):
-        R = verify_correspondence(Graph.cycle(5), 3)
-        assert R.passed
-        assert [c.name for c in R.checks] == [
+        checks = correspondence_checks(Graph.cycle(5), (3,))[3]
+        assert [c.name for c in checks] == [
             "chromatic-equals-transversal",
             "clique-equals-matching",
             "clique-free-matches-pq",
@@ -292,12 +290,12 @@ class TestCorrespondence:
             "mis-match-maximal-stars",
             "star-helly-matches-edges",
         ]
-        assert all(c.status == "pass" for c in R.checks)
+        assert all(c.status == "pass" for c in checks)
 
     def test_edgeless_has_trivial_helly(self):
-        R = verify_correspondence(Graph(3), 3)
-        assert R.passed
-        by_name = {c.name: c for c in R.checks}
+        checks = correspondence_checks(Graph(3), (3,))[3]
+        assert all(c.passed for c in checks)
+        by_name = {c.name: c for c in checks}
         assert by_name["star-helly-matches-edges"].value == {
             "helly": 1,
             "expected": 1,
@@ -306,16 +304,16 @@ class TestCorrespondence:
     @given(oracles.graphs(max_n=6, min_n=1), st.integers(3, 5))
     @settings(max_examples=30, deadline=None)
     def test_always_passes(self, G, r):
-        assert verify_correspondence(G, r).passed
+        assert all(c.passed for c in correspondence_checks(G, (r,))[r])
 
     def test_checks_match_per_r(self):
-        # one shared pass over r = 3, 4, 5 gives each r's report, check for check
+        # one shared pass over r = 3, 4, 5 gives each r's checks, check for check
         graphs = connected_graphs(5) + seeded_random_graphs(50, 10, 20260301)
         for G in graphs:
             shared = correspondence_checks(G, (3, 4, 5))
             assert list(shared) == [3, 4, 5]
             for r, checks in shared.items():
-                want = verify_correspondence(G, r).checks
+                want = correspondence_checks(G, (r,))[r]
                 assert [c.to_json() for c in checks] == [c.to_json() for c in want]
 
     def test_first_bad_pair(self, monkeypatch):
@@ -331,7 +329,7 @@ class TestCorrespondence:
             return Graph.from_masks(adj)
 
         monkeypatch.setattr(ultrafree.setsystems, "disjointness_graph", broken)
-        by_name = {c.name: c for c in verify_correspondence(Graph.cycle(6), 3).checks}
+        by_name = {c.name: c for c in correspondence_checks(Graph.cycle(6), (3,))[3]}
         assert by_name["edges-match-disjoint-stars"].witness == (1, 3)
         assert by_name["disjointness-reconstructs-graph"].status == "fail"
 
@@ -394,5 +392,5 @@ class TestCliqueFreeFromOmega:
     @given(oracles.graphs(max_n=8), st.sampled_from((3, 4, 5)))
     @settings(max_examples=60, deadline=None)
     def test_kr_free_value(self, G, r):
-        by_name = {c.name: c for c in verify_correspondence(G, r).checks}
+        by_name = {c.name: c for c in correspondence_checks(G, (r,))[r]}
         assert by_name["clique-free-matches-pq"].value["kr_free"] == (not oracles.cliques(G, r))

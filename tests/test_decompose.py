@@ -25,6 +25,7 @@ from ultrafree.decompose import (
 from ultrafree.errors import ClaimViolation, PreconditionViolated
 from ultrafree.graphs import Graph, is_maximal_kr_free
 from ultrafree.setsystems import SetSystem
+from ultrafree.ultra import check_vc_clique_bound
 
 import oracles
 
@@ -240,21 +241,21 @@ class TestP4Obstruction:
 
 class TestVcChromaticPartition:
     def test_c5(self):
-        colors, report = vc_chromatic_partition(C5, Fraction(2, 5))
+        colors, checks = vc_chromatic_partition(C5, Fraction(2, 5))
         assert colors == (0, 1, 2, 3, 4)
-        assert report.passed
-        assert [c.name for c in report.checks] == [
+        assert all(c.passed for c in checks)
+        assert [c.name for c in checks] == [
             "colors-within-vc-bound",
             "parts-independent",
         ]
         # Haussler's bound for 5 points, VC dimension 2, separation c*n/3
-        assert report.checks[0].value["bound"] == packing_bound(2, 5, Fraction(2, 3))
+        assert checks[0].value["bound"] == packing_bound(2, 5, Fraction(2, 3))
 
     def test_blowup_merges_twins(self):
         B, _ = blowup(C5, [2] * 5)
-        colors, report = vc_chromatic_partition(B, Fraction(2, 5))
+        colors, checks = vc_chromatic_partition(B, Fraction(2, 5))
         assert colors == (0, 0, 1, 1, 2, 2, 3, 3, 4, 4)
-        assert report.passed
+        assert all(c.passed for c in checks)
         for u, v in B.edges():
             assert colors[u] != colors[v]
 
@@ -271,9 +272,9 @@ class TestVcChromaticPartition:
 
 class TestMinDegreeUltra:
     def test_balanced_bipartite(self):
-        R = min_degree_ultra_check(turan(9, 2), 3, Fraction(1, 9))
-        assert R.passed
-        ultra = R.checks[1]
+        checks = min_degree_ultra_check(turan(9, 2), 3, Fraction(1, 9))
+        assert all(c.passed for c in checks)
+        ultra = checks[1]
         assert ultra.name == "ultra-parameter-lower-bound"
         assert ultra.value == {
             "epsilon_star": Fraction(4, 9),
@@ -281,7 +282,7 @@ class TestMinDegreeUltra:
         }
 
     def test_three_parts(self):
-        assert min_degree_ultra_check(turan(12, 3), 4, Fraction(1, 15)).passed
+        assert all(c.passed for c in min_degree_ultra_check(turan(12, 3), 4, Fraction(1, 15)))
 
     def test_no_separate_maximality_scan(self, monkeypatch):
         # maximality is read off the one ultra_parameter scan
@@ -308,32 +309,47 @@ class TestMinDegreeUltra:
 
 class TestCodegreeDensity:
     def test_c5(self):
-        R = codegree_density_check(C5)
-        assert R.passed
-        density, hypothesis = R.checks
+        checks = codegree_density_check(C5)
+        assert all(c.passed for c in checks)
+        density, hypothesis = checks
         assert hypothesis.value == {"c": Fraction(1, 5), "min_codegree": 1}
         assert density.value == {"density": Fraction(0), "required": -3}
 
     def test_complete_skips(self):
-        R = codegree_density_check(Graph.complete(4))
-        assert R.passed
-        assert R.checks[0].status == "skipped"
-        assert R.checks[0].value == {"reason": "no non-adjacent pair"}
+        checks = codegree_density_check(Graph.complete(4))
+        assert all(c.passed for c in checks)
+        assert checks[0].status == "skipped"
+        assert checks[0].value == {"reason": "no non-adjacent pair"}
 
     def test_zero_codegree_skips(self):
-        R = codegree_density_check(Graph(4, [(0, 1), (2, 3)]))
-        assert R.checks[0].status == "skipped"
-        assert R.checks[0].value == {"reason": "zero min codegree"}
+        checks = codegree_density_check(Graph(4, [(0, 1), (2, 3)]))
+        assert checks[0].status == "skipped"
+        assert checks[0].value == {"reason": "zero min codegree"}
 
     def test_blowup(self):
         B, _ = blowup(C5, [2] * 5)
-        assert codegree_density_check(B).passed
+        assert all(c.passed for c in codegree_density_check(B))
 
     @given(oracles.graphs(max_n=6))
     @settings(max_examples=40, deadline=None)
     def test_never_fails(self, G):
-        R = codegree_density_check(G)
-        assert all(c.status != "fail" for c in R.checks)
+        assert all(c.status != "fail" for c in codegree_density_check(G))
+
+
+@pytest.mark.parametrize(
+    "G", [C5, turan(8, 2), blowup(C5, [2] * 5)[0]], ids=["c5", "turan", "blowup"]
+)
+def test_check_producers_return_name_order(G):
+    # each producer hands its checks up in the order a report sorts them
+    lists = [
+        min_degree_ultra_check(G, 3, Fraction(1, 15)),
+        codegree_density_check(G),
+        vc_chromatic_partition(G, Fraction(1, 4))[1],
+        check_vc_clique_bound(G, 3, Fraction(1, 5)),
+    ]
+    for checks in lists:
+        names = [c.name for c in checks]
+        assert len(names) == 2 and names == sorted(names)
 
 
 class TestSeparate:

@@ -30,10 +30,11 @@ C5 = Graph.cycle(5)
 
 class TestGraphBasics:
     def test_rejects_loops_and_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="loop at vertex 0"):
             Graph(3, [(0, 0)])
-        with pytest.raises(ValueError):
-            Graph(3, [(0, 3)])
+        for edge in ((0, 3), (0, 5), (-1, 0)):
+            with pytest.raises(ValueError, match="out of range for n=3"):
+                Graph(3, [edge])
         with pytest.raises(ValueError):
             Graph(-1)
 
@@ -62,15 +63,16 @@ class TestGraphBasics:
         assert G == Graph(4, [(2, 3), (1, 0)])
         assert hash(G) == hash(Graph(4, [(0, 1), (2, 3)]))
         assert G != Graph(5, [(0, 1), (2, 3)])
-        assert G.neighbors(0) == (1,)
+        assert G.adj[0] == 0b10
         assert G.degree(0) == 1 and G.min_degree() == 1
-        assert list(G.non_edges()) == [(0, 2), (0, 3), (1, 2), (1, 3)]
 
     def test_complement_involution(self):
         G = random_graph(7, 1, 2, 99)
         assert G.complement().complement() == G
         # edges and non-edges swap
-        assert sorted(G.complement().edges()) == sorted(G.non_edges())
+        assert G.complement().edges() == [
+            (u, v) for u, v in combinations(range(G.n), 2) if not G.has_edge(u, v)
+        ]
 
     def test_induced_relabels(self):
         G = Graph(5, [(0, 2), (2, 4), (1, 3)])
@@ -89,18 +91,6 @@ class TestGraphBasics:
         H = G.induced(vs)
         assert H.n == len(vs)
         assert H.edges() == oracles.induced_edges(G, vs)
-
-    def test_with_edge(self):
-        G = Graph.path(3)
-        H = G.with_edge(0, 2)
-        assert H.has_edge(0, 2) and not G.has_edge(0, 2)
-        with pytest.raises(ValueError):
-            G.with_edge(1, 1)
-
-    @pytest.mark.parametrize("u, v", [(0, 5), (-1, 0)])
-    def test_with_edge_rejects_out_of_range(self, u, v):
-        with pytest.raises(ValueError, match="out of range for n=3"):
-            Graph.path(3).with_edge(u, v)
 
     def test_connectivity(self):
         assert Graph.path(6).is_connected()
@@ -241,12 +231,6 @@ class TestCodegree:
         for a, b in ((1, 2), (2, 2), (2, 3), (3, 2)):
             assert clique_codensity(G, a, b) == oracles.clique_codensity(G, a, b)
 
-    @given(oracles.graphs(max_n=8))
-    @settings(max_examples=40, deadline=None)
-    def test_non_edges_ascending(self, G):
-        expected = [(u, v) for u, v in combinations(range(G.n), 2) if not G.has_edge(u, v)]
-        assert list(G.non_edges()) == expected
-
     def test_pinned(self):
         assert codegree_min(C5, 2) == 1
         assert codegree_min(Graph.complete(4), 2) is None
@@ -335,7 +319,9 @@ class TestMaximality:
         for r in (3, 4):
             free = len(oracles.cliques(G, r)) == 0
             maximal = free and all(
-                oracles.cliques(G.with_edge(u, v), r) for u, v in G.non_edges()
+                oracles.cliques(Graph(G.n, G.edges() + [(u, v)]), r)
+                for u, v in combinations(range(G.n), 2)
+                if not G.has_edge(u, v)
             )
             assert is_kr_free(G, r) == free
             assert is_maximal_kr_free(G, r) == maximal

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from ultrafree.decompose import BlowupDecomposition
-from ultrafree.graphs import Graph
+from ultrafree.graphs import Graph, members
 from ultrafree.io import (
     ParseError,
     decomposition_to_obj,
@@ -17,7 +17,6 @@ from ultrafree.io import (
     load_text,
     parse_graph,
     parse_space,
-    space_from_obj,
     system_from_obj,
 )
 from ultrafree.setsystems import SetSystem
@@ -170,7 +169,7 @@ class TestSystemJson:
     @given(oracles.set_systems())
     @settings(max_examples=50, deadline=None)
     def test_any_system_round_trips(self, F):
-        obj = {"ground": F.ground, "sets": [list(F.set_members(i)) for i in range(len(F))]}
+        obj = {"ground": F.ground, "sets": [list(members(s)) for s in F.sets]}
         assert system_from_obj(obj) == F
 
 

@@ -82,7 +82,7 @@ class TestUltraParameter:
             assert not G.has_edge(u, v) and u != v
             assert Fraction(count, G.n ** (r - 2)) == cert.epsilon_star
             # report witnesses rely on the tie-break: the first minimizing
-            # pair in ascending (u, v) order, as G.non_edges() lists them
+            # pair in ascending (u, v) order
             first = min(oracles.pair_clique_counts(G, r), key=lambda pc: pc[1])
             assert ((u, v), count) == first
 
@@ -253,13 +253,13 @@ class TestFindHalfGraph:
 
 class TestVcCliqueBound:
     def test_c5(self):
-        R = check_vc_clique_bound(C5, 3, Fraction(1, 5))
-        assert R.passed
-        assert [c.name for c in R.checks] == [
+        checks = check_vc_clique_bound(C5, 3, Fraction(1, 5))
+        assert all(c.passed for c in checks)
+        assert [c.name for c in checks] == [
             "neighborhood-vc-bound",
             "ultra-precondition",
         ]
-        vc_check = R.checks[0]
+        vc_check = checks[0]
         assert vc_check.value == {"vc": 2, "bound": Fraction(5), "r": 3}
 
     def test_eps_beyond_parameter(self):
