@@ -193,7 +193,8 @@ def _kcolorable(adj, order, k, meter):
 
 
 def chromatic_number(adj, n, meter=None, omega=None):
-    """Exact chromatic number of the graph on vertices 0..n-1: the least
+    """Exact chromatic number of the graph on vertices 0..n-1: the clique
+    number when the greedy colour classes are that many, else the least
     k from the clique number up to DSATUR's colour count for which a
     k-colouring search in DSATUR's order succeeds.  ``omega`` is the
     graph's clique number when the caller has it; None searches for it."""
@@ -201,12 +202,16 @@ def chromatic_number(adj, n, meter=None, omega=None):
         return 0
     if not any(adj):
         return 1
+    full = (1 << n) - 1
+    k = max_clique(adj, full, meter)[0] if omega is None else omega
+    # the greedy classes are a proper colouring with bounds[-1] colours
+    if _color_order(adj, full)[1][-1] == k:
+        return k
     # DSATUR has coloured with `used` colours, so k stops there unsearched,
-    # and a graph whose clique number meets it (every bipartite one) runs
-    # no search.  _kcolorable tries the least free colour first, so in
-    # DSATUR's order its first path is the DSATUR colouring.
+    # and a graph whose clique number meets it runs no search.
+    # _kcolorable tries the least free colour first, so in DSATUR's order
+    # its first path is the DSATUR colouring.
     order, used = _dsatur_order(adj, n)
-    k = max_clique(adj, (1 << n) - 1, meter)[0] if omega is None else omega
     while k < used and not _kcolorable(adj, order, k, meter):
         k += 1
     return k

@@ -15,6 +15,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .budget import BudgetExceeded, SearchBudget
 from .catalog import connected_graphs, seeded_random_graphs
@@ -306,7 +307,8 @@ def _cmd_decompose(args, budget) -> int:
 # ----------------------------------------------------------------- verify
 #
 # A suite is a generator of (instance, checks) pairs; _cmd_verify tallies
-# them into one check per rule.
+# them into one check per rule.  The instance is a callable that returns
+# the instance's JSON form, called only for a rule's first failure.
 
 
 def _check(name: str, rule: str, ok, detail=None) -> Check:
@@ -336,7 +338,7 @@ def _tally(pairs) -> list[Check]:
                 slot["skip"] += 1
             elif slot["witness"] is None:
                 slot["witness"] = {
-                    "instance": instance,
+                    "instance": instance(),
                     "value": jsonable(chk.value),
                     "witness": jsonable(chk.witness),
                 }
@@ -365,10 +367,8 @@ def _catalog(kind: str, seed: int) -> list[Graph]:
 
 def _suite_correspondence(budget, catalog, seed):
     for G in _catalog(catalog, seed):
-        # one edge list per graph, shared by its three instances
-        base = graph_to_obj(G)
         for r, checks in correspondence_checks(G, (3, 4, 5), budget).items():
-            yield {**base, "r": r}, checks
+            yield partial(_instance, G, r=r), checks
 
 
 def _suite_halfgraph(budget):
@@ -386,7 +386,7 @@ def _suite_halfgraph(budget):
             emb = find_half_graph(G, k, budget)
             ok = emb is None
             detail = {"k": k} if ok else {"k": k, "embedding": [emb.xs, emb.ys]}
-        yield name, [
+        yield partial(str, name), [
             _check(
                 "instance-is-ultra",
                 "positive-clique-density-parameter",
@@ -408,7 +408,7 @@ def _suite_construction(budget, d):
     # part-major in H's order, so the labelled quotient is H itself
     quotient = twin_quotient(G).quotient
     core = p4_obstruction(G, budget).core
-    yield f"hypercube-lb:d={d}", [
+    yield partial(str, f"hypercube-lb:d={d}"), [
         _check(
             "construction-size",
             "blowup-size-formula",
@@ -444,9 +444,9 @@ def _suite_mindeg_ultra(budget):
             name = f"turan:n={n}:parts={r - 1}:r={r}"
             eps = Fraction(G.min_degree(), n) - Fraction(2 * r - 5, 2 * r - 3)
             if eps > 0:
-                yield name, min_degree_ultra_check(G, r, eps, budget)
+                yield partial(str, name), min_degree_ultra_check(G, r, eps, budget)
             else:
-                yield name, [
+                yield partial(str, name), [
                     _check("degree-hypothesis", "min-degree-meets-threshold", None),
                     _check("ultra-parameter-lower-bound", "degree-implies-clique-density", None),
                 ]
@@ -454,7 +454,7 @@ def _suite_mindeg_ultra(budget):
 
 def _suite_codeg_edge(budget, catalog, seed):
     for G in _catalog(catalog, seed):
-        yield _instance(G), codegree_density_check(G, budget)
+        yield partial(_instance, G), codegree_density_check(G, budget)
 
 
 def _suite_vc_chromatic(budget, catalog, seed):
@@ -462,7 +462,7 @@ def _suite_vc_chromatic(budget, catalog, seed):
     for c in (Fraction(1, 4), Fraction(1, 3), Fraction(2, 5)):
         for G in triangle_free:
             if G.min_degree() >= c * G.n:
-                yield _instance(G, c=str(c)), vc_chromatic_partition(G, c, budget)[1]
+                yield partial(_instance, G, c=str(c)), vc_chromatic_partition(G, c, budget)[1]
 
 
 # the options only the catalog suites read, with their defaults

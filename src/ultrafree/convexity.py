@@ -279,9 +279,17 @@ def correspondence_checks(
     vs intersection.  Each list is in check-name order.
 
     Only the clique-freeness check reads r; the others are computed once
-    and shared by every r.  ω is searched once: χ's search starts from
-    it, and ν is ω whenever the disjointness graph is G itself.
+    and shared by every r, and one search answers the (r,2)-property for
+    every r.  ω is searched once: χ's search starts from it, and ν is ω
+    whenever the disjointness graph is G itself.  Each r must be at least
+    2; an empty ``rs`` runs no search.
     """
+    rs = tuple(rs)
+    for r in rs:
+        if r < 2:
+            raise ValueError(f"need r >= 2, got r = {r}")
+    if not rs:
+        return {}
     mis = _ss.mis_family(G, budget)
     stars = _ss.dual(mis)
     omega = _graphs.clique_number(G, budget)
@@ -354,11 +362,12 @@ def correspondence_checks(
             witness={"helly": h},
         ),
     ]
+    pqs = _ss._pq_properties(stars, rs, 2, budget)
     out = {}
     for r in rs:
         # G is K_r-free exactly when its clique number is below r
         free = omega < r
-        pq = _ss.has_pq_property(stars, r, 2, budget)
+        pq = pqs[r]
         pq_check = _verdict(
             "clique-free-matches-pq",
             "clique-free-matches-pq",

@@ -43,7 +43,9 @@ class Infeasible(PreconditionViolated):
 class SetSystem:
     """Ordered family of subsets of range(ground); duplicates allowed."""
 
-    __slots__ = ("ground", "sets")
+    # _covers: the incidence transpose, filled on first use; it is not
+    # part of identity
+    __slots__ = ("ground", "sets", "_covers")
 
     def __init__(self, ground: int, sets):
         if ground < 0:
@@ -58,12 +60,14 @@ class SetSystem:
             masks.append(m)
         self.ground = ground
         self.sets = tuple(masks)
+        self._covers = None
 
     @classmethod
     def from_masks(cls, ground: int, masks) -> "SetSystem":
         f = object.__new__(cls)
         f.ground = ground
         f.sets = tuple(masks)
+        f._covers = None
         return f
 
     def __len__(self):
@@ -113,8 +117,11 @@ def disjointness_graph(F: SetSystem) -> Graph:
     return Graph.from_masks(adj)
 
 
-def _element_cover_masks(F: SetSystem) -> list[int]:
-    """For each ground element, the bitmask of set indices it hits."""
+def _element_cover_masks(F: SetSystem) -> tuple[int, ...]:
+    """For each ground element, the bitmask of set indices it hits.
+    Computed once per system and kept."""
+    if F._covers is not None:
+        return F._covers
     covers = [0] * F.ground
     for i, s in enumerate(F.sets):
         bit = 1 << i
@@ -123,6 +130,7 @@ def _element_cover_masks(F: SetSystem) -> list[int]:
             low = m & -m
             covers[low.bit_length() - 1] |= bit
             m ^= low
+    F._covers = covers = tuple(covers)
     return covers
 
 
@@ -142,7 +150,7 @@ def _disjoint_packing_bound(F: SetSystem, unhit: int) -> int:
     return count
 
 
-def _greedy_cover(covers: list[int], unhit: int) -> list[int]:
+def _greedy_cover(covers, unhit: int) -> list[int]:
     """Greedy hitting set, in pick order: while a set in ``unhit`` is
     unhit, pick the point ``p`` whose ``covers[p]`` holds the most of them,
     the lowest point on ties.  Every set in ``unhit`` must be nonempty."""
@@ -355,12 +363,30 @@ def has_pq_property(F: SetSystem, p: int, q: int, budget: SearchBudget | None = 
     search uses an explicit stack, so p is not limited by recursion depth.
     Each member it adds to a family costs one budget node.
     """
-    if not p >= q >= 2:
+    return _pq_properties(F, (p,), q, budget)[p]
+
+
+def _pq_properties(F: SetSystem, ps, q: int, budget: SearchBudget | None = None) -> dict[int, bool]:
+    """``{p: has_pq_property(F, p, q)}`` for every p in ``ps``, from one
+    search under one ``has_pq_property`` meter.
+
+    Members dropped from a family that covers no point q times leave such
+    a family, so the property fails for each p up to the size of the
+    largest one and holds above it.  The search prunes for the least p
+    it has not reached yet, and moves on to the next p when it adds the
+    member that makes a family of that size.
+    """
+    ps = sorted(set(ps))
+    if not all(p >= q >= 2 for p in ps):
         raise ValueError("need p >= q >= 2")
     sets = F.sets
     m = len(sets)
-    if m < p:
-        return True
+    out = dict.fromkeys(ps, True)
+    # a p above m holds with no search
+    targets = iter([p for p in ps if p <= m])
+    p = next(targets, None)
+    if p is None:
+        return out
     meter = _meter(budget, "has_pq_property")
     top = q - 2
     # stack[d]: the levels of the family of the first d chosen members;
@@ -382,14 +408,17 @@ def has_pq_property(F: SetSystem, p: int, q: int, budget: SearchBudget | None = 
         if meter is not None:
             meter.charge()
         if d + 1 == p:
-            return False
+            out[p] = False
+            p = next(targets, None)
+            if p is None:
+                break
         new = levels[:]
         for i in range(top, 0, -1):
             new[i] |= new[i - 1] & s
         new[0] |= s
         stack.append(new)
         nxt.append(j + 1)
-    return True
+    return out
 
 
 def maximal_intersecting_subfamilies(F: SetSystem) -> list[int]:
@@ -399,8 +428,13 @@ def maximal_intersecting_subfamilies(F: SetSystem) -> list[int]:
     Every intersecting subfamily lives inside the family of sets through
     some common point, so the maximal ones are the maximal point stars.
     """
-    stars = {c for c in _element_cover_masks(F) if c}
-    return sorted(s for s in stars if not any(s != t and s & t == s for t in stars))
+    # a star inside another has fewer members, so largest first, a star is
+    # maximal unless a kept one contains it
+    kept = []
+    for c in sorted({c for c in _element_cover_masks(F) if c}, key=int.bit_count, reverse=True):
+        if not any(c & t == c for t in kept):
+            kept.append(c)
+    return sorted(kept)
 
 
 def mis_family(G: Graph, budget: SearchBudget | None = None) -> SetSystem:

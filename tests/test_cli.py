@@ -701,12 +701,12 @@ class TestVerify:
         # the three instances of a graph share one edge list; each must
         # still carry its own r
         self._two_graph_catalog(monkeypatch)
-        has_pq_property = ultrafree.setsystems.has_pq_property
+        pq_properties = ultrafree.setsystems._pq_properties
 
-        def wrong_at_four(F, p, q, budget=None):
-            return has_pq_property(F, p, q, budget) != (p == 4)
+        def wrong_at_four(F, ps, q, budget=None):
+            return {p: holds != (p == 4) for p, holds in pq_properties(F, ps, q, budget).items()}
 
-        monkeypatch.setattr(ultrafree.setsystems, "has_pq_property", wrong_at_four)
+        monkeypatch.setattr(ultrafree.setsystems, "_pq_properties", wrong_at_four)
         assert main(["verify", "--suite", "correspondence", "--json"]) == 1
         by_name = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
         pq = by_name["clique-free-matches-pq"]
@@ -747,6 +747,15 @@ class TestVerify:
         # three values of r share one dictionary pass per graph, and χ
         # starts from the one ω search
         assert calls == dict.fromkeys(("mis_family", "clique_number", "chromatic_number"), len(cat))
+
+    def test_passing_correspondence_builds_no_instance(self, capsys, monkeypatch):
+        # an instance's JSON is built only for a rule's first failure
+        self._two_graph_catalog(monkeypatch)
+        calls = []
+        monkeypatch.setattr(ultrafree.cli, "graph_to_obj", lambda G: calls.append(G))
+        assert main(["verify", "--suite", "correspondence", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+        assert calls == []
 
 
 class TestClosedStdout:

@@ -316,6 +316,20 @@ class TestCorrespondence:
                 want = correspondence_checks(G, (r,))[r]
                 assert [c.to_json() for c in checks] == [c.to_json() for c in want]
 
+    @pytest.mark.parametrize("rs", [(1,), (3, 0), ()])
+    def test_rs_checked_before_any_search(self, rs, monkeypatch):
+        calls = []
+        real = ultrafree.setsystems.mis_family
+        monkeypatch.setattr(
+            ultrafree.setsystems, "mis_family", lambda G, budget=None: calls.append(G) or real(G, budget)
+        )
+        if rs:
+            with pytest.raises(ValueError, match=f"r = {min(rs)}"):
+                correspondence_checks(Graph.cycle(5), rs)
+        else:
+            assert correspondence_checks(Graph.cycle(5), rs) == {}
+        assert calls == []
+
     def test_first_bad_pair(self, monkeypatch):
         # a rebuilt graph that differs from C6 on three pairs: the witness
         # is the first of them in (u, v) order
@@ -365,7 +379,8 @@ class TestCorrespondence:
 class TestCompositeMeters:
     def test_readme_example(self, monkeypatch):
         # the README's example of a composite call: each sub-solver opens
-        # its own full meter, so 75 nodes in all stay under a cap of 40
+        # its own full meter, so 61 nodes in all stay under a cap of 40;
+        # one (r,2) search answers all three r
         meters = []
         meter = SearchBudget.meter
 
@@ -382,10 +397,8 @@ class TestCompositeMeters:
             ("transversal_number", 10),
             ("helly_number", 17),
             ("has_pq_property", 10),
-            ("has_pq_property", 8),
-            ("has_pq_property", 6),
         ]
-        assert sum(m.nodes for _, m in meters) == 75
+        assert sum(m.nodes for _, m in meters) == 61
 
 
 class TestCliqueFreeFromOmega:

@@ -175,6 +175,35 @@ class TestChromatic:
         assert chromatic_number(Graph.cycle(6)) == 2
 
 
+class TestChromaticGreedyExit:
+    @given(oracles.graphs(max_n=9))
+    @settings(max_examples=60, deadline=None)
+    def test_dsatur_only_when_greedy_exceeds_omega(self, G):
+        calls = []
+        dsatur = _kernels._dsatur_order
+
+        def counted(adj, n):
+            calls.append(n)
+            return dsatur(adj, n)
+
+        _kernels._dsatur_order = counted
+        try:
+            chi = chromatic_number(G, omega=clique_number(G))
+        finally:
+            _kernels._dsatur_order = dsatur
+        assert chi == oracles.chromatic_number(G)
+        greedy = _kernels._color_order(G.adj, G.full_mask)[1][-1] if G.n else 0
+        assert bool(calls) == (G.edge_count() > 0 and greedy > clique_number(G))
+
+    @pytest.mark.parametrize("G, dsatur_calls", [(Graph.cycle(8), 0), (Graph.cycle(7), 1)])
+    def test_even_cycle_runs_no_dsatur(self, G, dsatur_calls, monkeypatch):
+        calls = []
+        dsatur = _kernels._dsatur_order
+        monkeypatch.setattr(_kernels, "_dsatur_order", lambda adj, n: calls.append(n) or dsatur(adj, n))
+        assert chromatic_number(G) == 2 + G.n % 2
+        assert len(calls) == dsatur_calls
+
+
 class TestChromaticOrder:
     def test_blowup_within_cap(self):
         # 144 vertices; the search in DSATUR's order takes about 1.1 M nodes

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+import hypothesis.strategies as st
 
 import oracles
 import ultrafree.setsystems
@@ -72,6 +73,24 @@ class TestSetSystem:
     def test_identity(self):
         assert SetSystem(3, [(0, 1)]) == SetSystem(3, [(1, 0)])
         assert SetSystem(3, [(0,)]) != SetSystem(3, [(1,)])
+
+
+class TestTranspose:
+    def test_computed_once_and_not_identity(self):
+        F = SetSystem(3, [(0, 1), (1, 2)])
+        covers = ultrafree.setsystems._element_cover_masks(F)
+        assert covers == (0b01, 0b11, 0b10)
+        assert ultrafree.setsystems._element_cover_masks(F) is covers
+        G = SetSystem(3, [(0, 1), (1, 2)])
+        assert F == G and hash(F) == hash(G)
+
+    def test_dual_leaves_its_own_transpose_unfilled(self):
+        # the stars' transpose is rebuilt from the stars, never copied from
+        # the system they came from, so maximal stars test the stars
+        mis = mis_family(C5)
+        stars = dual(mis)
+        assert stars._covers is None
+        assert ultrafree.setsystems._element_cover_masks(stars) == mis.sets
 
 
 class TestDual:
@@ -298,10 +317,86 @@ class TestPq:
         assert has_pq_property(SetSystem(1500, [(i,) for i in range(1500)]), 1500, 2) is False
 
 
+class TestPqProperties:
+    @given(oracles.set_systems(), st.sampled_from((2, 3)), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_p_matches_brute(self, F, q, data):
+        ps = sorted(data.draw(st.sets(st.integers(q, 7), max_size=4)))
+        got = ultrafree.setsystems._pq_properties(F, ps, q)
+        assert got == {p: oracles.pq_property(F, p, q) for p in ps}
+
+    @pytest.mark.parametrize(
+        "F, p, q, nodes",
+        [
+            (mis_star_system(Graph.cycle(7)), 3, 2, 10),
+            (mis_star_system(Graph.cycle(7)), 4, 2, 8),
+            (mis_star_system(Graph.cycle(7)), 5, 2, 6),
+            (mis_star_system(Graph.path(6)), 3, 2, 8),
+            (SetSystem(6, [(i,) for i in range(6)]), 5, 2, 5),
+            (SetSystem(5, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3, 4), (0, 1, 4), (1, 3)]), 2, 2, 5),
+            (SetSystem(5, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3, 4), (0, 1, 4), (1, 3)]), 4, 3, 14),
+        ],
+    )
+    def test_single_p_nodes_pinned(self, F, p, q, nodes, monkeypatch):
+        meters = []
+        meter = SearchBudget.meter
+
+        def recording_meter(budget, op):
+            meters.append((op, meter(budget, op)))
+            return meters[-1][1]
+
+        monkeypatch.setattr(SearchBudget, "meter", recording_meter)
+        has_pq_property(F, p, q, SearchBudget())
+        assert [(op, m.nodes) for op, m in meters] == [("has_pq_property", nodes)]
+
+    def test_one_meter_for_every_p(self, monkeypatch):
+        # C7's stars: 10, 8 and 6 nodes one p at a time, 10 in one search
+        ops = []
+        meter = SearchBudget.meter
+
+        def recording_meter(budget, op):
+            ops.append(op)
+            return meter(budget, op)
+
+        monkeypatch.setattr(SearchBudget, "meter", recording_meter)
+        F = mis_star_system(Graph.cycle(7))
+        got = ultrafree.setsystems._pq_properties(F, (5, 3, 4), 2, SearchBudget(max_nodes=10))
+        assert got == {3: True, 4: True, 5: True}
+        assert ops == ["has_pq_property"]
+        # every p above the number of sets holds without a search
+        ops.clear()
+        assert ultrafree.setsystems._pq_properties(SetSystem(1, [(0,)]), (2, 3), 2) == {2: True, 3: True}
+        assert ops == []
+
+    def test_rejects_any_bad_p(self):
+        with pytest.raises(ValueError, match="need p >= q >= 2"):
+            ultrafree.setsystems._pq_properties(SetSystem(2, []), (3, 2), 3)
+
+
+@st.composite
+def _systems_with_repeats(draw):
+    # a random system plus a duplicate, a subset of a member and an empty set
+    F = draw(oracles.set_systems(max_sets=5))
+    sets = list(F.sets)
+    if sets:
+        sets.append(draw(st.sampled_from(sets)))
+        sets.append(draw(st.sampled_from(sets)) & draw(st.integers(0, (1 << F.ground) - 1)))
+    sets.append(0)
+    order = draw(st.permutations(range(len(sets))))
+    return SetSystem.from_masks(F.ground, [sets[i] for i in order])
+
+
 class TestMaximalIntersecting:
     @given(oracles.set_systems())
     @settings(max_examples=60, deadline=None)
     def test_match_brute(self, F):
+        got = maximal_intersecting_subfamilies(F)
+        assert got == sorted(got)
+        assert sorted(map(members, got)) == oracles.maximal_intersecting(F)
+
+    @given(_systems_with_repeats())
+    @settings(max_examples=60, deadline=None)
+    def test_duplicate_nested_and_empty_sets(self, F):
         got = maximal_intersecting_subfamilies(F)
         assert got == sorted(got)
         assert sorted(map(members, got)) == oracles.maximal_intersecting(F)
