@@ -11,7 +11,7 @@ pure-Python implementation, and the name is kept for scripts that print it.
 """
 
 from .budget import BudgetExceeded, SearchBudget, UNLIMITED
-from .catalog import canonical_form, connected_graphs, is_isomorphic
+from .catalog import connected_graphs
 from .constructions import (
     HypercubePair,
     anchored_crown,
@@ -26,11 +26,9 @@ from .constructions import (
 from .convexity import (
     ConvexitySpace,
     Measure,
-    convex_hull,
     correspondence_checks,
     mis_space,
     radon_number,
-    radon_partition,
     space_helly_number,
     subcube_space,
     weak_eps_net,
@@ -43,10 +41,8 @@ from .decompose import (
     min_degree_ultra_check,
     p4_obstruction,
     packing_bound,
-    separated_subfamily,
     twin_quotient,
     vc_chromatic_partition,
-    verify_hom,
 )
 from .errors import ClaimViolation, PreconditionViolated
 from .graphs import (
@@ -80,7 +76,6 @@ from .ultra import (
     BiInducedMatching,
     HalfGraphEmbedding,
     UltraCertificate,
-    check_vc_clique_bound,
     find_half_graph,
     is_eps_ultra,
     nu_bi,
@@ -97,9 +92,7 @@ __all__ = [
     "BudgetExceeded",
     "SearchBudget",
     "UNLIMITED",
-    "canonical_form",
     "connected_graphs",
-    "is_isomorphic",
     "HypercubePair",
     "anchored_crown",
     "blowup",
@@ -111,10 +104,8 @@ __all__ = [
     "ultra_vc_example",
     "ConvexitySpace",
     "Measure",
-    "convex_hull",
     "mis_space",
     "radon_number",
-    "radon_partition",
     "space_helly_number",
     "subcube_space",
     "correspondence_checks",
@@ -126,10 +117,8 @@ __all__ = [
     "min_degree_ultra_check",
     "p4_obstruction",
     "packing_bound",
-    "separated_subfamily",
     "twin_quotient",
     "vc_chromatic_partition",
-    "verify_hom",
     "ClaimViolation",
     "PreconditionViolated",
     "Graph",
@@ -161,7 +150,6 @@ __all__ = [
     "BiInducedMatching",
     "HalfGraphEmbedding",
     "UltraCertificate",
-    "check_vc_clique_bound",
     "find_half_graph",
     "is_eps_ultra",
     "nu_bi",

@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .budget import SearchBudget, _meter
 from .errors import ClaimViolation
-from .graphs import Graph, members
+from .graphs import Graph, mask_of, members
 from . import graphs as _graphs
 from . import setsystems as _ss
 from .reports import Check, _verdict
@@ -28,9 +28,7 @@ __all__ = [
     "mis_space",
     "subcube_space",
     "explicit_space",
-    "convex_hull",
     "radon_number",
-    "radon_partition",
     "space_helly_number",
     "weak_eps_net",
     "correspondence_checks",
@@ -157,22 +155,6 @@ def explicit_space(F: _ss.SetSystem) -> ConvexitySpace:
     return ConvexitySpace("explicit", F, range(F.ground))
 
 
-def _point_mask(S: ConvexitySpace, Y) -> int:
-    m = 0
-    for p in Y:
-        if not 0 <= p < S.ground_size:
-            raise ValueError(f"point {p} out of range")
-        if m >> p & 1:
-            raise ValueError(f"duplicate point {p}")
-        m |= 1 << p
-    return m
-
-
-def convex_hull(S: ConvexitySpace, Y) -> tuple[int, ...]:
-    """The points of conv Y."""
-    return members(S.hull_mask(_point_mask(S, Y)))
-
-
 def _split_points(pts: tuple[int, ...], selector: int):
     y2 = tuple(p for i, p in enumerate(pts[1:]) if selector >> i & 1)
     y1 = tuple(p for p in pts if p not in y2)
@@ -200,22 +182,12 @@ def _radon_split(S: ConvexitySpace, pts: tuple[int, ...]):
     check = S.tag == "from_graph"
     for selector in range(1, 1 << (k - 1)):
         y1, y2 = _split_points(pts, selector)
-        h = S.hull_mask(_point_mask(S, y1)) & S.hull_mask(_point_mask(S, y2))
+        h = S.hull_mask(mask_of(y1)) & S.hull_mask(mask_of(y2))
         if check:
             _mis_hulls_cross_check(S, y1, y2, bool(h))
         if h:
             return y1, y2
     return None
-
-
-def radon_partition(S: ConvexitySpace, Y):
-    """A partition of Y into two nonempty parts with intersecting hulls,
-    or None.  Y must hold at least two distinct points."""
-    given = tuple(Y)
-    pts = tuple(sorted(set(given)))
-    if len(pts) < 2 or len(pts) != len(given):
-        raise ValueError("need at least two distinct points")
-    return _radon_split(S, pts)
 
 
 def radon_number(S: ConvexitySpace, cap: int):

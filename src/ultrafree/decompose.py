@@ -20,18 +20,16 @@ from .errors import ClaimViolation, PreconditionViolated
 from .graphs import Graph, _blowup_quotient, _lift, has_induced_p4, mask_of, max_clique_witness
 from . import graphs as _graphs
 from .reports import Check, _verdict
-from .setsystems import SetSystem, neighborhood_system, vc_dimension
+from .setsystems import neighborhood_system, vc_dimension
 from .ultra import is_eps_ultra, ultra_parameter
 
 __all__ = [
     "E_UP",
     "BlowupDecomposition",
     "ObstructionCertificate",
-    "separated_subfamily",
     "packing_bound",
     "haussler_partition",
     "twin_quotient",
-    "verify_hom",
     "p4_obstruction",
     "vc_chromatic_partition",
     "min_degree_ultra_check",
@@ -144,13 +142,6 @@ def _separate(masks, s) -> tuple[list[int], list[int]]:
     return reps, origin
 
 
-def separated_subfamily(F: SetSystem, s: int) -> tuple[int, ...]:
-    """Greedy maximal subfamily with pairwise symmetric difference > s."""
-    if s < 0:
-        raise ValueError("separation must be nonnegative")
-    return tuple(_separate(F.sets, s)[0])
-
-
 def packing_bound(d: int, family_size: int, sep_level) -> Fraction:
     """Rational upper bound e(d+1)(2e*|F|/s)^d for an s-separated family
     in a system of VC dimension d; s is any positive rational."""
@@ -219,16 +210,6 @@ def twin_quotient(G: Graph) -> BlowupDecomposition:
     if len(set(deco.quotient.adj)) != len(deco.parts):
         raise ClaimViolation("twin quotient still contains twins")
     return deco
-
-
-def verify_hom(G: Graph, F: Graph, phi) -> bool:
-    """Whether phi maps every edge of G to an edge of F."""
-    phi = tuple(phi)
-    if len(phi) != G.n:
-        raise ValueError("map must be total on the vertices")
-    if any(not 0 <= x < F.n for x in phi):
-        raise ValueError("map value out of range")
-    return all(F.has_edge(phi[u], phi[v]) for u, v in G.edges())
 
 
 def p4_obstruction(G: Graph, budget: SearchBudget | None = None) -> ObstructionCertificate:

@@ -12,8 +12,6 @@ from . import _kernels
 from .budget import SearchBudget, _meter
 from .errors import ClaimViolation, PreconditionViolated
 from .graphs import Graph, _blowup_quotient, _class_coneighborhoods, members
-from .reports import Check, _verdict
-from .setsystems import neighborhood_system, vc_dimension
 
 __all__ = [
     "UltraCertificate",
@@ -23,7 +21,6 @@ __all__ = [
     "is_eps_ultra",
     "find_half_graph",
     "nu_bi",
-    "check_vc_clique_bound",
 ]
 
 
@@ -241,36 +238,3 @@ def nu_bi(G: Graph, budget: SearchBudget | None = None):
     except ValueError as exc:
         raise ClaimViolation(f"nu_bi returned an invalid matching: {exc}") from exc
     return best, witness
-
-
-def check_vc_clique_bound(
-    G: Graph, r: int, eps, budget: SearchBudget | None = None
-) -> list[Check]:
-    """VC-dimension of the neighborhood system against the clique-driven
-    bound (1/eps + 1) + r - 4, all rational and exact.  The checks come
-    in name order."""
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    cert = ultra_parameter(G, r, budget)
-    if not cert.admits(eps):
-        raise PreconditionViolated(
-            f"eps = {eps} exceeds the graph parameter {cert.epsilon_star}"
-        )
-    d, shattered = vc_dimension(neighborhood_system(G), budget)
-    bound = 1 / eps + 1 + r - 4
-    return [
-        _verdict(
-            "neighborhood-vc-bound",
-            "vc-at-most-inverse-eps-plus-clique-slack",
-            Fraction(d) <= bound,
-            value={"vc": d, "bound": bound, "r": r},
-            witness={"shattered": shattered},
-        ),
-        Check(
-            "ultra-precondition",
-            "clique-density-admits-eps",
-            "pass",
-            value={"eps": eps, "epsilon_star": cert.epsilon_star},
-        ),
-    ]

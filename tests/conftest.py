@@ -1,8 +1,14 @@
 import re
+import sys
+from pathlib import Path
 
 import pytest
 
 from ultrafree.catalog import connected_graphs, seeded_random_graphs
+
+# the catalog generator (tools/write_catalog.py) is imported by the tests
+# that regenerate the stored catalog or decide isomorphism
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 _CRITERION = re.compile(r"::test_criterion_(\d+)")
 _outcomes: dict[int, str] = {}

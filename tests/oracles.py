@@ -2,9 +2,10 @@
 
 Everything here recomputes from the definitions with itertools and no
 pruning, sharing no code with the package internals.  The one exception
-is :func:`canonical_form_reference`, which reuses the catalog's
-refinement and certificate so that its output is comparable tuple for
-tuple.  Slow on purpose; keep the inputs small.
+is :func:`canonical_form_reference`, which reuses the refinement and
+certificate of the catalog generator (``tools/write_catalog.py``) so
+that its output is comparable tuple for tuple.  Slow on purpose; keep
+the inputs small.
 """
 
 from fractions import Fraction
@@ -13,8 +14,8 @@ from math import comb
 
 from hypothesis import strategies as st
 
-from ultrafree.catalog import _certificate, _refine
 from ultrafree.graphs import Graph
+from write_catalog import _certificate, _refine
 
 
 def is_clique(G, vs):
@@ -328,8 +329,23 @@ def isomorphic(G, H):
     )
 
 
+def is_homomorphism(G, F, phi):
+    """Whether phi, a map from the vertices of G to those of F, sends
+    every edge of G to an edge of F."""
+    phi = tuple(phi)
+    if len(phi) != G.n:
+        raise ValueError("map must be total on the vertices")
+    if not all(0 <= x < F.n for x in phi):
+        raise ValueError("map value out of range")
+    return all(
+        F.has_edge(phi[u], phi[v])
+        for u, v in combinations(range(G.n), 2)
+        if G.has_edge(u, v)
+    )
+
+
 def canonical_form_reference(G):
-    """catalog.canonical_form without automorphism pruning: the minimum
+    """write_catalog.canonical_form without automorphism pruning: the minimum
     certificate over every leaf of the individualization-refinement tree."""
     n = G.n
     if n == 0:

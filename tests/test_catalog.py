@@ -1,25 +1,28 @@
+"""The stored catalog (``ultrafree.catalog``) and the generator that
+writes it (``tools/write_catalog.py``), which the package never runs."""
+
+import ast
+import json
+import os
 import random
 import subprocess
 import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 from ultrafree import catalog
-from ultrafree.catalog import (
-    all_graphs,
-    canonical_form,
-    connected_graphs,
-    is_isomorphic,
-    seeded_random_graphs,
-)
+from ultrafree.catalog import connected_graphs, seeded_random_graphs
 from ultrafree.constructions import hypercube_lb
 from ultrafree.decompose import twin_quotient
 from ultrafree.errors import ClaimViolation
 from ultrafree.graphs import Graph
 
 import oracles
+import write_catalog
+from write_catalog import all_graphs, canonical_form
 
 
 def relabel(G, perm):
@@ -102,20 +105,25 @@ class TestPruningKeepsCertificate:
     def test_hypercube_d5_leaves(self, monkeypatch):
         # the unpruned search reaches |Aut| = 2^5 * 5! = 3840 leaves here
         calls = []
-        certificate = catalog._certificate
+        certificate = write_catalog._certificate
 
         def counted(adj, colors):
             calls.append(1)
             return certificate(adj, colors)
 
-        monkeypatch.setattr(catalog, "_certificate", counted)
+        monkeypatch.setattr(write_catalog, "_certificate", counted)
         H, G = hypercube_lb(5)
-        canonical_form(H)
+        cert = canonical_form(H)
         assert len(calls) <= 64
-        assert is_isomorphic(twin_quotient(G).quotient, H)
+        assert canonical_form(twin_quotient(G).quotient) == cert
+
+
+def is_isomorphic(G, H):
+    return canonical_form(G) == canonical_form(H)
 
 
 class TestIsIsomorphic:
+    # isomorphism decided by equal canonical forms
     def test_basic(self):
         assert is_isomorphic(Graph.cycle(5), relabel(Graph.cycle(5), [2, 4, 1, 3, 0]))
         assert not is_isomorphic(Graph.cycle(5), Graph.path(5))
@@ -184,32 +192,30 @@ class TestConnectedGraphs:
     def test_all_connected(self):
         assert all(G.is_connected() for G in connected_graphs(5))
 
+    def test_only_the_stored_sizes(self):
+        with pytest.raises(ValueError, match="n <= 7"):
+            connected_graphs(8)
+
 
 def cold_catalog(monkeypatch, path=None):
-    """Forget the loaded file and the generated levels, so the next
-    connected_graphs call starts as in a fresh process."""
+    """Forget the loaded file, so the next connected_graphs call starts
+    as in a fresh process."""
     monkeypatch.setattr(catalog, "_stored", None)
-    monkeypatch.setattr(catalog, "_LEVELS", [[Graph(0)]])
     if path is not None:
         monkeypatch.setattr(catalog, "_STORED_PATH", path)
-
-
-def no_canonical_form(G):
-    raise AssertionError("the stored catalog must not be canonicalized")
 
 
 class TestStoredCatalog:
     def test_regenerates_file(self):
         # with the A001349 counts checked on load, this proves the file
         # holds every connected graph on <= 7 vertices once, canonically
-        generated = catalog._generated_connected(7)
+        generated = write_catalog._generated_connected(7)
         text = "".join(catalog._encode(G) + "\n" for G in generated)
         assert catalog._STORED_PATH.read_bytes() == text.encode("ascii")
         assert catalog._load_stored(catalog._STORED_PATH) == generated
 
     def test_load_needs_no_canonical_form(self, monkeypatch):
         cold_catalog(monkeypatch)
-        monkeypatch.setattr(catalog, "canonical_form", no_canonical_form)
         got = connected_graphs(7)
         assert len(got) == 996
         assert connected_graphs(4) == got[:10]
@@ -222,6 +228,38 @@ class TestStoredCatalog:
     def test_import_reads_no_file(self):
         code = "import ultrafree.cli, ultrafree.catalog as c; assert c._stored is None"
         subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+    def test_runtime_never_canonicalises(self):
+        # no package code names the generator ...
+        package = Path(catalog.__file__).parent
+        generator = {"canonical_form", "all_graphs", "_refine", "_LEVELS"}
+        found = [
+            f"{path.name}: {name}"
+            for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            for name in (
+                getattr(node, "id", None),
+                getattr(node, "attr", None),
+                getattr(node, "name", None),
+            )
+            if name in generator
+        ]
+        assert found == []
+        # ... and a catalog suite never imports it, even where it could
+        code = (
+            "import sys\n"
+            "from ultrafree.cli import main\n"
+            "status = main(['verify', '--suite', 'codeg-edge', '--budget-nodes', '1', '--json'])\n"
+            "assert 'write_catalog' not in sys.modules\n"
+            "sys.exit(status)\n"
+        )
+        tools = Path(write_catalog.__file__).parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(package.parent), str(tools)]))
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert run.returncode == 3, run.stderr
+        assert json.loads(run.stdout)["error"]["type"] == "budget"
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -253,7 +291,6 @@ class TestStoredCatalog:
         bad = tmp_path / "connected7.g6"
         bad.write_text("".join(line + "\n" for line in corrupt(lines)), encoding="utf-8")
         cold_catalog(monkeypatch, bad)
-        monkeypatch.setattr(catalog, "canonical_form", no_canonical_form)
         with pytest.raises(ClaimViolation):
             connected_graphs(7)
 

