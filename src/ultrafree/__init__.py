@@ -10,7 +10,7 @@ floats) and re-verifies each structural claim on every input it touches.
 pure-Python implementation, and the name is kept for scripts that print it.
 """
 
-from .budget import BudgetExceeded, SearchBudget, UNLIMITED
+from .budget import BudgetExceeded, SearchBudget
 from .catalog import connected_graphs
 from .constructions import (
     HypercubePair,
@@ -91,7 +91,6 @@ __all__ = [
     "TOOL_VERSION",
     "BudgetExceeded",
     "SearchBudget",
-    "UNLIMITED",
     "connected_graphs",
     "HypercubePair",
     "anchored_crown",

@@ -86,14 +86,15 @@ def _independent_sets(adj, a, mask, meter=None):
     return rec(0, mask, -1, a)
 
 
-def max_clique(adj, mask, meter=None):
+def max_clique(adj, mask, meter=None, classes=None):
     """Largest clique inside ``mask``: returns ``(size, witness_mask)``.
 
-    Branch and bound with a greedy-coloring upper bound.
+    Branch and bound with a greedy-coloring upper bound.  ``classes`` is
+    ``_color_order(adj, mask)`` when the caller has already computed it.
     """
     best = [0, 0]
     if mask:
-        _expand(adj, mask, 0, 0, best, meter)
+        _expand(adj, mask, 0, 0, best, meter, *(classes or _color_order(adj, mask)))
     return best[0], best[1]
 
 
@@ -118,8 +119,7 @@ def _color_order(adj, cand):
     return order, bounds
 
 
-def _expand(adj, cand, cur, size, best, meter):
-    order, bounds = _color_order(adj, cand)
+def _expand(adj, cand, cur, size, best, meter, order, bounds):
     for i in range(len(order) - 1, -1, -1):
         if size + bounds[i] <= best[0]:
             return
@@ -129,7 +129,7 @@ def _expand(adj, cand, cur, size, best, meter):
             meter.charge()
         sub = cand & adj[v]
         if sub:
-            _expand(adj, sub, cur | bit, size + 1, best, meter)
+            _expand(adj, sub, cur | bit, size + 1, best, meter, *_color_order(adj, sub))
         elif size + 1 > best[0]:
             best[0] = size + 1
             best[1] = cur | bit
@@ -203,9 +203,11 @@ def chromatic_number(adj, n, meter=None, omega=None):
     if not any(adj):
         return 1
     full = (1 << n) - 1
-    k = max_clique(adj, full, meter)[0] if omega is None else omega
-    # the greedy classes are a proper colouring with bounds[-1] colours
-    if _color_order(adj, full)[1][-1] == k:
+    # the greedy classes are a proper colouring with bounds[-1] colours,
+    # and the root of the clique search bounds by the same classes
+    classes = _color_order(adj, full)
+    k = max_clique(adj, full, meter, classes)[0] if omega is None else omega
+    if classes[1][-1] == k:
         return k
     # DSATUR has coloured with `used` colours, so k stops there unsearched,
     # and a graph whose clique number meets it runs no search.

@@ -157,19 +157,11 @@ class Graph:
         return seen == self.full_mask
 
 
-def _within_mask(G: Graph, within) -> int:
-    """Vertex bitmask of ``within``: all of G when None, else a mask or an
-    iterable of vertices."""
-    if within is None:
-        return G.full_mask
-    return within if isinstance(within, int) else mask_of(within)
-
-
-def count_cliques(G: Graph, b: int, within=None, budget: SearchBudget | None = None) -> int:
-    """Number of unlabeled b-cliques in G, or in G[within]."""
+def count_cliques(G: Graph, b: int, budget: SearchBudget | None = None) -> int:
+    """Number of unlabeled b-cliques in G."""
     if b < 1:
         raise ValueError("clique size must be at least 1")
-    return _kernels.count_cliques(G.adj, b, _within_mask(G, within), meter=_meter(budget, "count_cliques"))
+    return _kernels.count_cliques(G.adj, b, G.full_mask, meter=_meter(budget, "count_cliques"))
 
 
 def clique_number(G: Graph, budget: SearchBudget | None = None) -> int:

@@ -842,6 +842,22 @@ class TestCommandBudget:
         error = json.loads(proc.stdout)["error"]
         assert error["type"] == "budget" and "(time)" in error["message"]
 
+    def test_budget_nodes_bounds_the_whole_suite(self, capsys):
+        # the suite charges 952 nodes over three meters, the largest 690:
+        # the command's one budget runs out at 951
+        argv = ["verify", "--suite", "construction:d=5", "--json", "--budget-nodes"]
+        assert main(argv + ["951"]) == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "budget" and "(nodes)" in error["message"]
+        assert main(argv + ["952"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+
+    def test_budget_nodes_bounds_the_correspondence_suite(self, capsys):
+        # no solver call of the suite charges more than 23 nodes, but
+        # together they charge tens of thousands
+        assert main(["verify", "--suite", "correspondence", "--budget-nodes", "30", "--json"]) == 3
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "budget"
+
 
 class TestRepeatedKeys:
     def test_graph_key_twice(self, capsys):

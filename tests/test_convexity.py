@@ -5,7 +5,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import ultrafree.setsystems
-from ultrafree.budget import SearchBudget
+from ultrafree.budget import BudgetExceeded, SearchBudget
 from ultrafree.catalog import connected_graphs, seeded_random_graphs
 from ultrafree.convexity import (
     ConvexitySpace,
@@ -363,9 +363,9 @@ class TestCorrespondence:
 
 class TestCompositeMeters:
     def test_readme_example(self, monkeypatch):
-        # the README's example of a composite call: each sub-solver opens
-        # its own full meter, so 61 nodes in all stay under a cap of 40;
-        # one (r,2) search answers all three r
+        # a composite call passes its one budget to each sub-solver, whose
+        # meters all charge that budget: 61 nodes over six meters, and one
+        # (r,2) search answers all three r
         meters = []
         meter = SearchBudget.meter
 
@@ -374,7 +374,7 @@ class TestCompositeMeters:
             return meters[-1][1]
 
         monkeypatch.setattr(SearchBudget, "meter", recording_meter)
-        correspondence_checks(Graph.cycle(7), (3, 4, 5), SearchBudget(max_nodes=40))
+        correspondence_checks(Graph.cycle(7), (3, 4, 5), SearchBudget(max_nodes=61))
         assert [(op, m.nodes) for op, m in meters] == [
             ("mis_family", 16),
             ("clique_number", 2),
@@ -384,6 +384,9 @@ class TestCompositeMeters:
             ("has_pq_property", 10),
         ]
         assert sum(m.nodes for _, m in meters) == 61
+        with pytest.raises(BudgetExceeded) as exc:
+            correspondence_checks(Graph.cycle(7), (3, 4, 5), SearchBudget(max_nodes=60))
+        assert (exc.value.op, exc.value.nodes) == ("has_pq_property", 61)
 
 
 class TestCliqueFreeFromOmega:

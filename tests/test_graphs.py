@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from ultrafree import _kernels, budget
-from ultrafree.budget import BudgetExceeded, SearchBudget, UNLIMITED
+from ultrafree.budget import BudgetExceeded, SearchBudget
 from ultrafree.constructions import blowup, hypercube_lb, random_graph
 from ultrafree.graphs import (
     Graph,
@@ -118,8 +118,7 @@ class TestCliqueKernels:
         within = data.draw(st.integers(min_value=0, max_value=G.full_mask))
         for b in range(1, 5):
             want = oracles.cliques(G, b, within=members(within))
-            assert count_cliques(G, b, within=within) == len(want)
-            assert count_cliques(G, b, within=members(within)) == len(want)
+            assert _kernels.count_cliques(G.adj, b, within) == len(want)
 
     @given(oracles.graphs(max_n=8), st.data())
     @settings(max_examples=60, deadline=None)
@@ -202,6 +201,21 @@ class TestChromaticGreedyExit:
         monkeypatch.setattr(_kernels, "_dsatur_order", lambda adj, n: calls.append(n) or dsatur(adj, n))
         assert chromatic_number(G) == 2 + G.n % 2
         assert len(calls) == dsatur_calls
+
+    @pytest.mark.parametrize("G", [Graph.cycle(8), Graph.cycle(7)])
+    def test_greedy_classes_of_the_whole_graph_once(self, G, monkeypatch):
+        # the root of the clique search and the greedy exit share one
+        # colouring of the whole graph
+        masks = []
+        color_order = _kernels._color_order
+
+        def counted(adj, cand):
+            masks.append(cand)
+            return color_order(adj, cand)
+
+        monkeypatch.setattr(_kernels, "_color_order", counted)
+        assert chromatic_number(G) == 2 + G.n % 2
+        assert masks.count(G.full_mask) == 1
 
 
 class TestChromaticOrder:
@@ -327,15 +341,23 @@ class TestMaximality:
         assert is_maximal_kr_free(blowup(Graph.complete(3), [3, 3, 3])[0], 4)
         assert not is_maximal_kr_free(blowup(Graph.complete(3), [3, 3, 3])[0], 3)
 
-    def test_maximality_charges_each_coneighbourhood(self):
+    def test_maximality_charges_each_coneighbourhood(self, monkeypatch):
         # the twin quotient of hypercube_lb(5).G has 680 non-adjacent class
         # pairs and 10 classes of two or more twins; at r = 3 each test is
-        # a popcount, so the meter counts the co-neighbourhoods themselves
+        # a popcount, so the meter counts the co-neighbourhoods themselves.
+        # The budget also holds the K_3 count that is_kr_free runs first.
+        meters = []
+        meter = SearchBudget.meter
+        monkeypatch.setattr(SearchBudget, "meter", lambda b, op: meters.append(meter(b, op)) or meters[-1])
         G = hypercube_lb(5).G
+        b = SearchBudget()
+        assert is_maximal_kr_free(G, 3, b)
+        assert [(m.op, m.nodes) for m in meters] == [("count_cliques", 207), ("is_maximal_kr_free", 690)]
+        assert b.nodes == 897
         with pytest.raises(BudgetExceeded) as exc:
-            is_maximal_kr_free(G, 3, SearchBudget(max_nodes=689))
+            is_maximal_kr_free(G, 3, SearchBudget(max_nodes=896))
         assert exc.value.op == "is_maximal_kr_free"
-        assert is_maximal_kr_free(G, 3, SearchBudget(max_nodes=690))
+        assert is_maximal_kr_free(G, 3, SearchBudget(max_nodes=897))
 
     def test_r2_degenerates_to_edgeless(self):
         assert is_maximal_kr_free(Graph(3), 2)
@@ -365,7 +387,7 @@ class TestBudget:
         assert exc.value.nodes > 5
 
     def test_unlimited_and_roomy(self):
-        assert chromatic_number(C5, UNLIMITED) == 3
+        assert chromatic_number(C5, SearchBudget()) == 3
         assert chromatic_number(C5, SearchBudget(max_nodes=10**6)) == 3
 
     @pytest.mark.parametrize("field", ["max_nodes", "max_millis"])
@@ -376,38 +398,52 @@ class TestBudget:
 
     def test_value_semantics(self):
         b = SearchBudget(max_nodes=10, max_millis=20)
-        assert b == SearchBudget(10, 20) and hash(b) == hash(SearchBudget(10, 20))
-        assert b != SearchBudget(max_nodes=10) and b != (10, 20)
         assert repr(b) == "SearchBudget(max_nodes=10, max_millis=20)"
-        assert repr(UNLIMITED) == "SearchBudget(max_nodes=None, max_millis=None)"
-        assert UNLIMITED == SearchBudget()
-        assert len({b, SearchBudget(10, 20), UNLIMITED}) == 2
-        with pytest.raises(AttributeError):
-            b.max_nodes = 5
-        with pytest.raises(AttributeError):
-            UNLIMITED.max_millis = 1
+        assert repr(SearchBudget()) == "SearchBudget(max_nodes=None, max_millis=None)"
         assert (b.max_nodes, b.max_millis) == (10, 20)
         with pytest.raises(ValueError, match="max_millis must be nonnegative"):
             SearchBudget(0, -1)
 
-    def test_budget_is_per_invocation(self):
+    def test_budget_is_one_account(self):
+        # each clique_number(C5) charges 2 nodes, all to the one budget
         b = SearchBudget(max_nodes=10**6)
         for _ in range(3):
             assert clique_number(C5, b) == 2
+        assert b.nodes == 6
+        b = SearchBudget(max_nodes=5)
+        for _ in range(2):
+            assert clique_number(C5, b) == 2
+        with pytest.raises(BudgetExceeded) as exc:
+            clique_number(C5, b)
+        assert (exc.value.reason, exc.value.nodes) == ("nodes", 6)
 
 
 class TestBudgetDeadline:
     def test_deadline_is_shared(self, monkeypatch):
         # the clock reads 0 as the budget and the first meter are made and
         # 1 after that: the 500 ms deadline passes between the two calls,
-        # so the second raises as it opens, before its first node
+        # so the second raises as it opens, before its first node, with
+        # the first call's 2 nodes on the budget
         ticks = iter([0.0, 0.0])
         monkeypatch.setattr(budget, "time", SimpleNamespace(monotonic=lambda: next(ticks, 1.0)))
         b = SearchBudget(max_millis=500)
         assert clique_number(C5, b) == 2
         with pytest.raises(BudgetExceeded) as exc:
             clique_number(C5, b)
-        assert (exc.value.op, exc.value.reason, exc.value.nodes) == ("clique_number", "time", 0)
+        assert (exc.value.op, exc.value.reason, exc.value.nodes) == ("clique_number", "time", 2)
+
+    def test_caps_are_read_on_every_check(self, monkeypatch):
+        b = SearchBudget()
+        assert clique_number(C5, b) == 2
+        b.max_nodes = 3
+        with pytest.raises(BudgetExceeded) as exc:
+            clique_number(C5, b)
+        assert (exc.value.reason, exc.value.nodes) == ("nodes", 4)
+        b.max_nodes, b.max_millis = None, 0
+        monkeypatch.setattr(budget, "time", SimpleNamespace(monotonic=lambda: b._start + 1.0))
+        with pytest.raises(BudgetExceeded) as exc:
+            clique_number(C5, b)
+        assert (exc.value.reason, exc.value.nodes) == ("time", 4)
 
 
 def _cliques_by_complement(adj, b, mask, meter):
