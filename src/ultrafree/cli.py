@@ -546,17 +546,9 @@ def _emit_error(args, kind: str, message: str, code: int) -> int:
 
 
 def _budget_from(args) -> SearchBudget | None:
-    millis = args.budget_ms
-    if millis is None:
-        env = os.environ.get("ULTRAFREE_BUDGET_MS")
-        if env is not None:
-            try:
-                millis = int(env)
-            except ValueError:
-                raise ValueError(f"ULTRAFREE_BUDGET_MS must be an integer, got {env!r}") from None
-    if args.budget_nodes is None and millis is None:
+    if args.budget_nodes is None and args.budget_ms is None:
         return None
-    return SearchBudget(max_nodes=args.budget_nodes, max_millis=millis)
+    return SearchBudget(max_nodes=args.budget_nodes, max_millis=args.budget_ms)
 
 
 def _build_parser(json_errors: bool) -> argparse.ArgumentParser:

@@ -39,8 +39,8 @@ def turan(n: int, parts: int) -> Graph:
 def kneser(m: int, k: int) -> Graph:
     """Vertices are the k-subsets of [m] in lexicographic order; edges join
     disjoint subsets."""
-    if m < 2 * k:
-        raise ValueError("need m >= 2k")
+    if not m >= 2 * k >= 0:
+        raise ValueError("need k >= 0 and m >= 2k")
     subsets = list(combinations(range(m), k))
     edges = [
         (i, j)

@@ -43,7 +43,8 @@ class UltraCertificate(NamedTuple):
 class HalfGraphEmbedding(NamedTuple):
     """xs[i]ys[i] are non-edges and xs[i]ys[j] are edges for j < i.
 
-    Pairs with j > i and same-side pairs are unconstrained.
+    Pairs with j > i and same-side pairs are unconstrained.  ``validate``
+    raises ClaimViolation on the first pair that breaks the pattern.
     """
 
     xs: tuple[int, ...]
@@ -52,25 +53,26 @@ class HalfGraphEmbedding(NamedTuple):
     def validate(self, G: Graph) -> None:
         k = len(self.xs)
         if len(self.ys) != k:
-            raise ValueError("sides must have equal length")
+            raise ClaimViolation("sides must have equal length")
         seen = set(self.xs) | set(self.ys)
         if any(not 0 <= v < G.n for v in seen):
-            raise ValueError(f"vertices must lie in 0..{G.n - 1}")
+            raise ClaimViolation(f"vertices must lie in 0..{G.n - 1}")
         if len(seen) != 2 * k:
-            raise ValueError("vertices must be distinct")
+            raise ClaimViolation("vertices must be distinct")
         for i in range(k):
             if G.has_edge(self.xs[i], self.ys[i]):
-                raise ValueError(f"matched pair {i} must be a non-edge")
+                raise ClaimViolation(f"matched pair {i} must be a non-edge")
             for j in range(i):
                 if not G.has_edge(self.xs[i], self.ys[j]):
-                    raise ValueError(f"xs[{i}]ys[{j}] must be an edge")
+                    raise ClaimViolation(f"xs[{i}]ys[{j}] must be an edge")
 
 
 class BiInducedMatching(NamedTuple):
     """Ordered pairs with cross edges exactly along the diagonal.
 
     Same-side adjacency is unconstrained; that is what distinguishes
-    this from an induced matching.
+    this from an induced matching.  ``validate`` raises ClaimViolation
+    on the first pair that breaks the pattern.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -78,15 +80,13 @@ class BiInducedMatching(NamedTuple):
     def validate(self, G: Graph) -> None:
         flat = [v for p in self.pairs for v in p]
         if any(not 0 <= v < G.n for v in flat):
-            raise ValueError(f"vertices must lie in 0..{G.n - 1}")
+            raise ClaimViolation(f"vertices must lie in 0..{G.n - 1}")
         if len(set(flat)) != len(flat):
-            raise ValueError("vertices must be distinct")
+            raise ClaimViolation("vertices must be distinct")
         for i, (a, b) in enumerate(self.pairs):
             for j, (c, d) in enumerate(self.pairs):
                 if G.has_edge(a, d) != (i == j):
-                    raise ValueError(
-                        f"cross pair ({i},{j}) violates the matching pattern"
-                    )
+                    raise ClaimViolation(f"cross pair ({i},{j}) violates the matching pattern")
 
 
 def ultra_parameter(G: Graph, r: int, budget: SearchBudget | None = None) -> UltraCertificate:
@@ -193,10 +193,7 @@ def find_half_graph(G: Graph, k: int, budget: SearchBudget | None = None):
             seq[i] = classes[cls][used[cls]]
             used[cls] += 1
     emb = HalfGraphEmbedding(tuple(xs), tuple(ys))
-    try:
-        emb.validate(G)
-    except ValueError as exc:
-        raise ClaimViolation(f"find_half_graph returned an invalid embedding: {exc}") from exc
+    emb.validate(G)
     return emb
 
 
@@ -233,8 +230,5 @@ def nu_bi(G: Graph, budget: SearchBudget | None = None):
     compat = [far_tails[b] & far_heads[a] for a, b in cands]
     best, mask = _kernels.max_clique(compat, (1 << len(cands)) - 1, _meter(budget, "nu_bi"))
     witness = BiInducedMatching(tuple(cands[i] for i in members(mask)))
-    try:
-        witness.validate(G)
-    except ValueError as exc:
-        raise ClaimViolation(f"nu_bi returned an invalid matching: {exc}") from exc
+    witness.validate(G)
     return best, witness

@@ -9,7 +9,7 @@ does ``ultrafree.__all__``: exporting a function does not make it live.
 The scan matches names, so it can only over-count what is reached.  A
 public method of a module-level class must be read as an attribute by
 package code outside its own body.  Every name listed in an ``__all__``
-must exist.
+must exist, and no module reads the process environment.
 """
 
 import ast
@@ -117,3 +117,14 @@ def test_every_all_entry_resolves():
         if not hasattr(_module(stem), name)
     ]
     assert missing == []
+
+
+def test_the_package_reads_no_environment():
+    # a command's result depends only on its argv and the files it names
+    reads = [
+        f"{stem}.py:{node.lineno}"
+        for stem in MODULES
+        for node in ast.walk(ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8")))
+        if getattr(node, "id", getattr(node, "attr", None)) in ("environ", "getenv")
+    ]
+    assert reads == []

@@ -70,6 +70,10 @@ class TestKneser:
     def test_rejects(self):
         with pytest.raises(ValueError):
             kneser(3, 2)
+        # a negative k is named, not left to itertools.combinations
+        with pytest.raises(ValueError, match="k >= 0"):
+            kneser(5, -1)
+        assert kneser(5, 0).n == 1
 
 
 class TestCrown:

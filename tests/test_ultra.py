@@ -126,18 +126,18 @@ class TestHalfGraphEmbedding:
         emb.validate(G)
 
     def test_rejects(self):
-        with pytest.raises(ValueError, match="equal length"):
+        with pytest.raises(ClaimViolation, match="equal length"):
             HalfGraphEmbedding((0,), (1, 2)).validate(C5)
-        with pytest.raises(ValueError, match="distinct"):
+        with pytest.raises(ClaimViolation, match="distinct"):
             HalfGraphEmbedding((0, 1), (2, 0)).validate(C5)
-        with pytest.raises(ValueError, match="non-edge"):
+        with pytest.raises(ClaimViolation, match="non-edge"):
             HalfGraphEmbedding((0,), (1,)).validate(C5)
-        with pytest.raises(ValueError, match="must be an edge"):
+        with pytest.raises(ClaimViolation, match="must be an edge"):
             HalfGraphEmbedding((0, 1), (3, 4)).validate(C5)
 
     def test_rejects_negative_vertex(self):
         # -1 and 3 are the same vertex of the 4-vertex path
-        with pytest.raises(ValueError, match="must lie in"):
+        with pytest.raises(ClaimViolation, match="must lie in"):
             HalfGraphEmbedding((0, -1), (2, 3)).validate(Graph.path(4))
 
 
@@ -150,15 +150,15 @@ class TestBiInducedMatching:
         BiInducedMatching(((0, 1), (3, 2))).validate(C5)
 
     def test_rejects(self):
-        with pytest.raises(ValueError, match="distinct"):
+        with pytest.raises(ClaimViolation, match="distinct"):
             BiInducedMatching(((0, 1), (1, 2))).validate(C5)
-        with pytest.raises(ValueError, match="pattern"):
+        with pytest.raises(ClaimViolation, match="pattern"):
             BiInducedMatching(((0, 2),)).validate(C5)  # diagonal must be an edge
-        with pytest.raises(ValueError, match="pattern"):
+        with pytest.raises(ClaimViolation, match="pattern"):
             BiInducedMatching(((0, 1), (2, 3))).validate(C5)  # edge (2,1) off-diagonal
 
     def test_rejects_negative_vertex(self):
-        with pytest.raises(ValueError, match="must lie in"):
+        with pytest.raises(ClaimViolation, match="must lie in"):
             BiInducedMatching(((0, 1), (3, -2))).validate(Graph.path(4))
 
 
@@ -232,6 +232,15 @@ class TestFindHalfGraph:
     def test_rejects(self):
         with pytest.raises(ValueError):
             find_half_graph(C5, 0)
+
+    def test_node_budget(self):
+        # C5 blown up by 3 has no half-graph on 12 vertices; proving so
+        # charges 121 nodes
+        G = blowup(C5, [3] * 5)[0]
+        with pytest.raises(BudgetExceeded) as exc:
+            find_half_graph(G, 6, SearchBudget(max_nodes=10))
+        assert exc.value.op == "find_half_graph"
+        assert find_half_graph(G, 6, SearchBudget(max_nodes=121)) is None
 
     def test_invalid_embedding_is_claim_violation(self, monkeypatch):
         # the search runs on the complement's quotient, so its embedding
