@@ -136,7 +136,7 @@ _FAMILIES = {
     "hypercube-lb": (("d",), lambda p: hypercube_lb(p["d"]).G),
     "hypercube-lb-quotient": (("d",), lambda p: hypercube_lb(p["d"]).H),
     "ultra-vc": (("m",), lambda p: ultra_vc_example(p["m"])),
-    "c5-blowup": (("s",), lambda p: blowup(Graph.cycle(5), [p["s"]] * 5)[0]),
+    "c5-blowup": (("s",), lambda p: blowup(Graph.cycle(5), [p["s"]] * 5)),
     "random": (("n", "num", "den", "seed"), lambda p: random_graph(p["n"], p["num"], p["den"], p["seed"])),
 }
 
@@ -281,7 +281,7 @@ def _cmd_space(args, budget) -> int:
     if args.weak_net is not None:
         eps = _parse_fraction(args.weak_net)
         mu = _load_measure("uniform" if args.measure is None else args.measure, S.ground_size)
-        out["weak_net"] = list(weak_eps_net(S, mu, eps))
+        out["weak_net"] = list(weak_eps_net(S, mu, eps, budget))
     _print_payload(args, out)
     return 0
 
@@ -311,11 +311,6 @@ def _cmd_decompose(args, budget) -> int:
 # the instance's JSON form, called only for a rule's first failure.
 
 
-def _check(name: str, rule: str, ok, detail=None) -> Check:
-    # ok None skips the instance; the detail is both value and witness
-    return _verdict(name, rule, ok, value=detail, witness=detail)
-
-
 def _tally(pairs) -> list[Check]:
     """One check per rule: its pass, skip and total counts over all
     instances, with the first failing instance kept as the witness."""
@@ -339,8 +334,8 @@ def _tally(pairs) -> list[Check]:
             elif slot["witness"] is None:
                 slot["witness"] = {
                     "instance": instance(),
-                    "value": jsonable(chk.value),
-                    "witness": jsonable(chk.witness),
+                    "value": chk.value,
+                    "witness": chk.witness,
                 }
     out = []
     for name, slot in slots.items():
@@ -375,7 +370,7 @@ def _suite_halfgraph(budget):
     instances: list[tuple[str, Graph]] = [("cycle:n=5", Graph.cycle(5))]
     instances.append(("hypercube-lb:d=2", hypercube_lb(2).G))
     for s in range(2, 9):
-        instances.append((f"c5-blowup:s={s}", blowup(Graph.cycle(5), [s] * 5)[0]))
+        instances.append((f"c5-blowup:s={s}", blowup(Graph.cycle(5), [s] * 5)))
     for name, G in instances:
         es = ultra_parameter(G, 3, budget).epsilon_star
         positive = es is not None and es > 0
@@ -387,13 +382,13 @@ def _suite_halfgraph(budget):
             ok = emb is None
             detail = {"k": k} if ok else {"k": k, "embedding": [emb.xs, emb.ys]}
         yield partial(str, name), [
-            _check(
+            _verdict(
                 "instance-is-ultra",
                 "positive-clique-density-parameter",
                 positive,
                 {"epsilon_star": es},
             ),
-            _check("no-half-graph-at-threshold", "density-forbids-large-half-graphs", ok, detail),
+            _verdict("no-half-graph-at-threshold", "density-forbids-large-half-graphs", ok, detail),
         ]
 
 
@@ -409,26 +404,26 @@ def _suite_construction(budget, d):
     quotient = twin_quotient(G).quotient
     core = p4_obstruction(G, budget).core
     yield partial(str, f"hypercube-lb:d={d}"), [
-        _check(
+        _verdict(
             "construction-size",
             "blowup-size-formula",
             G.n == expected,
             {"n": G.n, "expected": expected},
         ),
-        _check(
+        _verdict(
             "min-codegree",
             "codegree-scales-with-dimension",
             cd is not None and cd >= 1 << (d - 2),
             {"min_codegree": cd, "required": 1 << (d - 2)},
         ),
-        _check("maximal-triangle-free", "construction-is-maximal-triangle-free", maximal),
-        _check(
+        _verdict("maximal-triangle-free", "construction-is-maximal-triangle-free", maximal),
+        _verdict(
             "twin-quotient-matches",
             "twin-quotient-recovers-base",
             quotient == H,
             {"quotient_size": quotient.n, "base_size": H.n},
         ),
-        _check(
+        _verdict(
             "p4-core-size",
             "obstruction-core-lower-bound",
             len(core) >= 1 << (d - 1),
@@ -440,16 +435,8 @@ def _suite_construction(budget, d):
 def _suite_mindeg_ultra(budget):
     for r in (3, 4, 5):
         for n in range(r - 1, 31):
-            G = turan(n, r - 1)
             name = f"turan:n={n}:parts={r - 1}:r={r}"
-            eps = Fraction(G.min_degree(), n) - Fraction(2 * r - 5, 2 * r - 3)
-            if eps > 0:
-                yield partial(str, name), min_degree_ultra_check(G, r, eps, budget)
-            else:
-                yield partial(str, name), [
-                    _check("degree-hypothesis", "min-degree-meets-threshold", None),
-                    _check("ultra-parameter-lower-bound", "degree-implies-clique-density", None),
-                ]
+            yield partial(str, name), min_degree_ultra_check(turan(n, r - 1), r, budget)
 
 
 def _suite_codeg_edge(budget, catalog, seed):

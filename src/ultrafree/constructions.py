@@ -33,7 +33,7 @@ def turan(n: int, parts: int) -> Graph:
         raise ValueError("need 1 <= parts <= n")
     q, r = divmod(n, parts)
     sizes = [q + 1] * r + [q] * (parts - r)
-    return blowup(Graph.complete(parts), sizes)[0]
+    return blowup(Graph.complete(parts), sizes)
 
 
 def kneser(m: int, k: int) -> Graph:
@@ -86,7 +86,7 @@ def anchored_crown(anchor: Graph, a: int, b: int) -> Graph:
     edges += [(t + i, 2 * t + i) for i in range(t)]
     skeleton = Graph(3 * t, edges)
     sizes = [a] * (2 * t) + [b] * t
-    out, _ = blowup(skeleton, sizes)
+    out = blowup(skeleton, sizes)
     if not is_maximal_kr_free(out, 3):
         raise ClaimViolation("anchored crown lost maximal triangle-freeness")
     return out
@@ -120,25 +120,22 @@ def hypercube_lb(d: int) -> HypercubePair:
         for i in range(d):
             edges.append((base + u, 2 * i + (u >> i & 1)))
     H = Graph(base + (1 << d), edges)
-    G, _ = blowup(H, [1 << d] * base + [1] * (1 << d))
+    G = blowup(H, [1 << d] * base + [1] * (1 << d))
     return HypercubePair(H, G)
 
 
-def blowup(F: Graph, sizes) -> tuple[Graph, list[int]]:
-    """Replace vertex v of F by sizes[v] independent copies.
+def blowup(F: Graph, sizes) -> Graph:
+    """Replace vertex v of F by sizes[v] independent copies, laid out
+    part-major in F's order.
 
     Copies of adjacent vertices are completely joined; copies of one vertex
-    or of non-adjacent vertices are non-adjacent.  Returns the blown-up
-    graph and the map from new vertex to its F-origin.
+    or of non-adjacent vertices are non-adjacent.
     """
     sizes = list(sizes)
     if len(sizes) != F.n:
         raise ValueError("one size per vertex required")
     if any(s < 1 for s in sizes):
         raise ValueError("all sizes must be positive")
-    origin = []
-    for v in range(F.n):
-        origin.extend([v] * sizes[v])
     start = []
     acc = 0
     for v in range(F.n):
@@ -148,7 +145,7 @@ def blowup(F: Graph, sizes) -> tuple[Graph, list[int]]:
     masks = []
     for v in range(F.n):
         masks.extend([_lift(F.adj[v], class_mask)] * sizes[v])
-    return Graph.from_masks(masks), origin
+    return Graph.from_masks(masks)
 
 
 def half_min(k: int) -> Graph:
@@ -165,7 +162,7 @@ def ultra_vc_example(m: int) -> Graph:
     growing with m: the anchored crown over K_{m,m} with weights (1, 2)."""
     if m < 2:
         raise ValueError("need m >= 2")
-    return anchored_crown(blowup(Graph.complete(2), [m, m])[0], 1, 2)
+    return anchored_crown(blowup(Graph.complete(2), [m, m]), 1, 2)
 
 
 def random_graph(n: int, p_num: int, p_den: int, seed: int) -> Graph:

@@ -222,11 +222,13 @@ def space_helly_number(S: ConvexitySpace, budget: SearchBudget | None = None) ->
     return _ss.helly_number(_ss.SetSystem.from_masks(S.ground_size, sets), budget)
 
 
-def weak_eps_net(S: ConvexitySpace, mu: Measure, eps) -> tuple[int, ...]:
+def weak_eps_net(
+    S: ConvexitySpace, mu: Measure, eps, budget: SearchBudget | None = None
+) -> tuple[int, ...]:
     """A point set meeting every convex set of measure >= eps.
 
     Greedy over the enumerated heavy convex sets: correct by construction,
-    not guaranteed minimum.
+    not guaranteed minimum.  The budget meters the enumeration.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -235,7 +237,7 @@ def weak_eps_net(S: ConvexitySpace, mu: Measure, eps) -> tuple[int, ...]:
         if not 0 <= p < S.ground_size:
             raise ValueError(f"measure point {p} is not in 0..{S.ground_size - 1}")
     heavy = _ss.SetSystem.from_masks(
-        S.ground_size, [c for c in S.convex_sets() if mu.mass(c) >= eps]
+        S.ground_size, [c for c in S.convex_sets(budget) if mu.mass(c) >= eps]
     )
     # a heavy set has positive mass, so it is nonempty
     covers = _ss._element_cover_masks(heavy)
@@ -248,7 +250,7 @@ def correspondence_checks(
     """Check the dictionary between a graph and its star system, for each
     r in ``rs``: coloring vs covering, cliques vs matchings, edges vs
     disjointness, clique freeness vs the (r,2)-property, and independence
-    vs intersection.  Each list is in check-name order.
+    vs intersection.
 
     Only the clique-freeness check reads r; the others are computed once
     and shared by every r, and one search answers the (r,2)-property for
@@ -289,7 +291,6 @@ def correspondence_checks(
     expected_h = 2 if G.edge_count() >= 1 else 1
     h = _ss.helly_number(stars, budget)
 
-    # in name order, with each r's (r,2) check to go third
     shared = [
         _verdict(
             "chromatic-equals-transversal",
@@ -340,13 +341,14 @@ def correspondence_checks(
         # G is K_r-free exactly when its clique number is below r
         free = omega < r
         pq = pqs[r]
-        pq_check = _verdict(
-            "clique-free-matches-pq",
-            "clique-free-matches-pq",
-            free == pq,
-            value={"r": r, "kr_free": free, "pq": pq},
-            witness={"r": r},
-        )
-        out[r] = shared[:2] + [pq_check] + shared[2:]
+        out[r] = shared + [
+            _verdict(
+                "clique-free-matches-pq",
+                "clique-free-matches-pq",
+                free == pq,
+                value={"r": r, "kr_free": free, "pq": pq},
+                witness={"r": r},
+            )
+        ]
     return out
 

@@ -251,9 +251,9 @@ def vc_chromatic_partition(G: Graph, c, budget: SearchBudget | None = None):
     """Proper coloring from the neighborhood-proximity partition at
     threshold c*n/3 on a triangle-free graph of min degree >= c*n.
 
-    Returns (colors, checks), the checks in name order; independence of
-    the parts raises ClaimViolation on failure, while the color-count
-    bound is recorded as a check.
+    Returns (colors, checks); independence of the parts raises
+    ClaimViolation on failure, while the color-count bound is recorded
+    as a check.
     """
     c = Fraction(c)
     if c <= 0:
@@ -282,27 +282,23 @@ def vc_chromatic_partition(G: Graph, c, budget: SearchBudget | None = None):
             value={"colors": m, "vc": d, "bound": bound, "c": c},
             witness={"colors": m, "bound": bound},
         ),
-        Check(
-            "parts-independent",
-            "close-neighborhoods-forbid-edges",
-            "pass",
-            value={"parts": m},
-        ),
+        _verdict("parts-independent", "close-neighborhoods-forbid-edges", True, value={"parts": m}),
     ]
 
 
-def min_degree_ultra_check(
-    G: Graph, r: int, eps, budget: SearchBudget | None = None
-) -> list[Check]:
+def min_degree_ultra_check(G: Graph, r: int, budget: SearchBudget | None = None) -> list[Check]:
     """Degree hypothesis ((2r-5)/(2r-3) + eps)*n forces the clique
-    density parameter up to eps^(r-2); checked exactly.  The checks come
-    in name order."""
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    density parameter up to eps^(r-2); checked exactly.  The slack eps
+    is read off G's min degree, and an instance with none is skipped."""
     if r < 3:
         raise ValueError("need r >= 3")
-    threshold = (Fraction(2 * r - 5, 2 * r - 3) + eps) * G.n
+    delta = G.min_degree()
+    eps = Fraction(delta, G.n) - Fraction(2 * r - 5, 2 * r - 3) if G.n else 0
+    if eps <= 0:
+        return [
+            _verdict("degree-hypothesis", "min-degree-meets-threshold", None),
+            _verdict("ultra-parameter-lower-bound", "degree-implies-clique-density", None),
+        ]
     try:
         cert = ultra_parameter(G, r, budget)
     except PreconditionViolated:  # G holds a K_r
@@ -310,16 +306,14 @@ def min_degree_ultra_check(
     # a K_r-free graph is maximal iff every non-adjacent pair sees a K_{r-2}
     if cert is None or cert.epsilon_star == 0:
         raise PreconditionViolated("graph is not maximal K_r-free")
-    delta = G.min_degree()
-    if Fraction(delta) < threshold:
-        raise PreconditionViolated(f"min degree {delta} below {threshold}")
     target = eps ** (r - 2)
     return [
-        Check(
+        _verdict(
             "degree-hypothesis",
             "min-degree-meets-threshold",
-            "pass",
-            value={"min_degree": delta, "threshold": threshold, "r": r, "eps": eps},
+            True,
+            # ((2r-5)/(2r-3) + eps)*n is delta itself, reported as a Fraction
+            value={"min_degree": delta, "threshold": Fraction(delta), "r": r, "eps": eps},
         ),
         _verdict(
             "ultra-parameter-lower-bound",
@@ -333,17 +327,13 @@ def min_degree_ultra_check(
 
 def codegree_density_check(G: Graph, budget: SearchBudget | None = None) -> list[Check]:
     """Min codegree c*n over non-adjacent pairs forces co-neighborhood
-    edge density at least 2 - 1/c; vacuous instances are skipped.  The
-    checks come in name order."""
+    edge density at least 2 - 1/c; vacuous instances are skipped."""
     delta2 = _graphs.codegree_min(G, 2)
     if delta2 is None or delta2 == 0:
         reason = "no non-adjacent pair" if delta2 is None else "zero min codegree"
         return [
-            Check(
-                "co-neighborhood-density",
-                "codegree-forces-density",
-                "skipped",
-                value={"reason": reason},
+            _verdict(
+                "co-neighborhood-density", "codegree-forces-density", None, value={"reason": reason}
             )
         ]
     c = Fraction(delta2, G.n)
@@ -357,10 +347,10 @@ def codegree_density_check(G: Graph, budget: SearchBudget | None = None) -> list
             value={"density": dens, "required": required},
             witness={"density": dens, "required": required},
         ),
-        Check(
+        _verdict(
             "codegree-hypothesis",
             "codegree-constant-computed",
-            "pass",
+            True,
             value={"c": c, "min_codegree": delta2},
         ),
     ]

@@ -100,13 +100,15 @@ class Report:
 
 def _verdict(name: str, rule: str, ok, value=None, witness=None) -> Check:
     """The check whose status follows ``ok``: None skips, truthy passes,
-    falsy fails.  Only a failure keeps its witness, ``{}`` when none is
-    given."""
+    falsy fails.  Only a failure keeps its witness; when none is given it
+    is the value, or ``{}`` when that is None too."""
     if ok is None:
         return Check(name, rule, "skipped", value=value)
     if ok:
         return Check(name, rule, "pass", value=value)
-    return Check(name, rule, "fail", value=value, witness={} if witness is None else witness)
+    if witness is None:
+        witness = {} if value is None else value
+    return Check(name, rule, "fail", value=value, witness=witness)
 
 
 def digest_of(*parts) -> str:

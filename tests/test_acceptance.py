@@ -128,7 +128,7 @@ def test_criterion_05():
     """No half graph of order ceil(1/eps*) + 1 embeds in C5, the d=2
     lower-bound construction, or any C5 blow-up with up to 40 vertices."""
     targets = [C5, hypercube_lb(2).G]
-    targets += [blowup(C5, [s] * 5)[0] for s in range(2, 9)]
+    targets += [blowup(C5, [s] * 5) for s in range(2, 9)]
     for G in targets:
         eps = ultra_parameter(G, 3).epsilon_star
         assert eps is not None and eps > 0
@@ -178,7 +178,7 @@ def test_criterion_08():
     packing bound with exact rationals."""
     instances = [
         (hypercube_lb(2).G, Fraction(1, 20)),
-        (blowup(C5, [3] * 5)[0], Fraction(1, 5)),
+        (blowup(C5, [3] * 5), Fraction(1, 5)),
         (ultra_vc_example(2), Fraction(1, 16)),
         (ultra_vc_example(3), Fraction(1, 24)),
     ]
@@ -201,14 +201,14 @@ def test_criterion_09(small_catalog):
     passes = skips = 0
     for r in (3, 4, 5):
         for n in range(r - 1, 31):
-            G = turan(n, r - 1)
-            eps = Fraction(G.min_degree(), n) - Fraction(2 * r - 5, 2 * r - 3)
-            if eps <= 0:
-                skips += 1
-                continue
-            checks = min_degree_ultra_check(G, r, eps)
+            checks = min_degree_ultra_check(turan(n, r - 1), r)
             assert all(c.passed for c in checks), (r, n, [c.to_json() for c in checks])
-            passes += 1
+            statuses = {c.status for c in checks}
+            assert len(statuses) == 1, (r, n, statuses)
+            if statuses == {"skipped"}:
+                skips += 1
+            else:
+                passes += 1
     assert (passes, skips) == (70, 14)
 
     informative = 0

@@ -9,7 +9,8 @@ does ``ultrafree.__all__``: exporting a function does not make it live.
 The scan matches names, so it can only over-count what is reached.  A
 public method of a module-level class must be read as an attribute by
 package code outside its own body.  Every name listed in an ``__all__``
-must exist, and no module reads the process environment.
+must exist, no module reads the process environment, and no check name
+is written in two modules.
 """
 
 import ast
@@ -128,3 +129,29 @@ def test_the_package_reads_no_environment():
         if getattr(node, "id", getattr(node, "attr", None)) in ("environ", "getenv")
     ]
     assert reads == []
+
+
+def _check_name_modules() -> dict[str, set]:
+    """For each string literal passed first to ``_verdict``, ``Check`` or
+    ``_check``, the modules that pass it."""
+    out: dict[str, set] = {}
+    for stem in MODULES:
+        for node in ast.walk(ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None))
+                in ("_verdict", "Check", "_check")
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)
+            ):
+                out.setdefault(node.args[0].value, set()).add(stem)
+    return out
+
+
+def test_each_check_name_is_written_in_one_module():
+    # a check's name and rule live with the code that reaches its verdict
+    names = _check_name_modules()
+    assert sorted(name for name, stems in names.items() if len(stems) > 1) == []
+    assert names["degree-hypothesis"] == {"decompose"}
+    assert names["construction-size"] == {"cli"}

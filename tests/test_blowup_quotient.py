@@ -31,7 +31,7 @@ from ultrafree.ultra import ultra_parameter
 def blowups(draw, max_n=8, max_size=5):
     F = draw(oracles.graphs(max_n=max_n))
     sizes = draw(st.lists(st.integers(1, max_size), min_size=F.n, max_size=F.n))
-    G, _ = blowup(F, sizes)
+    G = blowup(F, sizes)
     perm = draw(st.permutations(range(G.n)))
     return Graph(G.n, [(perm[u], perm[v]) for u, v in G.edges()])
 

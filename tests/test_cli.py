@@ -354,6 +354,13 @@ class TestSpace:
         assert main(["space", '{"kind": "subcubes", "dim": 2}', "--weak-net", "1/2", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["weak_net"] == [0, 3]
 
+    def test_weak_net_budget(self, capsys):
+        # the convex-set enumeration behind the net is charged to the command
+        argv = ["space", '{"kind":"subcubes","dim":3}', "--weak-net", "1/4", "--json"]
+        assert main(argv + ["--budget-nodes", "1"]) == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "budget" and error["message"].startswith("convex_sets:")
+
     def test_weak_net_with_measure_file(self, tmp_path, capsys):
         mf = tmp_path / "dirac.json"
         mf.write_text('{"0": "1"}')
@@ -508,6 +515,23 @@ class TestVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
     @pytest.mark.parametrize(
+        "suite, sha256",
+        [
+            ("mindeg-ultra", "3c74aa716a1d4015f8195ccad49c7e9921890c1e0c542424137748d1437c001d"),
+            ("halfgraph", "c75025da7ee23a40c8ca4e88d4c21bdeae4b23707077f8847cc30645d6c939b9"),
+            ("construction:d=3", "1e0f5603f990063674802bc667c37d2d2d1651b905a88fb3061811491906d21a"),
+            ("correspondence", "067aa18001645af365d488224a08955f9c92f3adc3df2e86de0b89bb91ab6393"),
+            ("codeg-edge", "f939349444be2ae6c666fba870e2d2de1a94533573fd7423b8431ad162c2ce32"),
+            ("vc-chromatic", "72e256409fac796cfbc91c3b3bc70b4ee1cd10d503ecc32145ff9f4759530da5"),
+        ],
+    )
+    def test_text_report_bytes_pinned(self, suite, sha256, small_catalog, capsys):
+        # the summary lines and the verdict line, without --json
+        assert main(["verify", "--suite", suite]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    @pytest.mark.parametrize(
         "family, params, flags, sha256",
         [
             (
@@ -574,7 +598,8 @@ class TestVerify:
         assert obj["passed"] is False
         by_name = {c["name"]: c for c in obj["checks"]}
         assert by_name["construction-size"]["status"] == "fail"
-        assert by_name["construction-size"]["witness"] is not None
+        # H has 2d + 2^d = 8 vertices where G's formula expects 20
+        assert by_name["construction-size"]["witness"]["witness"] == {"n": 8, "expected": 20}
 
     def test_halfgraph_suite(self, capsys):
         assert main(["verify", "--suite", "halfgraph", "--json"]) == 0

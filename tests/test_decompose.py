@@ -5,7 +5,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import ultrafree.graphs
-from ultrafree.constructions import blowup, half_min, hypercube_lb, turan
+from ultrafree.constructions import blowup, crown, half_min, hypercube_lb, turan
 from ultrafree.decompose import (
     E_UP,
     BlowupDecomposition,
@@ -74,7 +74,7 @@ class TestHausslerPartition:
         )
 
     def test_blowup_recovers_parts(self):
-        B, _ = blowup(C5, [3] * 5)
+        B = blowup(C5, [3] * 5)
         deco = haussler_partition(B, 3, Fraction(1, 5))
         assert len(deco.parts) == 5
         assert all(len(p) == 3 for p in deco.parts)
@@ -145,7 +145,7 @@ class TestDecompositionValidate:
 
 class TestTwinQuotient:
     def test_c5_blowup(self):
-        B, _ = blowup(C5, [2, 1, 3, 1, 2])
+        B = blowup(C5, [2, 1, 3, 1, 2])
         deco = twin_quotient(B)
         assert deco.parts == ((0, 1), (2,), (3, 4, 5), (6,), (7, 8))
         assert deco.quotient == C5
@@ -245,7 +245,7 @@ class TestVcChromaticPartition:
         assert checks[0].value["bound"] == packing_bound(2, 5, Fraction(2, 3))
 
     def test_blowup_merges_twins(self):
-        B, _ = blowup(C5, [2] * 5)
+        B = blowup(C5, [2] * 5)
         colors, checks = vc_chromatic_partition(B, Fraction(2, 5))
         assert colors == (0, 0, 1, 1, 2, 2, 3, 3, 4, 4)
         assert all(c.passed for c in checks)
@@ -265,7 +265,7 @@ class TestVcChromaticPartition:
 
 class TestMinDegreeUltra:
     def test_balanced_bipartite(self):
-        checks = min_degree_ultra_check(turan(9, 2), 3, Fraction(1, 9))
+        checks = min_degree_ultra_check(turan(9, 2), 3)
         assert all(c.passed for c in checks)
         ultra = checks[1]
         assert ultra.name == "ultra-parameter-lower-bound"
@@ -275,7 +275,7 @@ class TestMinDegreeUltra:
         }
 
     def test_three_parts(self):
-        assert all(c.passed for c in min_degree_ultra_check(turan(12, 3), 4, Fraction(1, 15)))
+        assert all(c.passed for c in min_degree_ultra_check(turan(12, 3), 4))
 
     def test_no_separate_maximality_scan(self, monkeypatch):
         # maximality is read off the one ultra_parameter scan
@@ -288,16 +288,16 @@ class TestMinDegreeUltra:
         self.test_preconditions()
 
     def test_preconditions(self):
-        with pytest.raises(PreconditionViolated, match="not maximal"):
-            min_degree_ultra_check(half_min(2), 3, Fraction(1, 10))
-        with pytest.raises(PreconditionViolated, match="not maximal"):
-            min_degree_ultra_check(Graph.complete(4), 3, Fraction(1, 10))
-        with pytest.raises(PreconditionViolated, match="below"):
-            min_degree_ultra_check(C5, 3, Fraction(1, 5))
+        # both have degree slack: K4 holds a triangle, and crown(4) is
+        # triangle-free but not maximal
+        for G in (Graph.complete(4), crown(4)):
+            with pytest.raises(PreconditionViolated, match="not maximal"):
+                min_degree_ultra_check(G, 3)
         with pytest.raises(ValueError):
-            min_degree_ultra_check(C5, 3, 0)
-        with pytest.raises(ValueError):
-            min_degree_ultra_check(C5, 2, Fraction(1, 9))
+            min_degree_ultra_check(C5, 2)
+        # min degree 2/5 of n is below the 3/5 of r = 4: no slack, so skipped
+        checks = min_degree_ultra_check(C5, 4)
+        assert [(c.status, c.value) for c in checks] == [("skipped", None)] * 2
 
 
 class TestCodegreeDensity:
@@ -320,28 +320,13 @@ class TestCodegreeDensity:
         assert checks[0].value == {"reason": "zero min codegree"}
 
     def test_blowup(self):
-        B, _ = blowup(C5, [2] * 5)
+        B = blowup(C5, [2] * 5)
         assert all(c.passed for c in codegree_density_check(B))
 
     @given(oracles.graphs(max_n=6))
     @settings(max_examples=40, deadline=None)
     def test_never_fails(self, G):
         assert all(c.status != "fail" for c in codegree_density_check(G))
-
-
-@pytest.mark.parametrize(
-    "G", [C5, turan(8, 2), blowup(C5, [2] * 5)[0]], ids=["c5", "turan", "blowup"]
-)
-def test_check_producers_return_name_order(G):
-    # each producer hands its checks up in the order a report sorts them
-    lists = [
-        min_degree_ultra_check(G, 3, Fraction(1, 15)),
-        codegree_density_check(G),
-        vc_chromatic_partition(G, Fraction(1, 4))[1],
-    ]
-    for checks in lists:
-        names = [c.name for c in checks]
-        assert len(names) == 2 and names == sorted(names)
 
 
 class TestSeparate:

@@ -53,7 +53,7 @@ class TestGraphBasics:
         assert Graph.path(4).edges() == [(0, 1), (1, 2), (2, 3)]
         with pytest.raises(ValueError):
             Graph.cycle(2)
-        K23 = blowup(Graph.complete(2), [2, 3])[0]
+        K23 = blowup(Graph.complete(2), [2, 3])
         assert K23.edge_count() == 6
         assert not K23.has_edge(0, 1) and not K23.has_edge(2, 3)
         assert K23.has_edge(0, 2)
@@ -338,8 +338,8 @@ class TestMaximality:
     def test_maximal(self):
         assert is_maximal_kr_free(C5, 3)
         assert not is_maximal_kr_free(Graph.path(4), 3)
-        assert is_maximal_kr_free(blowup(Graph.complete(3), [3, 3, 3])[0], 4)
-        assert not is_maximal_kr_free(blowup(Graph.complete(3), [3, 3, 3])[0], 3)
+        assert is_maximal_kr_free(blowup(Graph.complete(3), [3, 3, 3]), 4)
+        assert not is_maximal_kr_free(blowup(Graph.complete(3), [3, 3, 3]), 3)
 
     def test_maximality_charges_each_coneighbourhood(self, monkeypatch):
         # the twin quotient of hypercube_lb(5).G has 680 non-adjacent class

@@ -174,7 +174,7 @@ class TestNuBi:
         assert nu_bi(half_min(2))[0] == 1
 
     def test_blowup_grows_value(self):
-        B, _ = blowup(C5, [2] * 5)
+        B = blowup(C5, [2] * 5)
         assert nu_bi(B)[0] == 3
 
     @given(oracles.graphs(max_n=6))
@@ -236,7 +236,7 @@ class TestFindHalfGraph:
     def test_node_budget(self):
         # C5 blown up by 3 has no half-graph on 12 vertices; proving so
         # charges 121 nodes
-        G = blowup(C5, [3] * 5)[0]
+        G = blowup(C5, [3] * 5)
         with pytest.raises(BudgetExceeded) as exc:
             find_half_graph(G, 6, SearchBudget(max_nodes=10))
         assert exc.value.op == "find_half_graph"
