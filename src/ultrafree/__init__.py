@@ -14,7 +14,6 @@ from .budget import BudgetExceeded, SearchBudget
 from .catalog import connected_graphs
 from .constructions import (
     HypercubePair,
-    anchored_crown,
     blowup,
     crown,
     half_min,
@@ -52,7 +51,6 @@ from .graphs import (
     clique_number,
     codegree_min,
     count_cliques,
-    enumerate_mis,
     is_kr_free,
     is_maximal_kr_free,
 )
@@ -93,7 +91,6 @@ __all__ = [
     "SearchBudget",
     "connected_graphs",
     "HypercubePair",
-    "anchored_crown",
     "blowup",
     "crown",
     "half_min",
@@ -126,7 +123,6 @@ __all__ = [
     "clique_number",
     "codegree_min",
     "count_cliques",
-    "enumerate_mis",
     "is_kr_free",
     "is_maximal_kr_free",
     "emit_dimacs",

@@ -51,7 +51,6 @@ from .graphs import (
     clique_codensity,
     clique_number,
     codegree_min,
-    enumerate_mis,
     is_kr_free,
     is_maximal_kr_free,
 )
@@ -176,7 +175,7 @@ def _cmd_gen(args, budget) -> int:
 _GRAPH_METRICS = {
     "chi": (0, lambda G, budget: chromatic_number(G, budget)),
     "omega": (0, lambda G, budget: clique_number(G, budget)),
-    "mis": (0, lambda G, budget: len(enumerate_mis(G, budget))),
+    "mis": (0, lambda G, budget: len(mis_family(G, budget))),
     "nubi": (0, lambda G, budget: nu_bi(G, budget)[0]),
     "ultra": (1, lambda G, budget, r: ultra_parameter(G, r, budget).epsilon_star),
     "codegree": (1, lambda G, budget, a: codegree_min(G, a)),
@@ -277,7 +276,7 @@ def _cmd_space(args, budget) -> int:
     if args.helly:
         out["helly"] = space_helly_number(S, budget)
     if args.radon_cap is not None:
-        out["radon"] = radon_number(S, args.radon_cap)
+        out["radon"] = radon_number(S, args.radon_cap, budget)
     if args.weak_net is not None:
         eps = _parse_fraction(args.weak_net)
         mu = _load_measure("uniform" if args.measure is None else args.measure, S.ground_size)
@@ -487,6 +486,10 @@ def _cmd_verify(args, budget) -> int:
             params[opt] = default if given is None else given
         elif given is not None:
             raise ValueError(f"suite {name} takes no --{opt}")
+    # only the extended catalog reads the seed; the small one would hash
+    # it into the digest and run the same graphs
+    if args.seed is not None and params["catalog"] == "small":
+        raise ValueError("--seed needs --catalog extended")
     if param is None:
         if colon:
             raise ValueError(f"suite {name} takes no parameter, got {token!r}")

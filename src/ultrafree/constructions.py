@@ -17,7 +17,6 @@ __all__ = [
     "turan",
     "kneser",
     "crown",
-    "anchored_crown",
     "hypercube_lb",
     "HypercubePair",
     "blowup",
@@ -58,38 +57,6 @@ def crown(t: int) -> Graph:
     if t < 1:
         raise ValueError("need t >= 1")
     return Graph(2 * t, [(i, t + j) for i in range(t) for j in range(t) if i != j])
-
-
-def anchored_crown(anchor: Graph, a: int, b: int) -> Graph:
-    """Crown graph anchored to a maximal triangle-free graph, then blown up.
-
-    Take crown(t) with t = |anchor| plus a copy z_0..z_{t-1} of ``anchor``,
-    add the edges x_i z_i and y_i z_i, then blow up every x/y vertex into
-    ``a`` copies and every z vertex into ``b`` copies.  Vertex layout:
-    X-copies, then Y-copies, then Z-copies.  The output is maximal
-    triangle-free (checked).
-    """
-    if a < 1 or b < 1:
-        raise ValueError("need a, b >= 1")
-    t = anchor.n
-    # t >= 3 so that two x-vertices share a y-neighbor; smaller crowns
-    # leave such pairs with empty co-neighborhoods
-    if t < 3:
-        raise ValueError("anchor needs at least 3 vertices")
-    if not is_maximal_kr_free(anchor, 3):
-        raise ValueError("anchor must be maximal triangle-free")
-    base = crown(t)
-    edges = base.edges()
-    # z_i = 2t + i; anchor edges plus the two anchoring stars
-    edges += [(2 * t + u, 2 * t + v) for u, v in anchor.edges()]
-    edges += [(i, 2 * t + i) for i in range(t)]
-    edges += [(t + i, 2 * t + i) for i in range(t)]
-    skeleton = Graph(3 * t, edges)
-    sizes = [a] * (2 * t) + [b] * t
-    out = blowup(skeleton, sizes)
-    if not is_maximal_kr_free(out, 3):
-        raise ClaimViolation("anchored crown lost maximal triangle-freeness")
-    return out
 
 
 class HypercubePair(NamedTuple):
@@ -159,10 +126,25 @@ def half_min(k: int) -> Graph:
 def ultra_vc_example(m: int) -> Graph:
     """Maximal triangle-free graph on 8m vertices with positive ultra
     parameter whose maximal-independent-set system still has VC dimension
-    growing with m: the anchored crown over K_{m,m} with weights (1, 2)."""
+    growing with m: the anchored crown.
+
+    With t = 2m, take crown(t) plus a copy z_0..z_{t-1} of K_{m,m}, add
+    the edges x_i z_i and y_i z_i, and double every z vertex.  Vertex
+    layout: x, then y, then the z copies.  The output is maximal
+    triangle-free (checked).
+    """
     if m < 2:
         raise ValueError("need m >= 2")
-    return anchored_crown(blowup(Graph.complete(2), [m, m]), 1, 2)
+    t = 2 * m
+    # z_i = 2t + i; K_{m,m} joins z_i and z_j across the halves i < m <= j
+    edges = crown(t).edges()
+    edges += [(2 * t + i, 2 * t + j) for i in range(m) for j in range(m, t)]
+    edges += [(i, 2 * t + i) for i in range(t)]
+    edges += [(t + i, 2 * t + i) for i in range(t)]
+    out = blowup(Graph(3 * t, edges), [1] * (2 * t) + [2] * t)
+    if not is_maximal_kr_free(out, 3):
+        raise ClaimViolation("anchored crown lost maximal triangle-freeness")
+    return out
 
 
 def random_graph(n: int, p_num: int, p_den: int, seed: int) -> Graph:

@@ -63,19 +63,18 @@ class Measure:
 class ConvexitySpace:
     """Points 0..ground_size-1 plus generating sets (as a SetSystem).
 
-    ``points`` carries per-point payloads: the vertex mask of the maximal
-    independent set for graph spaces, the coordinate code for subcube
-    spaces, and the point index itself for explicit spaces.
+    The generators fix the space.  A graph space also keeps its graph;
+    its point p is the p-th maximal independent set, whose vertex mask is
+    the p-th element cover of the stars.
     """
 
-    __slots__ = ("tag", "generators", "points", "graph")
+    __slots__ = ("tag", "generators", "graph")
 
-    def __init__(self, tag: str, generators: _ss.SetSystem, points, graph=None):
+    def __init__(self, tag: str, generators: _ss.SetSystem, graph=None):
         if tag not in ("from_graph", "subcubes", "explicit"):
             raise ValueError(f"unknown space kind {tag!r}")
         self.tag = tag
         self.generators = generators
-        self.points = tuple(points)
         self.graph = graph
 
     @property
@@ -121,9 +120,7 @@ class ConvexitySpace:
 def mis_space(G: Graph, budget: SearchBudget | None = None) -> ConvexitySpace:
     """The convexity space of a graph: points are its maximal independent
     sets (lex order), generators are the stars of the vertices."""
-    mis = _ss.mis_family(G, budget)
-    stars = _ss.dual(mis)
-    return ConvexitySpace("from_graph", stars, mis.sets, graph=G)
+    return ConvexitySpace("from_graph", _ss.dual(_ss.mis_family(G, budget)), graph=G)
 
 
 def subcube_space(n: int) -> ConvexitySpace:
@@ -134,25 +131,20 @@ def subcube_space(n: int) -> ConvexitySpace:
     npoints = 1 << n
     masks = []
     for pattern in range(3**n):
-        mask = 0
-        for p in range(npoints):
-            t = pattern
-            ok = True
-            for i in range(n):
-                want = t % 3
-                t //= 3
-                if want != 2 and (p >> i & 1) != want:
-                    ok = False
-                    break
-            if ok:
-                mask |= 1 << p
-        masks.append(mask)
-    gens = _ss.SetSystem.from_masks(npoints, masks)
-    return ConvexitySpace("subcubes", gens, range(npoints))
+        # base-3 digit i of the pattern fixes coordinate i to 0 or 1, or
+        # leaves it free (2)
+        fixed = value = 0
+        for i in range(n):
+            pattern, want = divmod(pattern, 3)
+            if want != 2:
+                fixed |= 1 << i
+                value |= want << i
+        masks.append(sum(1 << p for p in range(npoints) if p & fixed == value))
+    return ConvexitySpace("subcubes", _ss.SetSystem.from_masks(npoints, masks))
 
 
 def explicit_space(F: _ss.SetSystem) -> ConvexitySpace:
-    return ConvexitySpace("explicit", F, range(F.ground))
+    return ConvexitySpace("explicit", F)
 
 
 def _split_points(pts: tuple[int, ...], selector: int):
@@ -165,12 +157,13 @@ def _mis_hulls_cross_check(S: ConvexitySpace, y1, y2, intersects: bool) -> None:
     # Independent reformulation for graph spaces: the two hulls meet
     # exactly when no edge joins the intersections of the chosen sets.
     G = S.graph
+    mis = _ss._element_cover_masks(S.generators)
     a = G.full_mask
     for p in y1:
-        a &= S.points[p]
+        a &= mis[p]
     b = G.full_mask
     for p in y2:
-        b &= S.points[p]
+        b &= mis[p]
     has_edge = any(G.adj[v] & b for v in members(a))
     if intersects != (not has_edge):
         raise ClaimViolation("hull/edge reformulation mismatch on a graph space")
@@ -190,16 +183,20 @@ def _radon_split(S: ConvexitySpace, pts: tuple[int, ...]):
     return None
 
 
-def radon_number(S: ConvexitySpace, cap: int):
+def radon_number(S: ConvexitySpace, cap: int, budget: SearchBudget | None = None):
     """Least r <= cap such that every set of r+1 points admits a partition
-    into two nonempty parts with intersecting hulls; None beyond cap."""
+    into two nonempty parts with intersecting hulls; None beyond cap.
+    The budget is charged one node per point set tested."""
     if not 1 <= cap <= S.ground_size:
         raise ValueError("cap must be between 1 and the number of points")
+    meter = _meter(budget, "radon_number")
     for r in range(1, cap + 1):
-        if all(
-            _radon_split(S, pts) is not None
-            for pts in combinations(range(S.ground_size), r + 1)
-        ):
+        for pts in combinations(range(S.ground_size), r + 1):
+            if meter is not None:
+                meter.charge()
+            if _radon_split(S, pts) is None:
+                break
+        else:
             return r
     return None
 

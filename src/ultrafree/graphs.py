@@ -21,7 +21,6 @@ __all__ = [
     "count_cliques",
     "clique_number",
     "chromatic_number",
-    "enumerate_mis",
     "codegree_min",
     "clique_codensity",
     "has_induced_p4",
@@ -178,12 +177,6 @@ def chromatic_number(G: Graph, budget: SearchBudget | None = None, *, omega: int
     a caller that already has it; without it, χ searches for ω first,
     and its meter is charged for that search too."""
     return _kernels.chromatic_number(G.adj, G.n, _meter(budget, "chromatic_number"), omega)
-
-
-def enumerate_mis(G: Graph, budget: SearchBudget | None = None) -> list[tuple[int, ...]]:
-    """All maximal independent sets, each sorted, in lexicographic order."""
-    masks = _kernels.enumerate_mis(G.adj, G.n, _meter(budget, "enumerate_mis"))
-    return [members(m) for m in masks]
 
 
 def _lift(row: int, masks) -> int:

@@ -60,6 +60,18 @@ class TestGen:
             assert main(["gen", family, "--params", params]) == 0
             parse_graph(capsys.readouterr().out)
 
+    @pytest.mark.parametrize(
+        "m, sha256",
+        [
+            (2, "d8eaccb6c2080b5c39e95768e5635eeb6f3c11ec228e6d162a51327427ec3951"),
+            (3, "49cc95ef7edabbfea222be6327d9edbd3f6cb79be1a1bda317651a9c1f858997"),
+            (4, "3f6f0a75a1d626a46cb3e1c83fa3bd21a3a96325da57285a51de21604b34c9e7"),
+        ],
+    )
+    def test_ultra_vc_bytes_pinned(self, m, sha256, capsys):
+        assert main(["gen", "ultra-vc", "--params", f"m={m}"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
     def test_usage_errors(self, capsys):
         assert main(["gen", "moebius", "--params", "n=3"]) == 2
         assert "error (usage): unknown family" in capsys.readouterr().err
@@ -360,6 +372,13 @@ class TestSpace:
         assert main(argv + ["--budget-nodes", "1"]) == 3
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["type"] == "budget" and error["message"].startswith("convex_sets:")
+
+    def test_radon_budget(self, capsys):
+        # the Radon search is charged to the command, one node per point set
+        argv = ["space", '{"kind":"subcubes","dim":3}', "--radon-cap", "4", "--json"]
+        assert main(argv + ["--budget-nodes", "1"]) == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"type": "budget", "message": "radon_number: budget exceeded after 2 nodes (nodes)"}
 
     def test_weak_net_with_measure_file(self, tmp_path, capsys):
         mf = tmp_path / "dirac.json"
@@ -911,6 +930,14 @@ class TestOptionChecks:
         assert error["type"] == "usage"
         assert error["message"] == f"suite {suite.partition(':')[0]} takes no {options[0]}"
 
+    @pytest.mark.parametrize("options", [["--seed", "3"], ["--catalog", "small", "--seed", "3"]])
+    @pytest.mark.parametrize("suite", ["correspondence", "codeg-edge", "vc-chromatic"])
+    def test_seed_needs_extended_catalog(self, suite, options, capsys):
+        # the small catalog reads no seed, so a seed would only rename its digest
+        assert main(["verify", "--suite", suite, *options, "--json"]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"type": "usage", "message": "--seed needs --catalog extended"}
+
     @pytest.mark.parametrize("tok", ["ultra:x", "codensity:2:", "codegree:1.5"])
     def test_non_integer_metric_argument_names_its_token(self, tok, c5_file, capsys):
         assert main(["analyze", c5_file, "--metrics", f"chi,{tok}", "--json"]) == 2
@@ -927,7 +954,7 @@ class TestOptionChecks:
         # the defaults filled in for a catalog suite are the ones it always had
         assert main(["verify", "--suite", "correspondence", "--json"]) == 0
         implicit = capsys.readouterr().out
-        argv = ["verify", "--suite", "correspondence", "--catalog", "small", "--seed", "20260301", "--json"]
+        argv = ["verify", "--suite", "correspondence", "--catalog", "small", "--json"]
         assert main(argv) == 0
         assert capsys.readouterr().out == implicit
         digest = "cf72670884b156bab2d2f163e713d6fba6f3b5498fc44c4c0516b2cfd15cd6d1"

@@ -5,7 +5,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from ultrafree.constructions import (
-    anchored_crown,
     blowup,
     crown,
     half_min,
@@ -89,19 +88,6 @@ class TestCrown:
 
 
 class TestAnchoredCrown:
-    def test_sizes_and_maximality(self):
-        G = anchored_crown(Graph.path(3), 2, 3)
-        assert G.n == 2 * 3 * 2 + 3 * 3
-        assert is_maximal_kr_free(G, 3)
-
-    def test_rejects_small_or_bad_anchor(self):
-        with pytest.raises(ValueError):
-            anchored_crown(Graph.complete(2), 1, 1)  # too few vertices
-        with pytest.raises(ValueError):
-            anchored_crown(Graph.path(4), 1, 1)  # not maximal
-        with pytest.raises(ValueError):
-            anchored_crown(Graph.path(3), 0, 1)
-
     def test_ultra_vc_example(self):
         G = ultra_vc_example(2)
         assert G.n == 16

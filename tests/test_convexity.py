@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from ultrafree.convexity import (
 )
 from ultrafree.errors import ClaimViolation
 from ultrafree.graphs import Graph, members
-from ultrafree.setsystems import SetSystem
+from ultrafree.setsystems import SetSystem, dual
 
 import oracles
 
@@ -50,11 +51,11 @@ class TestMeasure:
 class TestSpaceBasics:
     def test_unknown_tag(self):
         with pytest.raises(ValueError, match="kind"):
-            ConvexitySpace("bogus", SetSystem(1, [(0,)]), range(1))
+            ConvexitySpace("bogus", SetSystem(1, [(0,)]))
 
     def test_explicit(self):
         S = explicit_space(SetSystem(3, [(0, 1), (1, 2)]))
-        assert S.ground_size == 3 and S.points == (0, 1, 2)
+        assert S.ground_size == 3 and S.tag == "explicit" and S.graph is None
         assert S.hull_mask(0) == 0
         assert S.hull_mask(0b010) == 0b010
         assert S.hull_mask(0b101) == 0b111
@@ -95,6 +96,22 @@ class TestSubcube:
         with pytest.raises(ValueError):
             subcube_space(0)
 
+    @pytest.mark.parametrize(
+        "n, sha256",
+        [
+            (1, "dfd5726d86ed2c8b202855bbea88990ec37a26ab1d2217b55a61b4b6719ff6fd"),
+            (2, "1965ab0ee865ca8a4c856e5ce4d556ddfacc8ebda42a7f0b4a9d5f3f77471f6d"),
+            (3, "71e46d45c8db78615f9736180a2df773b9b4d22df66092e7594644d8ac0200ec"),
+            (4, "9fd810c77d6cbddd354adde6fdfca6a4bc2231d7ea0034605760474c46e4dc52"),
+            (5, "daa3eea1d610a0daf6a604deebadc41b7d05979b5f387ae8ee9737ed920bf6e8"),
+        ],
+    )
+    def test_generators_pinned(self, n, sha256):
+        # the generators in pattern order: base-3 digit i of the pattern is
+        # coordinate i's value, 2 for free
+        gens = subcube_space(n).generators.sets
+        assert hashlib.sha256(repr(gens).encode()).hexdigest() == sha256
+
     def test_closure_is_generator_family(self):
         # subcubes meet in subcubes, so the closure adds nothing new
         S = subcube_space(2)
@@ -129,7 +146,7 @@ class TestGraphSpace:
     def test_c5_layout(self):
         S = mis_space(Graph.cycle(5))
         assert S.tag == "from_graph"
-        assert S.points == (5, 9, 10, 18, 20)
+        assert dual(S.generators).sets == (5, 9, 10, 18, 20)
         assert S.generators.sets == (3, 12, 17, 6, 24)
         assert S.ground_size == 5
 

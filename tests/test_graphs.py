@@ -16,7 +16,6 @@ from ultrafree.graphs import (
     clique_number,
     codegree_min,
     count_cliques,
-    enumerate_mis,
     has_induced_p4,
     is_kr_free,
     is_maximal_kr_free,
@@ -24,6 +23,7 @@ from ultrafree.graphs import (
     max_clique_witness,
     members,
 )
+from ultrafree.setsystems import mis_family
 
 C5 = Graph.cycle(5)
 
@@ -253,12 +253,12 @@ class TestMis:
     @given(oracles.graphs(max_n=8))
     @settings(max_examples=60, deadline=None)
     def test_matches_brute(self, G):
-        assert enumerate_mis(G) == oracles.maximal_independent_sets(G)
+        assert [members(s) for s in mis_family(G).sets] == oracles.maximal_independent_sets(G)
 
     def test_pinned(self):
-        assert enumerate_mis(Graph(0)) == [()]
-        assert enumerate_mis(Graph(2)) == [(0, 1)]
-        assert enumerate_mis(C5) == [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)]
+        assert [members(s) for s in mis_family(Graph(0)).sets] == [()]
+        assert [members(s) for s in mis_family(Graph(2)).sets] == [(0, 1)]
+        assert [members(s) for s in mis_family(C5).sets] == [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)]
 
 
 class TestCodegree:
