@@ -6,6 +6,11 @@ loops of the package.  ``count_cliques`` takes an additive ``weigh`` of
 vertex masks, so one recursion counts the cliques of a graph and, on its
 twin quotient with the class sizes as weights, those of a blow-up.
 ``_independent_sets`` is the one walk over independent sets.
+
+A nested function that calls itself holds its own name in a closure
+cell, a reference cycle that only the cyclic garbage collector frees.
+So each such helper, here and in ``setsystems`` and ``ultra``, is
+deleted once its root call returns, and a search leaves no cycle behind.
 """
 
 from __future__ import annotations
@@ -64,26 +69,26 @@ def _independent_sets(adj, a, mask, meter=None):
     ``mask`` (a >= 1), lexicographic by I's member tuple, where N(I) is
     the common neighbourhood of I.  The meter is charged one node per
     vertex added below the last level."""
+    return _walk(adj, meter, 0, mask, -1, a)
 
-    def rec(I, cand, common, need):
-        # cand: the vertices of mask after max(I) adjacent to nothing in I
-        if need == 1:
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                yield I | low, common & adj[low.bit_length() - 1]
-            return
+
+def _walk(adj, meter, I, cand, common, need):
+    # cand: the vertices of mask after max(I) adjacent to nothing in I
+    if need == 1:
         while cand:
             low = cand & -cand
             cand ^= low
-            if meter is not None:
-                meter.charge()
-            row = adj[low.bit_length() - 1]
-            sub = cand & ~row
-            if sub.bit_count() >= need - 1:
-                yield from rec(I | low, sub, common & row, need - 1)
-
-    return rec(0, mask, -1, a)
+            yield I | low, common & adj[low.bit_length() - 1]
+        return
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        if meter is not None:
+            meter.charge()
+        row = adj[low.bit_length() - 1]
+        sub = cand & ~row
+        if sub.bit_count() >= need - 1:
+            yield from _walk(adj, meter, I | low, sub, common & row, need - 1)
 
 
 def max_clique(adj, mask, meter=None, classes=None):
@@ -189,7 +194,9 @@ def _kcolorable(adj, order, k, meter):
             color_masks[c] &= ~bit
         return False
 
-    return rec(0, 0)
+    found = rec(0, 0)
+    del rec
+    return found
 
 
 def chromatic_number(adj, n, meter=None, omega=None):
@@ -257,5 +264,6 @@ def enumerate_mis(adj, n, meter=None):
             x |= low
 
     bk(0, full, 0)
+    del bk
     out.sort(key=members)
     return out

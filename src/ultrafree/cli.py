@@ -9,6 +9,7 @@ error) is a single JSON object on stdout.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -83,7 +84,7 @@ from .setsystems import (
 )
 from .ultra import find_half_graph, nu_bi, ultra_parameter
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 _FRACTION_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 _DEFAULT_SEED = 20260301
@@ -646,5 +647,15 @@ def main(argv=None) -> int:
         return _emit_error(args, "io", str(e), 2)
 
 
+def run() -> int:
+    """The process entry of ``python -m ultrafree.cli`` and of the
+    ``ultrafree`` script: ``main()``, then ``gc.freeze()``, so that the
+    collections at interpreter exit skip the heap the OS frees anyway.
+    ``main(argv)`` called in-process leaves the caller's heap unfrozen."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

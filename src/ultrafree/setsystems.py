@@ -217,6 +217,7 @@ def transversal_number(F: SetSystem, budget: SearchBudget | None = None):
             chosen.pop()
 
     rec(all_sets, [])
+    del rec
     return best_size, best
 
 
@@ -350,6 +351,7 @@ def helly_number(F: SetSystem, budget: SearchBudget | None = None) -> int:
             rec(size + 1, ws, new_inter, later)
 
     rec(0, [], full, sorted({s for s in F.sets if s and full & ~s}))
+    del rec
     return best
 
 

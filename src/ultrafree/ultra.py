@@ -183,7 +183,9 @@ def find_half_graph(G: Graph, k: int, budget: SearchBudget | None = None):
             caps[cx] += 1
         return False
 
-    if not rec(0, full):
+    found = rec(0, full)
+    del rec
+    if not found:
         return None
     used = [0] * nc
     xs = [0] * k

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -19,6 +20,12 @@ from ultrafree.graphs import Graph
 from ultrafree.io import graph_from_obj, parse_graph
 
 C5_JSON = '{"n": 5, "edges": [[0, 1], [0, 4], [1, 2], [2, 3], [3, 4]]}'
+
+
+def _child_env():
+    """The environment of a child Python that imports this package."""
+    src = os.path.dirname(os.path.dirname(ultrafree.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture
@@ -801,8 +808,6 @@ class TestClosedStdout:
         ],
     )
     def test_broken_pipe_exits_two(self, argv, c5_file):
-        src = os.path.dirname(os.path.dirname(ultrafree.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         # a pipe whose read end is closed before the command starts
         read_end, write_end = os.pipe()
         os.close(read_end)
@@ -811,7 +816,7 @@ class TestClosedStdout:
                 [sys.executable, "-m", "ultrafree.cli", *(a.format(c5=c5_file) for a in argv)],
                 stdout=write_end,
                 stderr=subprocess.PIPE,
-                env=env,
+                env=_child_env(),
                 timeout=120,
             )
         finally:
@@ -824,19 +829,48 @@ class TestStartup:
     def test_import_skips_dataclasses_and_hashlib(self):
         # a command that takes no digest never loads hashlib (and OpenSSL);
         # one that does still prints its pinned bytes
-        src = os.path.dirname(os.path.dirname(ultrafree.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = (
             "import sys, ultrafree.cli\n"
             "loaded = {'dataclasses', 'inspect', 'hashlib'} & set(sys.modules)\n"
             "assert not loaded, loaded\n"
             "sys.exit(ultrafree.cli.main(['verify', '--suite', 'halfgraph', '--json']))\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=120)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_child_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr.decode()
         assert hashlib.sha256(proc.stdout).hexdigest() == (
             "ce66d8238cfd9e67fea0eb0288d612f346958fe62be7ba04c25babbc457feffd"
         )
+
+
+class TestProcessEntry:
+    # ``python -m ultrafree.cli`` exits through ``run()``, which freezes the
+    # heap after ``main()``; its exit code and stdout are main()'s
+    def _run(self, *argv):
+        return subprocess.run(
+            [sys.executable, "-m", "ultrafree.cli", *argv], capture_output=True, env=_child_env(), timeout=120
+        )
+
+    def test_report_bytes(self):
+        proc = self._run("verify", "--suite", "halfgraph", "--json")
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert hashlib.sha256(proc.stdout).hexdigest() == (
+            "ce66d8238cfd9e67fea0eb0288d612f346958fe62be7ba04c25babbc457feffd"
+        )
+
+    def test_usage_error(self):
+        proc = self._run("analyze", C5_JSON, "--metrics", "chi,bogus", "--json")
+        assert proc.returncode == 2, proc.stderr.decode()
+        assert json.loads(proc.stdout)["error"]["type"] == "usage"
+
+    def test_budget_error(self):
+        proc = self._run("verify", "--suite", "correspondence", "--budget-nodes", "30", "--json")
+        assert proc.returncode == 3, proc.stderr.decode()
+        assert json.loads(proc.stdout)["error"]["type"] == "budget"
+
+    def test_main_leaves_the_heap_unfrozen(self, capsys):
+        frozen = gc.get_freeze_count()
+        assert main(["verify", "--suite", "halfgraph", "--json"]) == 0
+        assert gc.get_freeze_count() == frozen
 
 
 class TestBudgetEnv:
@@ -866,8 +900,7 @@ class TestCommandBudget:
     def test_budget_ms_bounds_the_whole_suite(self):
         # each solver call of the suite is short, but together they take
         # far more than 1 ms: one deadline for the command stops them
-        src = os.path.dirname(os.path.dirname(ultrafree.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = _child_env()
         env.pop("ULTRAFREE_BUDGET_MS", None)
         argv = ["verify", "--suite", "correspondence", "--budget-ms", "1", "--json"]
         proc = subprocess.run(
