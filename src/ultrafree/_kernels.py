@@ -10,7 +10,7 @@ twin quotient with the class sizes as weights, those of a blow-up.
 A nested function that calls itself holds its own name in a closure
 cell, a reference cycle that only the cyclic garbage collector frees.
 So each such helper, here and in ``setsystems`` and ``ultra``, is
-deleted once its root call returns, and a search leaves no cycle behind.
+deleted in a ``finally``: no search leaves a cycle, even one that raises.
 """
 
 from __future__ import annotations
@@ -194,9 +194,10 @@ def _kcolorable(adj, order, k, meter):
             color_masks[c] &= ~bit
         return False
 
-    found = rec(0, 0)
-    del rec
-    return found
+    try:
+        return rec(0, 0)
+    finally:
+        del rec
 
 
 def chromatic_number(adj, n, meter=None, omega=None):
@@ -263,7 +264,9 @@ def enumerate_mis(adj, n, meter=None):
             p ^= low
             x |= low
 
-    bk(0, full, 0)
-    del bk
+    try:
+        bk(0, full, 0)
+    finally:
+        del bk
     out.sort(key=members)
     return out

@@ -1,19 +1,23 @@
 """Search budgets for the exponential-time solvers.
 
-Every exact solver in this package walks a search tree.  A
-:class:`SearchBudget` caps the walks of all the calls it is passed to by
-node count and/or wall time; when a cap is hit the solver raises
-:class:`BudgetExceeded` instead of returning a wrong answer.
+Every exact solver in this package walks a search tree and charges its
+nodes to the :class:`SearchBudget` in force.  When a cap is hit the
+solver raises :class:`BudgetExceeded` instead of returning a wrong
+answer; with no budget in force it opens no meter.
 """
 
 from __future__ import annotations
 
 import time
+from contextvars import ContextVar
 
 __all__ = ["SearchBudget", "BudgetExceeded"]
 
 # Wall-clock reads are comparatively expensive; amortize them.
 _TIME_CHECK_MASK = 0x3FF
+
+# the budget in force, or None: set by ``with budget:``, read by _meter
+_active = ContextVar("ultrafree_budget", default=None)
 
 
 class BudgetExceeded(RuntimeError):
@@ -21,8 +25,8 @@ class BudgetExceeded(RuntimeError):
 
     Attributes:
         op: name of the operation that gave up.
-        nodes: search nodes charged to the budget, by every call it was
-            passed to, before giving up.
+        nodes: search nodes charged to the budget, by every call made
+            while it was in force, before giving up.
         reason: "nodes" or "time".
     """
 
@@ -34,17 +38,16 @@ class BudgetExceeded(RuntimeError):
 
 
 class SearchBudget:
-    """One account for all the solver invocations it is passed to.
-
-    ``max_nodes`` caps the search-tree nodes (solver-specific but stable
-    for a given input) that those invocations charge together; ``nodes``
-    is the running total.  ``max_millis`` caps the wall time since the
-    budget's creation, one deadline for them all.  ``None`` means no cap;
-    each check reads the caps anew.  A caller that wants a cap on one
-    call makes a budget for that call.
+    """One account for all the solver calls made while it is in force:
+    ``with budget:`` puts it in force, and a nested ``with`` replaces it
+    until the inner block ends.  ``max_nodes`` caps the search-tree nodes
+    (solver-specific but stable for a given input) that those calls
+    charge together; ``nodes`` is the running total.  ``max_millis`` caps
+    the wall time since the budget's creation, one deadline for them
+    all.  ``None`` means no cap; each check reads the caps anew.
     """
 
-    __slots__ = ("max_nodes", "max_millis", "nodes", "_start")
+    __slots__ = ("max_nodes", "max_millis", "nodes", "_start", "_tokens")
 
     def __init__(self, max_nodes: int | None = None, max_millis: int | None = None):
         for name, value in (("max_nodes", max_nodes), ("max_millis", max_millis)):
@@ -54,18 +57,28 @@ class SearchBudget:
         self.max_millis = max_millis
         self.nodes = 0
         self._start = time.monotonic()
+        self._tokens = []
 
     def __repr__(self):
         return f"SearchBudget(max_nodes={self.max_nodes!r}, max_millis={self.max_millis!r})"
+
+    def __enter__(self) -> "SearchBudget":
+        self._tokens.append(_active.set(self))
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _active.reset(self._tokens.pop())
 
     def meter(self, op: str) -> "_Meter":
         return _Meter(op, self)
 
 
-def _meter(budget: SearchBudget | None, op: str):
-    """A meter for one invocation of ``op``, or None without a budget.
-    It reads the clock once as it opens, so an invocation that starts
-    after the budget's deadline raises before its first node."""
+def _meter(op: str):
+    """A meter for one invocation of ``op`` on the budget in force, or
+    None when none is.  It reads the clock once as it opens, so an
+    invocation that starts after the budget's deadline raises before its
+    first node."""
+    budget = _active.get()
     if budget is None:
         return None
     meter = budget.meter(op)

@@ -15,6 +15,7 @@ import math
 import os
 import re
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from functools import partial
 
@@ -150,7 +151,7 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_gen(args, budget) -> int:
+def _cmd_gen(args) -> int:
     if args.family not in _FAMILIES:
         raise ValueError(
             f"unknown family {args.family!r}; choose from {', '.join(sorted(_FAMILIES))}"
@@ -169,32 +170,32 @@ def _cmd_gen(args, budget) -> int:
 
 # ---------------------------------------------------------------- metrics
 
-# token name -> (number of integer arguments, entry(input, budget, *ints)).
+# token name -> (number of integer arguments, entry(input, *ints)).
 # Each entry names its function inside a lambda, as _FAMILIES does, so the
 # module global is looked up when the metric runs: a rebound global (a
 # test's patch, a profiler's wrapper) is the function called.
 _GRAPH_METRICS = {
-    "chi": (0, lambda G, budget: chromatic_number(G, budget)),
-    "omega": (0, lambda G, budget: clique_number(G, budget)),
-    "mis": (0, lambda G, budget: len(mis_family(G, budget))),
-    "nubi": (0, lambda G, budget: nu_bi(G, budget)[0]),
-    "ultra": (1, lambda G, budget, r: ultra_parameter(G, r, budget).epsilon_star),
-    "codegree": (1, lambda G, budget, a: codegree_min(G, a)),
-    "codensity": (2, lambda G, budget, a, b: clique_codensity(G, a, b, budget)),
+    "chi": (0, lambda G: chromatic_number(G)),
+    "omega": (0, lambda G: clique_number(G)),
+    "mis": (0, lambda G: len(mis_family(G))),
+    "nubi": (0, lambda G: nu_bi(G)[0]),
+    "ultra": (1, lambda G, r: ultra_parameter(G, r).epsilon_star),
+    "codegree": (1, lambda G, a: codegree_min(G, a)),
+    "codensity": (2, lambda G, a, b: clique_codensity(G, a, b)),
 }
 
 _SETSYS_METRICS = {
-    "tau": (0, lambda F, budget: transversal_number(F, budget)[0]),
-    "nu": (0, lambda F, budget: matching_number(F, budget)[0]),
-    "taustar": (0, lambda F, budget: fractional_transversal(F, budget).value),
-    "vc": (0, lambda F, budget: vc_dimension(F, budget)[0]),
-    "helly": (0, lambda F, budget: helly_number(F, budget)),
-    "pq": (2, lambda F, budget, p, q: has_pq_property(F, p, q, budget)),
+    "tau": (0, lambda F: transversal_number(F)[0]),
+    "nu": (0, lambda F: matching_number(F)[0]),
+    "taustar": (0, lambda F: fractional_transversal(F).value),
+    "vc": (0, lambda F: vc_dimension(F)[0]),
+    "helly": (0, lambda F: helly_number(F)),
+    "pq": (2, lambda F, p, q: has_pq_property(F, p, q)),
 }
 
 
-def _print_metrics(args, table: dict, kind: str, load, budget) -> int:
-    """Evaluate each ``NAME[:INT...]`` token of --metrics on ``load()``.
+def _print_metrics(table: dict, kind: str, load, args) -> int:
+    """Evaluate each ``NAME[:INT...]`` token of --metrics on ``load(args)``.
     Every token is checked before the input is loaded or any metric runs,
     so a malformed list is a usage error however costly the loading or
     the metrics before the bad token are."""
@@ -210,16 +211,12 @@ def _print_metrics(args, table: dict, kind: str, load, budget) -> int:
             calls.append((tok, table[name][1], [int(i) for i in ints]))
         except ValueError:
             raise ValueError(f"unknown {kind} metric {tok!r}") from None
-    x = load()
-    _print_payload(args, {tok: entry(x, budget, *ints) for tok, entry, ints in calls})
+    x = load(args)
+    _print_payload(args, {tok: entry(x, *ints) for tok, entry, ints in calls})
     return 0
 
 
-def _cmd_analyze(args, budget) -> int:
-    return _print_metrics(args, _GRAPH_METRICS, "graph", lambda: parse_graph(args.file), budget)
-
-
-def _load_system(args, budget):
+def _load_system(args):
     """The set system named by ``args.file``, derived as --derive says."""
     text = load_text(args.file)
     obj = _load_json(text) if text.lstrip().startswith("{") else None
@@ -234,20 +231,14 @@ def _load_system(args, budget):
     else:
         G = _parse_dimacs(text) if obj is None else graph_from_obj(obj)
         if derive == "stars":
-            F = mis_star_system(G, budget)
+            F = mis_star_system(G)
         elif derive == "mis":
-            F = mis_family(G, budget)
+            F = mis_family(G)
         elif derive == "neighborhoods":
             F = neighborhood_system(G)
         else:
             raise ValueError(f"--derive {derive} needs a set-system input")
     return F
-
-
-def _cmd_setsys(args, budget) -> int:
-    return _print_metrics(
-        args, _SETSYS_METRICS, "set-system", lambda: _load_system(args, budget), budget
-    )
 
 
 # ------------------------------------------------------------------ space
@@ -269,19 +260,19 @@ def _load_measure(spec: str, size: int) -> Measure:
     return Measure({int(k): _parse_fraction(str(v)) for k, v in obj.items()})
 
 
-def _cmd_space(args, budget) -> int:
+def _cmd_space(args) -> int:
     if args.measure is not None and args.weak_net is None:
         raise ValueError("--measure needs --weak-net")
-    S = parse_space(args.file, budget)
+    S = parse_space(args.file)
     out = {"kind": S.tag, "points": S.ground_size, "generators": len(S.generators)}
     if args.helly:
-        out["helly"] = space_helly_number(S, budget)
+        out["helly"] = space_helly_number(S)
     if args.radon_cap is not None:
-        out["radon"] = radon_number(S, args.radon_cap, budget)
+        out["radon"] = radon_number(S, args.radon_cap)
     if args.weak_net is not None:
         eps = _parse_fraction(args.weak_net)
         mu = _load_measure("uniform" if args.measure is None else args.measure, S.ground_size)
-        out["weak_net"] = list(weak_eps_net(S, mu, eps, budget))
+        out["weak_net"] = list(weak_eps_net(S, mu, eps))
     _print_payload(args, out)
     return 0
 
@@ -289,7 +280,7 @@ def _cmd_space(args, budget) -> int:
 # -------------------------------------------------------------- decompose
 
 
-def _cmd_decompose(args, budget) -> int:
+def _cmd_decompose(args) -> int:
     if args.method == "twin":
         for opt in ("r", "eps"):
             if getattr(args, opt) is not None:
@@ -299,7 +290,7 @@ def _cmd_decompose(args, budget) -> int:
         if args.eps is None:
             raise ValueError("--method haussler requires --eps P/Q")
         r = 3 if args.r is None else args.r
-        D = haussler_partition(parse_graph(args.file), r, _parse_fraction(args.eps), budget)
+        D = haussler_partition(parse_graph(args.file), r, _parse_fraction(args.eps))
     _write(args, json.dumps(decomposition_to_obj(D), indent=2 if args.json else None) + "\n")
     return 0
 
@@ -360,25 +351,25 @@ def _catalog(kind: str, seed: int) -> list[Graph]:
     return cat
 
 
-def _suite_correspondence(budget, catalog, seed):
+def _suite_correspondence(catalog, seed):
     for G in _catalog(catalog, seed):
-        for r, checks in correspondence_checks(G, (3, 4, 5), budget).items():
+        for r, checks in correspondence_checks(G, (3, 4, 5)).items():
             yield partial(_instance, G, r=r), checks
 
 
-def _suite_halfgraph(budget):
+def _suite_halfgraph():
     instances: list[tuple[str, Graph]] = [("cycle:n=5", Graph.cycle(5))]
     instances.append(("hypercube-lb:d=2", hypercube_lb(2).G))
     for s in range(2, 9):
         instances.append((f"c5-blowup:s={s}", blowup(Graph.cycle(5), [s] * 5)))
     for name, G in instances:
-        es = ultra_parameter(G, 3, budget).epsilon_star
+        es = ultra_parameter(G, 3).epsilon_star
         positive = es is not None and es > 0
         # an instance that is not ultra skips the half-graph check
         ok = detail = None
         if positive:
             k = math.ceil(1 / es) + 1
-            emb = find_half_graph(G, k, budget)
+            emb = find_half_graph(G, k)
             ok = emb is None
             detail = {"k": k} if ok else {"k": k, "embedding": [emb.xs, emb.ys]}
         yield partial(str, name), [
@@ -392,17 +383,17 @@ def _suite_halfgraph(budget):
         ]
 
 
-def _suite_construction(budget, d):
+def _suite_construction(d):
     if d < 2:
         raise ValueError("construction suite needs d >= 2")
     H, G = hypercube_lb(d)
     expected = (2 * d + 1) << d
     cd = codegree_min(G, 2)
-    maximal = is_maximal_kr_free(G, 3, budget)
+    maximal = is_maximal_kr_free(G, 3)
     # the classes come out by first vertex and blowup lays out H's copies
     # part-major in H's order, so the labelled quotient is H itself
     quotient = twin_quotient(G).quotient
-    core = p4_obstruction(G, budget).core
+    core = p4_obstruction(G).core
     yield partial(str, f"hypercube-lb:d={d}"), [
         _verdict(
             "construction-size",
@@ -432,24 +423,24 @@ def _suite_construction(budget, d):
     ]
 
 
-def _suite_mindeg_ultra(budget):
+def _suite_mindeg_ultra():
     for r in (3, 4, 5):
         for n in range(r - 1, 31):
             name = f"turan:n={n}:parts={r - 1}:r={r}"
-            yield partial(str, name), min_degree_ultra_check(turan(n, r - 1), r, budget)
+            yield partial(str, name), min_degree_ultra_check(turan(n, r - 1), r)
 
 
-def _suite_codeg_edge(budget, catalog, seed):
+def _suite_codeg_edge(catalog, seed):
     for G in _catalog(catalog, seed):
-        yield partial(_instance, G), codegree_density_check(G, budget)
+        yield partial(_instance, G), codegree_density_check(G)
 
 
-def _suite_vc_chromatic(budget, catalog, seed):
-    triangle_free = [G for G in _catalog(catalog, seed) if G.n and is_kr_free(G, 3, budget)]
+def _suite_vc_chromatic(catalog, seed):
+    triangle_free = [G for G in _catalog(catalog, seed) if G.n and is_kr_free(G, 3)]
     for c in (Fraction(1, 4), Fraction(1, 3), Fraction(2, 5)):
         for G in triangle_free:
             if G.min_degree() >= c * G.n:
-                yield partial(_instance, G, c=str(c)), vc_chromatic_partition(G, c, budget)[1]
+                yield partial(_instance, G, c=str(c)), vc_chromatic_partition(G, c)[1]
 
 
 # the options only the catalog suites read, with their defaults
@@ -473,7 +464,7 @@ def _suite_form(name: str) -> str:
     return name if param is None else f"{name}:{param[0]}={param[0].upper()}"
 
 
-def _cmd_verify(args, budget) -> int:
+def _cmd_verify(args) -> int:
     token = args.suite
     name, colon, text = token.partition(":")
     if name not in _SUITES:
@@ -504,7 +495,7 @@ def _cmd_verify(args, budget) -> int:
             params[key] = int(value)
         except ValueError:
             raise ValueError(f"{name} suite takes {_suite_form(name)}") from None
-    checks = _tally(suite(budget, **params))
+    checks = _tally(suite(**params))
     rep = Report(digest_of({"suite": name, **params}), checks)
     if args.json:
         print(rep.dumps())
@@ -534,12 +525,6 @@ def _emit_error(args, kind: str, message: str, code: int) -> int:
     else:
         print(f"error ({kind}): {message}", file=sys.stderr)
     return code
-
-
-def _budget_from(args) -> SearchBudget | None:
-    if args.budget_nodes is None and args.budget_ms is None:
-        return None
-    return SearchBudget(max_nodes=args.budget_nodes, max_millis=args.budget_ms)
 
 
 def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
@@ -575,11 +560,13 @@ def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "dimacs"), default="json")
     p.add_argument("--out", default=None, metavar="FILE")
 
-    p = command("analyze", _cmd_analyze, "graph metrics")
+    graph_metrics = partial(_print_metrics, _GRAPH_METRICS, "graph", lambda a: parse_graph(a.file))
+    p = command("analyze", graph_metrics, "graph metrics")
     p.add_argument("file")
     p.add_argument("--metrics", required=True)
 
-    p = command("setsys", _cmd_setsys, "set-system metrics")
+    set_metrics = partial(_print_metrics, _SETSYS_METRICS, "set-system", _load_system)
+    p = command("setsys", set_metrics, "set-system metrics")
     p.add_argument("file")
     p.add_argument(
         "--derive",
@@ -622,8 +609,11 @@ def main(argv=None) -> int:
     except ValueError as e:
         return _emit_error(args, "usage", str(e), 2)
     try:
-        budget = _budget_from(args)
-        code = args.func(args, budget)
+        # the command's one budget; without a --budget-* flag none is in
+        # force, and no search opens a meter
+        flagged = args.budget_nodes is not None or args.budget_ms is not None
+        with SearchBudget(args.budget_nodes, args.budget_ms) if flagged else nullcontext():
+            code = args.func(args)
         sys.stdout.flush()
         return code
     except BudgetExceeded as e:

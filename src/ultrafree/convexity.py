@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .budget import SearchBudget, _meter
+from .budget import _meter
 from .errors import ClaimViolation
 from .graphs import Graph, mask_of, members
 from . import graphs as _graphs
@@ -95,10 +95,10 @@ class ConvexitySpace:
                 out &= g
         return out
 
-    def convex_sets(self, budget: SearchBudget | None = None) -> tuple[int, ...]:
+    def convex_sets(self) -> tuple[int, ...]:
         """All distinct nonempty convex sets (closure of the generators
         plus the full ground), sorted by member tuple."""
-        meter = _meter(budget, "convex_sets")
+        meter = _meter("convex_sets")
         gens = [g for g in set(self.generators.sets) if g]
         closure = set(gens)
         closure.add(self.full_mask)
@@ -117,10 +117,10 @@ class ConvexitySpace:
         return tuple(sorted(closure, key=members))
 
 
-def mis_space(G: Graph, budget: SearchBudget | None = None) -> ConvexitySpace:
+def mis_space(G: Graph) -> ConvexitySpace:
     """The convexity space of a graph: points are its maximal independent
     sets (lex order), generators are the stars of the vertices."""
-    return ConvexitySpace("from_graph", _ss.dual(_ss.mis_family(G, budget)), graph=G)
+    return ConvexitySpace("from_graph", _ss.dual(_ss.mis_family(G)), graph=G)
 
 
 def subcube_space(n: int) -> ConvexitySpace:
@@ -183,13 +183,13 @@ def _radon_split(S: ConvexitySpace, pts: tuple[int, ...]):
     return None
 
 
-def radon_number(S: ConvexitySpace, cap: int, budget: SearchBudget | None = None):
+def radon_number(S: ConvexitySpace, cap: int):
     """Least r <= cap such that every set of r+1 points admits a partition
     into two nonempty parts with intersecting hulls; None beyond cap.
-    The budget is charged one node per point set tested."""
+    The meter is charged one node per point set tested."""
     if not 1 <= cap <= S.ground_size:
         raise ValueError("cap must be between 1 and the number of points")
-    meter = _meter(budget, "radon_number")
+    meter = _meter("radon_number")
     for r in range(1, cap + 1):
         for pts in combinations(range(S.ground_size), r + 1):
             if meter is not None:
@@ -201,7 +201,7 @@ def radon_number(S: ConvexitySpace, cap: int, budget: SearchBudget | None = None
     return None
 
 
-def space_helly_number(S: ConvexitySpace, budget: SearchBudget | None = None) -> int:
+def space_helly_number(S: ConvexitySpace) -> int:
     """Helly number over the space's convex sets, computed on the family
     that :meth:`ConvexitySpace.convex_sets` closes: the nonempty
     generators plus the ground.
@@ -216,16 +216,14 @@ def space_helly_number(S: ConvexitySpace, budget: SearchBudget | None = None) ->
     """
     sets = [g for g in S.generators.sets if g]
     sets.append(S.full_mask)
-    return _ss.helly_number(_ss.SetSystem.from_masks(S.ground_size, sets), budget)
+    return _ss.helly_number(_ss.SetSystem.from_masks(S.ground_size, sets))
 
 
-def weak_eps_net(
-    S: ConvexitySpace, mu: Measure, eps, budget: SearchBudget | None = None
-) -> tuple[int, ...]:
+def weak_eps_net(S: ConvexitySpace, mu: Measure, eps) -> tuple[int, ...]:
     """A point set meeting every convex set of measure >= eps.
 
     Greedy over the enumerated heavy convex sets: correct by construction,
-    not guaranteed minimum.  The budget meters the enumeration.
+    not guaranteed minimum.  Only the enumeration is metered.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -234,16 +232,14 @@ def weak_eps_net(
         if not 0 <= p < S.ground_size:
             raise ValueError(f"measure point {p} is not in 0..{S.ground_size - 1}")
     heavy = _ss.SetSystem.from_masks(
-        S.ground_size, [c for c in S.convex_sets(budget) if mu.mass(c) >= eps]
+        S.ground_size, [c for c in S.convex_sets() if mu.mass(c) >= eps]
     )
     # a heavy set has positive mass, so it is nonempty
     covers = _ss._element_cover_masks(heavy)
     return tuple(sorted(_ss._greedy_cover(covers, (1 << len(heavy)) - 1)))
 
 
-def correspondence_checks(
-    G: Graph, rs, budget: SearchBudget | None = None
-) -> dict[int, list[Check]]:
+def correspondence_checks(G: Graph, rs) -> dict[int, list[Check]]:
     """Check the dictionary between a graph and its star system, for each
     r in ``rs``: coloring vs covering, cliques vs matchings, edges vs
     disjointness, clique freeness vs the (r,2)-property, and independence
@@ -261,11 +257,11 @@ def correspondence_checks(
             raise ValueError(f"need r >= 2, got r = {r}")
     if not rs:
         return {}
-    mis = _ss.mis_family(G, budget)
+    mis = _ss.mis_family(G)
     stars = _ss.dual(mis)
-    omega = _graphs.clique_number(G, budget)
-    chi = _graphs.chromatic_number(G, budget, omega=omega)
-    tau, tau_witness = _ss.transversal_number(stars, budget)
+    omega = _graphs.clique_number(G)
+    chi = _graphs.chromatic_number(G, omega=omega)
+    tau, tau_witness = _ss.transversal_number(stars)
 
     # one star per vertex, so the rebuilt graph is on V(G).  The first pair
     # u < v whose adjacency differs: the first differing row u, and its
@@ -282,11 +278,11 @@ def correspondence_checks(
     if bad_pair is None:
         nu, nu_witness = omega, None
     else:
-        nu, nu_witness = _ss.matching_number(stars, budget)
+        nu, nu_witness = _ss.matching_number(stars)
     maximal_stars = _ss.maximal_intersecting_subfamilies(stars)
     mis_ok = sorted(mis.sets) == maximal_stars
     expected_h = 2 if G.edge_count() >= 1 else 1
-    h = _ss.helly_number(stars, budget)
+    h = _ss.helly_number(stars)
 
     shared = [
         _verdict(
@@ -332,7 +328,7 @@ def correspondence_checks(
             witness={"helly": h},
         ),
     ]
-    pqs = _ss._pq_properties(stars, rs, 2, budget)
+    pqs = _ss._pq_properties(stars, rs, 2)
     out = {}
     for r in rs:
         # G is K_r-free exactly when its clique number is below r

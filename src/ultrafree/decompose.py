@@ -15,7 +15,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from .budget import SearchBudget
 from .errors import ClaimViolation, PreconditionViolated
 from .graphs import Graph, _blowup_quotient, _lift, has_induced_p4, mask_of, max_clique_witness
 from . import graphs as _graphs
@@ -150,9 +149,7 @@ def packing_bound(d: int, family_size: int, sep_level) -> Fraction:
     return E_UP * (d + 1) * (2 * E_UP * family_size / Fraction(sep_level)) ** d
 
 
-def haussler_partition(
-    G: Graph, r: int, eps, budget: SearchBudget | None = None
-) -> BlowupDecomposition:
+def haussler_partition(G: Graph, r: int, eps) -> BlowupDecomposition:
     """Partition by neighborhood proximity at threshold s = eps*n/10,
     verify the structural claims, split undersized parts into singletons,
     and return the quotient with its origin map."""
@@ -161,7 +158,7 @@ def haussler_partition(
         raise ValueError("eps must be positive")
     if r < 3:
         raise ValueError("need r >= 3")
-    if not is_eps_ultra(G, r, eps, budget):
+    if not is_eps_ultra(G, r, eps):
         raise PreconditionViolated("graph is not eps-ultra maximal K_r-free")
     s = eps * G.n / 10
     reps, assign = _separate(G.adj, s)
@@ -212,7 +209,7 @@ def twin_quotient(G: Graph) -> BlowupDecomposition:
     return deco
 
 
-def p4_obstruction(G: Graph, budget: SearchBudget | None = None) -> ObstructionCertificate:
+def p4_obstruction(G: Graph) -> ObstructionCertificate:
     """Largest vertex set pairwise joined by induced 4-vertex paths.
 
     Maximum clique of the auxiliary graph whose edges are the pairs
@@ -235,7 +232,7 @@ def p4_obstruction(G: Graph, budget: SearchBudget | None = None) -> ObstructionC
             aux[i] |= 1 << j
             aux[j] |= 1 << i
             paths[(i, j)] = w
-    _, clique = max_clique_witness(Graph.from_masks(aux), budget)
+    _, clique = max_clique_witness(Graph.from_masks(aux))
     # classes are ordered by first vertex, so i < j iff first[i] < first[j]
     first = [c[0] for c in classes]
     links = {}
@@ -247,7 +244,7 @@ def p4_obstruction(G: Graph, budget: SearchBudget | None = None) -> ObstructionC
     return cert
 
 
-def vc_chromatic_partition(G: Graph, c, budget: SearchBudget | None = None):
+def vc_chromatic_partition(G: Graph, c):
     """Proper coloring from the neighborhood-proximity partition at
     threshold c*n/3 on a triangle-free graph of min degree >= c*n.
 
@@ -260,7 +257,7 @@ def vc_chromatic_partition(G: Graph, c, budget: SearchBudget | None = None):
         raise ValueError("c must be positive")
     if G.n == 0:
         raise ValueError("graph must be nonempty")
-    if not _graphs.is_kr_free(G, 3, budget):
+    if not _graphs.is_kr_free(G, 3):
         raise PreconditionViolated("graph has a triangle")
     if Fraction(G.min_degree()) < c * G.n:
         raise PreconditionViolated(
@@ -271,7 +268,7 @@ def vc_chromatic_partition(G: Graph, c, budget: SearchBudget | None = None):
     for u, v in G.edges():
         if colors[u] == colors[v]:
             raise ClaimViolation(f"part {colors[u]} contains the edge {u},{v}")
-    d, _ = vc_dimension(neighborhood_system(G), budget)
+    d, _ = vc_dimension(neighborhood_system(G))
     m = len(reps)
     bound = packing_bound(d, G.n, s)
     return tuple(colors), [
@@ -286,7 +283,7 @@ def vc_chromatic_partition(G: Graph, c, budget: SearchBudget | None = None):
     ]
 
 
-def min_degree_ultra_check(G: Graph, r: int, budget: SearchBudget | None = None) -> list[Check]:
+def min_degree_ultra_check(G: Graph, r: int) -> list[Check]:
     """Degree hypothesis ((2r-5)/(2r-3) + eps)*n forces the clique
     density parameter up to eps^(r-2); checked exactly.  The slack eps
     is read off G's min degree, and an instance with none is skipped."""
@@ -300,7 +297,7 @@ def min_degree_ultra_check(G: Graph, r: int, budget: SearchBudget | None = None)
             _verdict("ultra-parameter-lower-bound", "degree-implies-clique-density", None),
         ]
     try:
-        cert = ultra_parameter(G, r, budget)
+        cert = ultra_parameter(G, r)
     except PreconditionViolated:  # G holds a K_r
         cert = None
     # a K_r-free graph is maximal iff every non-adjacent pair sees a K_{r-2}
@@ -325,7 +322,7 @@ def min_degree_ultra_check(G: Graph, r: int, budget: SearchBudget | None = None)
     ]
 
 
-def codegree_density_check(G: Graph, budget: SearchBudget | None = None) -> list[Check]:
+def codegree_density_check(G: Graph) -> list[Check]:
     """Min codegree c*n over non-adjacent pairs forces co-neighborhood
     edge density at least 2 - 1/c; vacuous instances are skipped."""
     delta2 = _graphs.codegree_min(G, 2)
@@ -337,7 +334,7 @@ def codegree_density_check(G: Graph, budget: SearchBudget | None = None) -> list
             )
         ]
     c = Fraction(delta2, G.n)
-    dens = _graphs.clique_codensity(G, 2, 2, budget)
+    dens = _graphs.clique_codensity(G, 2, 2)
     required = 2 - 1 / c
     return [
         _verdict(

@@ -12,7 +12,7 @@ from math import comb
 
 from . import _kernels
 from ._kernels import members
-from .budget import SearchBudget, _meter
+from .budget import _meter
 
 __all__ = [
     "Graph",
@@ -110,14 +110,7 @@ class Graph:
         return sum(m.bit_count() for m in self.adj) // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(self.n):
-            m = self.adj[u] >> (u + 1) << (u + 1)
-            while m:
-                low = m & -m
-                out.append((u, low.bit_length() - 1))
-                m ^= low
-        return out
+        return [(u, v) for u in range(self.n) for v in members(self.adj[u] >> (u + 1) << (u + 1))]
 
     def complement(self) -> "Graph":
         full = self.full_mask
@@ -156,27 +149,27 @@ class Graph:
         return seen == self.full_mask
 
 
-def count_cliques(G: Graph, b: int, budget: SearchBudget | None = None) -> int:
+def count_cliques(G: Graph, b: int) -> int:
     """Number of unlabeled b-cliques in G."""
     if b < 1:
         raise ValueError("clique size must be at least 1")
-    return _kernels.count_cliques(G.adj, b, G.full_mask, meter=_meter(budget, "count_cliques"))
+    return _kernels.count_cliques(G.adj, b, G.full_mask, meter=_meter("count_cliques"))
 
 
-def clique_number(G: Graph, budget: SearchBudget | None = None) -> int:
-    return _kernels.max_clique(G.adj, G.full_mask, _meter(budget, "clique_number"))[0]
+def clique_number(G: Graph) -> int:
+    return _kernels.max_clique(G.adj, G.full_mask, _meter("clique_number"))[0]
 
 
-def max_clique_witness(G: Graph, budget: SearchBudget | None = None) -> tuple[int, tuple[int, ...]]:
-    size, mask = _kernels.max_clique(G.adj, G.full_mask, _meter(budget, "max_clique"))
+def max_clique_witness(G: Graph) -> tuple[int, tuple[int, ...]]:
+    size, mask = _kernels.max_clique(G.adj, G.full_mask, _meter("max_clique"))
     return size, members(mask)
 
 
-def chromatic_number(G: Graph, budget: SearchBudget | None = None, *, omega: int | None = None) -> int:
+def chromatic_number(G: Graph, *, omega: int | None = None) -> int:
     """χ(G), searched upward from ω.  ``omega`` is G's clique number, for
     a caller that already has it; without it, χ searches for ω first,
     and its meter is charged for that search too."""
-    return _kernels.chromatic_number(G.adj, G.n, _meter(budget, "chromatic_number"), omega)
+    return _kernels.chromatic_number(G.adj, G.n, _meter("chromatic_number"), omega)
 
 
 def _lift(row: int, masks) -> int:
@@ -206,11 +199,12 @@ def _class_coneighborhoods(G: Graph, a: int):
     """``(classes, F, weight, scan)``: G's independent a-sets up to twins.
 
     ``classes`` and ``F`` are ``_blowup_quotient(G)``, and ``weight(mask)``
-    is the number of G-vertices in a set of classes.  ``scan`` yields
-    ``(S, N_F(S))`` for every independent set S of F's classes with
+    is the number of G-vertices in a set of classes.  ``scan(meter)``
+    yields ``(S, N_F(S))`` for every independent set S of F's classes with
     |S| <= a <= weight(S): these are the class sets met by G's independent
     a-sets, and such a set's co-neighbourhood is the union of the classes
-    in N_F(S).  Larger S come first, each size lexicographic."""
+    in N_F(S).  Larger S come first, each size lexicographic.  A meter, if
+    given, is charged one node per co-neighbourhood yielded."""
     classes, F = _blowup_quotient(G)
     if F is G:
         weight = int.bit_count
@@ -229,24 +223,29 @@ def _class_coneighborhoods(G: Graph, a: int):
 
     # s classes hold at least s and at most s * max(size) vertices
     fewest = -(-a // max(map(len, classes), default=1))
-    scan = (
-        (S, nbhd)
-        for s in range(a, fewest - 1, -1)
-        for S, nbhd in _kernels._independent_sets(F.adj, s, F.full_mask)
-        if s == a or weight(S) >= a
-    )
+
+    def scan(meter=None):
+        for s in range(a, fewest - 1, -1):
+            for S, nbhd in _kernels._independent_sets(F.adj, s, F.full_mask):
+                if s == a or weight(S) >= a:
+                    if meter is not None:
+                        meter.charge()
+                    yield S, nbhd
+
     return classes, F, weight, scan
 
 
 def codegree_min(G: Graph, a: int):
-    """Minimum |N(I)| over independent a-sets I; None when no such I."""
+    """Minimum |N(I)| over independent a-sets I; None when no such I.
+    The meter is charged one node per co-neighbourhood read."""
     if a < 1:
         raise ValueError("set size must be at least 1")
+    meter = _meter("codegree_min")
     _, _, weight, scan = _class_coneighborhoods(G, a)
-    return min((weight(nbhd) for _, nbhd in scan), default=None)
+    return min((weight(nbhd) for _, nbhd in scan(meter)), default=None)
 
 
-def clique_codensity(G: Graph, a: int, b: int, budget: SearchBudget | None = None):
+def clique_codensity(G: Graph, a: int, b: int):
     """Minimum b-clique density of G[N(I)] over independent a-sets I.
 
     Density is k_b(G[N(I)]) / C(|N(I)|, b), exact; a co-neighborhood with
@@ -256,7 +255,7 @@ def clique_codensity(G: Graph, a: int, b: int, budget: SearchBudget | None = Non
     """
     if a < 1 or b < 2:
         raise ValueError("need a >= 1 and b >= 2")
-    meter = _meter(budget, "clique_codensity")
+    meter = _meter("clique_codensity")
     _, F, weight, scan = _class_coneighborhoods(G, a)
 
     def density(nbhd: int) -> Fraction:
@@ -266,7 +265,7 @@ def clique_codensity(G: Graph, a: int, b: int, budget: SearchBudget | None = Non
         count = _kernels.count_cliques(F.adj, b, nbhd, weigh=weight, meter=meter)
         return Fraction(count, comb(size, b))
 
-    return min((density(nbhd) for _, nbhd in scan), default=None)
+    return min((density(nbhd) for _, nbhd in scan()), default=None)
 
 
 def has_induced_p4(G: Graph, u: int, v: int):
@@ -288,13 +287,13 @@ def has_induced_p4(G: Graph, u: int, v: int):
     return None
 
 
-def is_kr_free(G: Graph, r: int, budget: SearchBudget | None = None) -> bool:
+def is_kr_free(G: Graph, r: int) -> bool:
     if r < 2:
         raise ValueError("r must be at least 2")
-    return count_cliques(G, r, budget=budget) == 0 if G.n >= r else True
+    return count_cliques(G, r) == 0 if G.n >= r else True
 
 
-def is_maximal_kr_free(G: Graph, r: int, budget: SearchBudget | None = None) -> bool:
+def is_maximal_kr_free(G: Graph, r: int) -> bool:
     """K_r-free, and adding any non-edge creates a K_r.
 
     G+uv holds a K_r through u,v iff N(u,v) holds a K_{r-2}; for r=2 the
@@ -305,12 +304,7 @@ def is_maximal_kr_free(G: Graph, r: int, budget: SearchBudget | None = None) -> 
     The meter is charged one node per co-neighbourhood tested, plus the
     nodes of its clique search (none for r <= 3, a popcount)."""
     _, F, _, scan = _class_coneighborhoods(G, 2)
-    if not is_kr_free(F, r, budget):
+    if not is_kr_free(F, r):
         return False
-    meter = _meter(budget, "is_maximal_kr_free")
-    for _, nbhd in scan:
-        if meter is not None:
-            meter.charge()
-        if not _kernels.count_cliques(F.adj, r - 2, nbhd, meter=meter):
-            return False
-    return True
+    meter = _meter("is_maximal_kr_free")
+    return all(_kernels.count_cliques(F.adj, r - 2, nbhd, meter=meter) for _, nbhd in scan(meter))

@@ -14,7 +14,6 @@ import json
 import os
 from pathlib import Path
 
-from .budget import SearchBudget
 from .convexity import ConvexitySpace, explicit_space, mis_space, subcube_space
 from .decompose import BlowupDecomposition
 from .graphs import Graph
@@ -29,7 +28,6 @@ __all__ = [
     "graph_from_obj",
     "system_from_obj",
     "parse_space",
-    "space_from_obj",
     "decomposition_to_obj",
     "load_text",
 ]
@@ -199,14 +197,16 @@ def system_from_obj(obj) -> SetSystem:
 # ---------------------------------------------------------------- spaces
 
 
-def space_from_obj(obj, budget: SearchBudget | None = None) -> ConvexitySpace:
+def parse_space(source) -> ConvexitySpace:
+    """Convexity space from JSON text, or from a file of it."""
+    obj = _load_json(load_text(source))
     if not isinstance(obj, dict):
         raise ParseError("space JSON must be an object")
     kind = obj.get("kind")
     if kind == "from_graph":
         if "graph" not in obj:
             raise ParseError('from_graph space needs a "graph" key')
-        return mis_space(graph_from_obj(obj["graph"]), budget)
+        return mis_space(graph_from_obj(obj["graph"]))
     if kind == "subcubes":
         dim = _int_field(obj, "dim", "subcubes space")
         if dim < 1:
@@ -217,10 +217,6 @@ def space_from_obj(obj, budget: SearchBudget | None = None) -> ConvexitySpace:
             raise ParseError('explicit space needs a "system" key')
         return explicit_space(system_from_obj(obj["system"]))
     raise ParseError(f"unknown space kind {kind!r}")
-
-
-def parse_space(source, budget: SearchBudget | None = None) -> ConvexitySpace:
-    return space_from_obj(_load_json(load_text(source)), budget)
 
 
 # -------------------------------------------------------- decompositions

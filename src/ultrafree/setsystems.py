@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import _kernels
-from .budget import SearchBudget, _meter
+from .budget import _meter
 from .errors import ClaimViolation, PreconditionViolated
 from .graphs import Graph, members
 from .lp import max_simplex
@@ -166,7 +166,7 @@ def _greedy_cover(covers, unhit: int) -> list[int]:
     return picks
 
 
-def transversal_number(F: SetSystem, budget: SearchBudget | None = None):
+def transversal_number(F: SetSystem):
     """Exact minimum hitting set: ``(size, witness_elements)``.
 
     Branch and bound between two combinatorial bounds: a greedy cover gives
@@ -177,7 +177,7 @@ def transversal_number(F: SetSystem, budget: SearchBudget | None = None):
     m = len(F.sets)
     if m == 0:
         return 0, ()
-    meter = _meter(budget, "transversal_number")
+    meter = _meter("transversal_number")
     covers = _element_cover_masks(F)
     all_sets = (1 << m) - 1
 
@@ -216,23 +216,25 @@ def transversal_number(F: SetSystem, budget: SearchBudget | None = None):
             rec(unhit & ~covers[e], chosen)
             chosen.pop()
 
-    rec(all_sets, [])
-    del rec
+    try:
+        rec(all_sets, [])
+    finally:
+        del rec
     return best_size, best
 
 
-def matching_number(F: SetSystem, budget: SearchBudget | None = None):
+def matching_number(F: SetSystem):
     """Maximum clique of the disjointness graph, that is, a largest
     pairwise-disjoint subfamily: ``(size, witness_indices)``."""
     D = disjointness_graph(F)
-    size, mask = _kernels.max_clique(D.adj, D.full_mask, _meter(budget, "matching_number"))
+    size, mask = _kernels.max_clique(D.adj, D.full_mask, _meter("matching_number"))
     return size, members(mask)
 
 
-def fractional_transversal(F: SetSystem, budget: SearchBudget | None = None) -> FractionalSolution:
+def fractional_transversal(F: SetSystem) -> FractionalSolution:
     """Optimal fractional transversal, with the optimal fractional matching
     attached as ``.dual`` and the equality of their values certified.
-    The budget's nodes are the simplex's tableau rows built and rewritten."""
+    The meter's nodes are the simplex's tableau rows built and rewritten."""
     if any(s == 0 for s in F.sets):
         raise Infeasible("system contains an empty set")
     m = len(F.sets)
@@ -242,7 +244,7 @@ def fractional_transversal(F: SetSystem, budget: SearchBudget | None = None) -> 
     A = [[1 if F.sets[j] >> v & 1 else 0 for j in range(m)] for v in range(F.ground)]
     b = [1] * F.ground
     c = [1] * m
-    value, y, x = max_simplex(c, A, b, _meter(budget, "fractional_transversal"))
+    value, y, x = max_simplex(c, A, b, _meter("fractional_transversal"))
 
     if any(w < 0 for w in y) or any(w < 0 for w in x):
         raise ClaimViolation("LP certification failed: negative weight")
@@ -261,10 +263,10 @@ def fractional_transversal(F: SetSystem, budget: SearchBudget | None = None) -> 
     return FractionalSolution({v: w for v, w in enumerate(x) if w}, value, matching)
 
 
-def vc_dimension(F: SetSystem, budget: SearchBudget | None = None):
+def vc_dimension(F: SetSystem):
     """Exact VC dimension with the lexicographically first maximum shattered
     set as witness.  Convention: the empty family has dimension 0."""
-    meter = _meter(budget, "vc_dimension")
+    meter = _meter("vc_dimension")
     distinct = sorted(set(F.sets))
     if not distinct:
         return 0, ()
@@ -294,7 +296,7 @@ def vc_dimension(F: SetSystem, budget: SearchBudget | None = None):
     return depth, members(level[0])
 
 
-def helly_number(F: SetSystem, budget: SearchBudget | None = None) -> int:
+def helly_number(F: SetSystem) -> int:
     """Largest inclusion-minimal non-intersecting subfamily.
 
     Conventions: 0 for the empty family; 1 when all members share a point.
@@ -309,7 +311,7 @@ def helly_number(F: SetSystem, budget: SearchBudget | None = None) -> int:
         inter_all &= s
     if inter_all:
         return 1
-    meter = _meter(budget, "helly_number")
+    meter = _meter("helly_number")
     best = 1 if any(s == 0 for s in F.sets) else 0
 
     # DFS over index-increasing subfamilies of the distinct nonempty sets.
@@ -350,12 +352,14 @@ def helly_number(F: SetSystem, budget: SearchBudget | None = None) -> int:
                         later.append(x)
             rec(size + 1, ws, new_inter, later)
 
-    rec(0, [], full, sorted({s for s in F.sets if s and full & ~s}))
-    del rec
+    try:
+        rec(0, [], full, sorted({s for s in F.sets if s and full & ~s}))
+    finally:
+        del rec
     return best
 
 
-def has_pq_property(F: SetSystem, p: int, q: int, budget: SearchBudget | None = None) -> bool:
+def has_pq_property(F: SetSystem, p: int, q: int) -> bool:
     """Every p of the sets (by index) include q with a common point.
 
     The property fails exactly when some p members cover no point q times.
@@ -363,12 +367,12 @@ def has_pq_property(F: SetSystem, p: int, q: int, budget: SearchBudget | None = 
     members, keeping ``levels[i]``, the points covered more than i times,
     for i < q - 1; a set that meets the top level is never added.  The
     search uses an explicit stack, so p is not limited by recursion depth.
-    Each member it adds to a family costs one budget node.
+    Each member it adds to a family costs one meter node.
     """
-    return _pq_properties(F, (p,), q, budget)[p]
+    return _pq_properties(F, (p,), q)[p]
 
 
-def _pq_properties(F: SetSystem, ps, q: int, budget: SearchBudget | None = None) -> dict[int, bool]:
+def _pq_properties(F: SetSystem, ps, q: int) -> dict[int, bool]:
     """``{p: has_pq_property(F, p, q)}`` for every p in ``ps``, from one
     search under one ``has_pq_property`` meter.
 
@@ -389,7 +393,7 @@ def _pq_properties(F: SetSystem, ps, q: int, budget: SearchBudget | None = None)
     p = next(targets, None)
     if p is None:
         return out
-    meter = _meter(budget, "has_pq_property")
+    meter = _meter("has_pq_property")
     top = q - 2
     # stack[d]: the levels of the family of the first d chosen members;
     # nxt[d]: the next index to try as its (d+1)-th member
@@ -439,16 +443,16 @@ def maximal_intersecting_subfamilies(F: SetSystem) -> list[int]:
     return sorted(kept)
 
 
-def mis_family(G: Graph, budget: SearchBudget | None = None) -> SetSystem:
+def mis_family(G: Graph) -> SetSystem:
     """The maximal independent sets of G, as a system over V(G)."""
-    masks = _kernels.enumerate_mis(G.adj, G.n, _meter(budget, "mis_family"))
+    masks = _kernels.enumerate_mis(G.adj, G.n, _meter("mis_family"))
     return SetSystem.from_masks(G.n, masks)
 
 
-def mis_star_system(G: Graph, budget: SearchBudget | None = None) -> SetSystem:
+def mis_star_system(G: Graph) -> SetSystem:
     """One set per vertex v: the indices of the maximal independent sets
     containing v, over the ground of all maximal independent sets."""
-    return dual(mis_family(G, budget))
+    return dual(mis_family(G))
 
 
 def neighborhood_system(G: Graph) -> SetSystem:

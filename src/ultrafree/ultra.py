@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from . import _kernels
-from .budget import SearchBudget, _meter
+from .budget import _meter
 from .errors import ClaimViolation, PreconditionViolated
 from .graphs import Graph, _blowup_quotient, _class_coneighborhoods, members
 
@@ -89,7 +89,7 @@ class BiInducedMatching(NamedTuple):
                     raise ClaimViolation(f"cross pair ({i},{j}) violates the matching pattern")
 
 
-def ultra_parameter(G: Graph, r: int, budget: SearchBudget | None = None) -> UltraCertificate:
+def ultra_parameter(G: Graph, r: int) -> UltraCertificate:
     """Minimum over non-adjacent pairs u,v of the number of (r-2)-cliques
     in the common neighborhood, divided by n^(r-2).  Exact.  The K_r check
     and every pair's count charge one meter, named ``ultra_parameter``.
@@ -101,7 +101,7 @@ def ultra_parameter(G: Graph, r: int, budget: SearchBudget | None = None) -> Ult
     (first_i, second_i)."""
     if r < 3:
         raise ValueError("need r >= 3")
-    meter = _meter(budget, "ultra_parameter")
+    meter = _meter("ultra_parameter")
     classes, F, weight, scan = _class_coneighborhoods(G, 2)
     if F.n >= r and _kernels.count_cliques(F.adj, r, F.full_mask, meter=meter):
         raise PreconditionViolated(f"graph contains a {r}-clique")
@@ -111,14 +111,14 @@ def ultra_parameter(G: Graph, r: int, budget: SearchBudget | None = None) -> Ult
         u, v = (ends[0][0], ends[1][0]) if len(ends) == 2 else ends[0][:2]
         return _kernels.count_cliques(F.adj, r - 2, nbhd, weigh=weight, meter=meter), u, v
 
-    worst = min((candidate(S, nbhd) for S, nbhd in scan), default=None)
+    worst = min((candidate(S, nbhd) for S, nbhd in scan()), default=None)
     if worst is None:
         return UltraCertificate(r, None, None)
     least, u, v = worst
     return UltraCertificate(r, Fraction(least, G.n ** (r - 2)), (u, v, least))
 
 
-def is_eps_ultra(G: Graph, r: int, eps, budget: SearchBudget | None = None) -> bool:
+def is_eps_ultra(G: Graph, r: int, eps) -> bool:
     """Whether G is an eps-ultra maximal K_r-free graph.
 
     For eps > 0 this is just eps <= epsilon_star: a positive clique count
@@ -128,12 +128,12 @@ def is_eps_ultra(G: Graph, r: int, eps, budget: SearchBudget | None = None) -> b
     if eps <= 0:
         raise ValueError("eps must be positive")
     try:
-        return ultra_parameter(G, r, budget).admits(eps)
+        return ultra_parameter(G, r).admits(eps)
     except PreconditionViolated:  # G holds a K_r
         return False
 
 
-def find_half_graph(G: Graph, k: int, budget: SearchBudget | None = None):
+def find_half_graph(G: Graph, k: int):
     """First half-graph embedding on 2k distinct vertices, or None.
 
     Exhaustive search choosing x_i then y_i in index order.  Vertices
@@ -145,7 +145,7 @@ def find_half_graph(G: Graph, k: int, budget: SearchBudget | None = None):
         raise ValueError("need k >= 1")
     if 2 * k > G.n:
         return None
-    meter = _meter(budget, "find_half_graph")
+    meter = _meter("find_half_graph")
     classes, F = _blowup_quotient(G)
     nc = len(classes)
     caps = [len(c) for c in classes]
@@ -183,8 +183,10 @@ def find_half_graph(G: Graph, k: int, budget: SearchBudget | None = None):
             caps[cx] += 1
         return False
 
-    found = rec(0, full)
-    del rec
+    try:
+        found = rec(0, full)
+    finally:
+        del rec
     if not found:
         return None
     used = [0] * nc
@@ -199,7 +201,7 @@ def find_half_graph(G: Graph, k: int, budget: SearchBudget | None = None):
     return emb
 
 
-def nu_bi(G: Graph, budget: SearchBudget | None = None):
+def nu_bi(G: Graph):
     """Exact bipartite induced matching number with a witness.
 
     Maximum clique of the compatibility graph on darts (ordered adjacent
@@ -230,7 +232,7 @@ def nu_bi(G: Graph, budget: SearchBudget | None = None):
         far_tails.append(t)
         far_heads.append(h)
     compat = [far_tails[b] & far_heads[a] for a, b in cands]
-    best, mask = _kernels.max_clique(compat, (1 << len(cands)) - 1, _meter(budget, "nu_bi"))
+    best, mask = _kernels.max_clique(compat, (1 << len(cands)) - 1, _meter("nu_bi"))
     witness = BiInducedMatching(tuple(cands[i] for i in members(mask)))
     witness.validate(G)
     return best, witness

@@ -9,8 +9,9 @@ does ``ultrafree.__all__``: exporting a function does not make it live.
 The scan matches names, so it can only over-count what is reached.  A
 public method of a module-level class must be read as an attribute by
 package code outside its own body.  Every name listed in an ``__all__``
-must exist, no module reads the process environment, and no check name
-is written in two modules.
+must exist, no module reads the process environment, no check name is
+written in two modules, and no function outside ``budget.py`` takes a
+``budget``.
 """
 
 import ast
@@ -155,3 +156,23 @@ def test_each_check_name_is_written_in_one_module():
     assert sorted(name for name, stems in names.items() if len(stems) > 1) == []
     assert names["degree-hypothesis"] == {"decompose"}
     assert names["construction-size"] == {"cli"}
+
+
+def test_no_function_outside_budget_takes_a_budget():
+    # a solver charges the budget in force, so no call can forget to pass
+    # one on; only the CLI makes a budget and puts it in force
+    takes, makes = [], []
+    for stem in MODULES:
+        for node in ast.walk(ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+                if stem != "budget" and any(p.arg == "budget" for p in params):
+                    takes.append(f"{stem}.py:{node.lineno}")
+            elif (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "SearchBudget"
+            ):
+                makes.append(stem)
+    assert takes == []
+    assert set(makes) == {"cli"}

@@ -135,9 +135,9 @@ def test_p4_obstruction_scans_class_pairs(monkeypatch):
 def test_p4_obstruction_searches_the_quotient(monkeypatch):
     orders = []
 
-    def recorded(A, budget=None):
+    def recorded(A):
         orders.append(A.n)
-        return max_clique_witness(A, budget)
+        return max_clique_witness(A)
 
     monkeypatch.setattr(ultrafree.decompose, "max_clique_witness", recorded)
     assert len(p4_obstruction(hypercube_lb(5).G).core) == 17

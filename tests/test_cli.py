@@ -135,7 +135,7 @@ class TestAnalyze:
             assert f"unknown graph metric {tok!r}" in capsys.readouterr().err
 
     def test_bad_token_checked_before_any_metric(self, c5_file, capsys, monkeypatch):
-        def unreachable(G, budget=None):
+        def unreachable(G):
             raise AssertionError("no metric may run before every token is checked")
 
         monkeypatch.setattr(ultrafree.cli, "chromatic_number", unreachable)
@@ -176,7 +176,7 @@ class TestAnalyze:
         ids=["recursion", "memory"],
     )
     def test_resource_error_exits_three(self, error, message, c5_file, capsys, monkeypatch):
-        def exhausted(G, budget=None):
+        def exhausted(G):
             raise error
 
         monkeypatch.setattr(ultrafree.cli, "clique_number", exhausted)
@@ -735,7 +735,7 @@ class TestVerify:
 
     def test_correspondence_failure_witness(self, capsys, monkeypatch):
         cat = self._two_graph_catalog(monkeypatch)
-        monkeypatch.setattr(ultrafree.setsystems, "helly_number", lambda F, budget=None: 3)
+        monkeypatch.setattr(ultrafree.setsystems, "helly_number", lambda F: 3)
         assert main(["verify", "--suite", "correspondence", "--json"]) == 1
         by_name = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
         helly = by_name["star-helly-matches-edges"]
@@ -751,8 +751,8 @@ class TestVerify:
         self._two_graph_catalog(monkeypatch)
         pq_properties = ultrafree.setsystems._pq_properties
 
-        def wrong_at_four(F, ps, q, budget=None):
-            return {p: holds != (p == 4) for p, holds in pq_properties(F, ps, q, budget).items()}
+        def wrong_at_four(F, ps, q):
+            return {p: holds != (p == 4) for p, holds in pq_properties(F, ps, q).items()}
 
         monkeypatch.setattr(ultrafree.setsystems, "_pq_properties", wrong_at_four)
         assert main(["verify", "--suite", "correspondence", "--json"]) == 1
@@ -911,13 +911,13 @@ class TestCommandBudget:
         assert error["type"] == "budget" and "(time)" in error["message"]
 
     def test_budget_nodes_bounds_the_whole_suite(self, capsys):
-        # the suite charges 952 nodes over three meters, the largest 690:
-        # the command's one budget runs out at 951
+        # the suite charges 1,642 nodes over four meters, the largest 690:
+        # the command's one budget runs out at 1,641
         argv = ["verify", "--suite", "construction:d=5", "--json", "--budget-nodes"]
-        assert main(argv + ["951"]) == 3
+        assert main(argv + ["1641"]) == 3
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["type"] == "budget" and "(nodes)" in error["message"]
-        assert main(argv + ["952"]) == 0
+        assert main(argv + ["1642"]) == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
 
     def test_budget_nodes_bounds_the_correspondence_suite(self, capsys):
@@ -925,6 +925,55 @@ class TestCommandBudget:
         # together they charge tens of thousands
         assert main(["verify", "--suite", "correspondence", "--budget-nodes", "30", "--json"]) == 3
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "budget"
+
+
+# (argv with G for the d = 4 hypercube_lb graph and S for the 3-cube's
+# subcube space, the op whose meter runs out) for every analyze metric,
+# every setsys metric under each graph derivation, every space option and
+# every gen family that searches.  A star or MIS derivation, like a
+# from_graph space, runs out inside mis_family before any metric runs.
+_GRAPH_METRIC_OPS = {
+    "chi": "chromatic_number",
+    "omega": "clique_number",
+    "mis": "mis_family",
+    "nubi": "nu_bi",
+    "ultra:3": "ultra_parameter",
+    "codegree:2": "codegree_min",
+    "codensity:2:2": "clique_codensity",
+}
+_SETSYS_METRIC_OPS = {
+    "tau": "transversal_number",
+    "nu": "matching_number",
+    "taustar": "fractional_transversal",
+    "vc": "vc_dimension",
+    "helly": "helly_number",
+    "pq:3:2": "has_pq_property",
+}
+_BUDGET_TABLE = (
+    [(["analyze", "G", "--metrics", m], op) for m, op in _GRAPH_METRIC_OPS.items()]
+    + [
+        (["setsys", "G", "--derive", derive, "--metrics", m], op if derive == "neighborhoods" else "mis_family")
+        for derive in ("stars", "mis", "neighborhoods")
+        for m, op in _SETSYS_METRIC_OPS.items()
+    ]
+    + [
+        (["space", "S", "--helly"], "helly_number"),
+        (["space", "S", "--radon-cap", "2"], "radon_number"),
+        (["space", "S", "--weak-net", "1/4"], "convex_sets"),
+        (["gen", "ultra-vc", "--params", "m=3"], "count_cliques"),
+    ]
+)
+
+
+@pytest.mark.parametrize("argv, op", _BUDGET_TABLE, ids=[" ".join(a) for a, _ in _BUDGET_TABLE])
+def test_every_search_honours_the_command_budget(argv, op, tmp_path, capsys):
+    files = {"G": str(tmp_path / "g.json"), "S": str(tmp_path / "s.json")}
+    assert main(["gen", "hypercube-lb", "--params", "d=4", "--out", files["G"]]) == 0
+    (tmp_path / "s.json").write_text('{"kind": "subcubes", "dim": 3}')
+    argv = [files.get(a, a) for a in argv]
+    assert main(argv + ["--budget-nodes", "1", "--json"]) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "budget", "message": f"{op}: budget exceeded after 2 nodes (nodes)"}
 
 
 class TestRepeatedKeys:

@@ -323,7 +323,7 @@ class TestCorrespondence:
         calls = []
         real = ultrafree.setsystems.mis_family
         monkeypatch.setattr(
-            ultrafree.setsystems, "mis_family", lambda G, budget=None: calls.append(G) or real(G, budget)
+            ultrafree.setsystems, "mis_family", lambda G: calls.append(G) or real(G)
         )
         if rs:
             with pytest.raises(ValueError, match=f"r = {min(rs)}"):
@@ -363,9 +363,9 @@ class TestCorrespondence:
             adj[1] ^= 1 << 0
             return Graph.from_masks(adj)
 
-        def matching_number(F, budget=None):
+        def matching_number(F):
             calls.append(F)
-            return real_matching(F, budget)
+            return real_matching(F)
 
         if not rebuilt_is_g:
             monkeypatch.setattr(ultrafree.setsystems, "disjointness_graph", flipped)
@@ -380,9 +380,9 @@ class TestCorrespondence:
 
 class TestCompositeMeters:
     def test_readme_example(self, monkeypatch):
-        # a composite call passes its one budget to each sub-solver, whose
-        # meters all charge that budget: 61 nodes over six meters, and one
-        # (r,2) search answers all three r
+        # every sub-solver of a composite call charges the one budget in
+        # force: 61 nodes over six meters, and one (r,2) search answers all
+        # three r
         meters = []
         meter = SearchBudget.meter
 
@@ -391,7 +391,8 @@ class TestCompositeMeters:
             return meters[-1][1]
 
         monkeypatch.setattr(SearchBudget, "meter", recording_meter)
-        correspondence_checks(Graph.cycle(7), (3, 4, 5), SearchBudget(max_nodes=61))
+        with SearchBudget(max_nodes=61):
+            correspondence_checks(Graph.cycle(7), (3, 4, 5))
         assert [(op, m.nodes) for op, m in meters] == [
             ("mis_family", 16),
             ("clique_number", 2),
@@ -401,8 +402,8 @@ class TestCompositeMeters:
             ("has_pq_property", 10),
         ]
         assert sum(m.nodes for _, m in meters) == 61
-        with pytest.raises(BudgetExceeded) as exc:
-            correspondence_checks(Graph.cycle(7), (3, 4, 5), SearchBudget(max_nodes=60))
+        with pytest.raises(BudgetExceeded) as exc, SearchBudget(max_nodes=60):
+            correspondence_checks(Graph.cycle(7), (3, 4, 5))
         assert (exc.value.op, exc.value.nodes) == ("has_pq_property", 61)
 
 

@@ -279,7 +279,7 @@ class TestMinDegreeUltra:
 
     def test_no_separate_maximality_scan(self, monkeypatch):
         # maximality is read off the one ultra_parameter scan
-        def no_scan(G, r, budget=None):
+        def no_scan(G, r):
             raise AssertionError("min_degree_ultra_check must not call is_maximal_kr_free")
 
         monkeypatch.setattr(ultrafree.graphs, "is_maximal_kr_free", no_scan)

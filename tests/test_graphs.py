@@ -222,7 +222,8 @@ class TestChromaticOrder:
     def test_blowup_within_cap(self):
         # 144 vertices; the search in DSATUR's order takes about 1.1 M nodes
         G = hypercube_lb(4).G
-        assert chromatic_number(G, SearchBudget(max_nodes=2_000_000)) == 4
+        with SearchBudget(max_nodes=2_000_000):
+            assert chromatic_number(G) == 4
 
     @given(oracles.graphs(max_n=12))
     @settings(max_examples=60, deadline=None)
@@ -246,7 +247,8 @@ class TestChromaticAtDsaturCount:
         assert chromatic_number(Graph.path(1500)) == 2
 
     def test_path_within_node_cap(self):
-        assert chromatic_number(Graph.path(100), SearchBudget(max_nodes=50)) == 2
+        with SearchBudget(max_nodes=50):
+            assert chromatic_number(Graph.path(100)) == 2
 
 
 class TestMis:
@@ -350,14 +352,15 @@ class TestMaximality:
         meter = SearchBudget.meter
         monkeypatch.setattr(SearchBudget, "meter", lambda b, op: meters.append(meter(b, op)) or meters[-1])
         G = hypercube_lb(5).G
-        b = SearchBudget()
-        assert is_maximal_kr_free(G, 3, b)
+        with SearchBudget() as b:
+            assert is_maximal_kr_free(G, 3)
         assert [(m.op, m.nodes) for m in meters] == [("count_cliques", 207), ("is_maximal_kr_free", 690)]
         assert b.nodes == 897
-        with pytest.raises(BudgetExceeded) as exc:
-            is_maximal_kr_free(G, 3, SearchBudget(max_nodes=896))
+        with pytest.raises(BudgetExceeded) as exc, SearchBudget(max_nodes=896):
+            is_maximal_kr_free(G, 3)
         assert exc.value.op == "is_maximal_kr_free"
-        assert is_maximal_kr_free(G, 3, SearchBudget(max_nodes=897))
+        with SearchBudget(max_nodes=897):
+            assert is_maximal_kr_free(G, 3)
 
     def test_r2_degenerates_to_edgeless(self):
         assert is_maximal_kr_free(Graph(3), 2)
@@ -381,14 +384,16 @@ class TestMaximality:
 class TestBudget:
     def test_nodes_cap(self):
         G = random_graph(40, 1, 2, 7)
-        with pytest.raises(BudgetExceeded) as exc:
-            chromatic_number(G, SearchBudget(max_nodes=5))
+        with pytest.raises(BudgetExceeded) as exc, SearchBudget(max_nodes=5):
+            chromatic_number(G)
         assert exc.value.reason == "nodes"
         assert exc.value.nodes > 5
 
     def test_unlimited_and_roomy(self):
-        assert chromatic_number(C5, SearchBudget()) == 3
-        assert chromatic_number(C5, SearchBudget(max_nodes=10**6)) == 3
+        with SearchBudget():
+            assert chromatic_number(C5) == 3
+        with SearchBudget(max_nodes=10**6):
+            assert chromatic_number(C5) == 3
 
     @pytest.mark.parametrize("field", ["max_nodes", "max_millis"])
     def test_rejects_negative(self, field):
@@ -406,16 +411,33 @@ class TestBudget:
 
     def test_budget_is_one_account(self):
         # each clique_number(C5) charges 2 nodes, all to the one budget
-        b = SearchBudget(max_nodes=10**6)
-        for _ in range(3):
-            assert clique_number(C5, b) == 2
+        with SearchBudget(max_nodes=10**6) as b:
+            for _ in range(3):
+                assert clique_number(C5) == 2
         assert b.nodes == 6
-        b = SearchBudget(max_nodes=5)
-        for _ in range(2):
-            assert clique_number(C5, b) == 2
-        with pytest.raises(BudgetExceeded) as exc:
-            clique_number(C5, b)
+        with SearchBudget(max_nodes=5):
+            for _ in range(2):
+                assert clique_number(C5) == 2
+            with pytest.raises(BudgetExceeded) as exc:
+                clique_number(C5)
         assert (exc.value.reason, exc.value.nodes) == ("nodes", 6)
+
+    def test_inner_budget_replaces_the_outer_until_it_ends(self):
+        # with no budget in force a search opens no meter; a nested
+        # ``with`` charges only the inner budget, re-entering a budget
+        # charges it again, and each exit restores the budget before it
+        outer, inner = SearchBudget(), SearchBudget()
+        with outer:
+            clique_number(C5)
+            with inner:
+                clique_number(C5)
+                with outer:
+                    clique_number(C5)
+                clique_number(C5)
+            clique_number(C5)
+        assert clique_number(C5) == 2
+        assert (outer.nodes, inner.nodes) == (6, 4)
+        assert budget._active.get() is None
 
 
 class TestBudgetDeadline:
@@ -426,23 +448,23 @@ class TestBudgetDeadline:
         # the first call's 2 nodes on the budget
         ticks = iter([0.0, 0.0])
         monkeypatch.setattr(budget, "time", SimpleNamespace(monotonic=lambda: next(ticks, 1.0)))
-        b = SearchBudget(max_millis=500)
-        assert clique_number(C5, b) == 2
-        with pytest.raises(BudgetExceeded) as exc:
-            clique_number(C5, b)
+        with SearchBudget(max_millis=500):
+            assert clique_number(C5) == 2
+            with pytest.raises(BudgetExceeded) as exc:
+                clique_number(C5)
         assert (exc.value.op, exc.value.reason, exc.value.nodes) == ("clique_number", "time", 2)
 
     def test_caps_are_read_on_every_check(self, monkeypatch):
-        b = SearchBudget()
-        assert clique_number(C5, b) == 2
-        b.max_nodes = 3
-        with pytest.raises(BudgetExceeded) as exc:
-            clique_number(C5, b)
-        assert (exc.value.reason, exc.value.nodes) == ("nodes", 4)
-        b.max_nodes, b.max_millis = None, 0
-        monkeypatch.setattr(budget, "time", SimpleNamespace(monotonic=lambda: b._start + 1.0))
-        with pytest.raises(BudgetExceeded) as exc:
-            clique_number(C5, b)
+        with SearchBudget() as b:
+            assert clique_number(C5) == 2
+            b.max_nodes = 3
+            with pytest.raises(BudgetExceeded) as exc:
+                clique_number(C5)
+            assert (exc.value.reason, exc.value.nodes) == ("nodes", 4)
+            b.max_nodes, b.max_millis = None, 0
+            monkeypatch.setattr(budget, "time", SimpleNamespace(monotonic=lambda: b._start + 1.0))
+            with pytest.raises(BudgetExceeded) as exc:
+                clique_number(C5)
         assert (exc.value.reason, exc.value.nodes) == ("time", 4)
 
 

@@ -4,7 +4,7 @@ A nested function that calls itself is a cycle through its closure cell
 until its name is deleted, and only the cyclic garbage collector frees
 one; a command would pay for each search's cycle in collections.  With
 the collector off, every search below must leave ``gc.collect()``
-nothing to free.
+nothing to free, also when its budget runs out inside the recursion.
 """
 
 import gc
@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from ultrafree.budget import BudgetExceeded, SearchBudget
 from ultrafree.convexity import correspondence_checks
 from ultrafree.decompose import haussler_partition
 from ultrafree.graphs import Graph, chromatic_number, clique_codensity, is_maximal_kr_free
@@ -56,3 +57,25 @@ def test_no_search_leaves_a_cycle(collector_off):
         search()
         left[name] = gc.collect()
     assert left == dict.fromkeys(SEARCHES, 0)
+
+
+# each raises inside its recursive helper under a 2-node cap
+RAISING = {
+    "transversal_number": lambda: transversal_number(STARS),
+    "helly_number": lambda: helly_number(STARS),
+    "mis_family": lambda: mis_family(C7),
+    # with ω given, the first search is the k-colouring one
+    "chromatic_number": lambda: chromatic_number(C7, omega=2),
+    "find_half_graph": lambda: find_half_graph(C7, 2),
+}
+
+
+def test_no_search_leaves_a_cycle_when_it_raises(collector_off):
+    left = {}
+    for name, search in RAISING.items():
+        # the handled exception holds the search's frames until its
+        # handler ends, so the collection runs after it
+        with pytest.raises(BudgetExceeded), SearchBudget(max_nodes=2):
+            search()
+        left[name] = gc.collect()
+    assert left == dict.fromkeys(RAISING, 0)

@@ -152,8 +152,9 @@ class TestTransversalMatching:
         assert matching_number(F) == (0, ())
 
     def test_matching_budget(self):
-        with pytest.raises(BudgetExceeded) as exc:
-            matching_number(mis_star_system(C5), SearchBudget(max_nodes=1))
+        F = mis_star_system(C5)
+        with pytest.raises(BudgetExceeded) as exc, SearchBudget(max_nodes=1):
+            matching_number(F)
         assert exc.value.op == "matching_number"
 
     def test_transversal_solves_no_lp(self, monkeypatch):
@@ -164,8 +165,9 @@ class TestTransversalMatching:
         assert transversal_number(mis_star_system(C5))[0] == 3
 
     def test_transversal_budget(self):
-        with pytest.raises(BudgetExceeded) as exc:
-            transversal_number(mis_star_system(C5), SearchBudget(max_nodes=1))
+        F = mis_star_system(C5)
+        with pytest.raises(BudgetExceeded) as exc, SearchBudget(max_nodes=1):
+            transversal_number(F)
         assert exc.value.op == "transversal_number"
 
     @pytest.mark.parametrize("m, k", [(5, 2), (6, 2), (7, 2)])
@@ -194,7 +196,8 @@ class TestFractional:
         # 24 sets over 328 points and 22,875 nodes, which the full
         # tableau took about 30 s to write
         F = mis_star_system(hypercube_lb(4).H)
-        sol = fractional_transversal(F, SearchBudget(max_millis=20000))
+        with SearchBudget(max_millis=20000):
+            sol = fractional_transversal(F)
         assert sol.value == Fraction(104, 31)
         certify(sol, F)
 
@@ -215,10 +218,11 @@ class TestFractional:
 
     def test_budget(self):
         F = mis_star_system(C5)
-        with pytest.raises(BudgetExceeded) as exc:
-            fractional_transversal(F, SearchBudget(max_nodes=1))
+        with pytest.raises(BudgetExceeded) as exc, SearchBudget(max_nodes=1):
+            fractional_transversal(F)
         assert exc.value.op == "fractional_transversal"
-        assert fractional_transversal(F, SearchBudget(max_nodes=10**6)).value == Fraction(5, 2)
+        with SearchBudget(max_nodes=10**6):
+            assert fractional_transversal(F).value == Fraction(5, 2)
 
 
 def _metered_vc_dimension(F):
@@ -233,7 +237,8 @@ def _metered_vc_dimension(F):
             meters.append(super().meter(op))
             return meters[-1]
 
-    result = vc_dimension(F, Recording())
+    with Recording():
+        result = vc_dimension(F)
     (meter,) = meters
     return result, meter.nodes
 
@@ -346,7 +351,8 @@ class TestPqProperties:
             return meters[-1][1]
 
         monkeypatch.setattr(SearchBudget, "meter", recording_meter)
-        has_pq_property(F, p, q, SearchBudget())
+        with SearchBudget():
+            has_pq_property(F, p, q)
         assert [(op, m.nodes) for op, m in meters] == [("has_pq_property", nodes)]
 
     def test_one_meter_for_every_p(self, monkeypatch):
@@ -360,7 +366,8 @@ class TestPqProperties:
 
         monkeypatch.setattr(SearchBudget, "meter", recording_meter)
         F = mis_star_system(Graph.cycle(7))
-        got = ultrafree.setsystems._pq_properties(F, (5, 3, 4), 2, SearchBudget(max_nodes=10))
+        with SearchBudget(max_nodes=10):
+            got = ultrafree.setsystems._pq_properties(F, (5, 3, 4), 2)
         assert got == {3: True, 4: True, 5: True}
         assert ops == ["has_pq_property"]
         # every p above the number of sets holds without a search

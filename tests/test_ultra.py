@@ -37,7 +37,8 @@ def _metered_nu_bi(G):
             meters.append(super().meter(op))
             return meters[-1]
 
-    k, witness = nu_bi(G, Recording())
+    with Recording():
+        k, witness = nu_bi(G)
     (meter,) = meters
     return k, witness.pairs, meter.nodes
 
@@ -89,8 +90,9 @@ class TestUltraParameter:
         # the K_4 check takes 195 nodes and each of the 105 non-adjacent
         # pairs 6 more: a cap on the whole call is hit, a cap per pair never.
         # K(7,2) is twin-free, so its twin quotient is the graph itself.
-        with pytest.raises(BudgetExceeded) as exc:
-            ultra_parameter(kneser(7, 2), 4, SearchBudget(max_nodes=195))
+        G = kneser(7, 2)
+        with pytest.raises(BudgetExceeded) as exc, SearchBudget(max_nodes=195):
+            ultra_parameter(G, 4)
         assert exc.value.op == "ultra_parameter"
 
 
@@ -197,8 +199,8 @@ class TestNuBi:
         assert found[0] == 6
 
     def test_budget(self):
-        with pytest.raises(BudgetExceeded) as exc:
-            nu_bi(Graph.cycle(9), SearchBudget(max_nodes=2))
+        with pytest.raises(BudgetExceeded) as exc, SearchBudget(max_nodes=2):
+            nu_bi(Graph.cycle(9))
         assert exc.value.op == "nu_bi"
 
     def test_invalid_witness_is_claim_violation(self, monkeypatch):
@@ -237,10 +239,11 @@ class TestFindHalfGraph:
         # C5 blown up by 3 has no half-graph on 12 vertices; proving so
         # charges 121 nodes
         G = blowup(C5, [3] * 5)
-        with pytest.raises(BudgetExceeded) as exc:
-            find_half_graph(G, 6, SearchBudget(max_nodes=10))
+        with pytest.raises(BudgetExceeded) as exc, SearchBudget(max_nodes=10):
+            find_half_graph(G, 6)
         assert exc.value.op == "find_half_graph"
-        assert find_half_graph(G, 6, SearchBudget(max_nodes=121)) is None
+        with SearchBudget(max_nodes=121):
+            assert find_half_graph(G, 6) is None
 
     def test_invalid_embedding_is_claim_violation(self, monkeypatch):
         # the search runs on the complement's quotient, so its embedding
