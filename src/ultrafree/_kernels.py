@@ -91,15 +91,22 @@ def _walk(adj, meter, I, cand, common, need):
             yield from _walk(adj, meter, I | low, sub, common & row, need - 1)
 
 
-def max_clique(adj, mask, meter=None, classes=None):
+def max_clique(adj, mask, meter=None, classes=None, mirror=None):
     """Largest clique inside ``mask``: returns ``(size, witness_mask)``.
 
     Branch and bound with a greedy-coloring upper bound.  ``classes`` is
     ``_color_order(adj, mask)`` when the caller has already computed it.
+
+    ``mirror``, if given, is an involutive automorphism of the graph on
+    ``mask`` (``mirror[mirror[v]] == v``).  Once the root has branched on
+    v it drops ``mirror[v]`` too: a clique through ``mirror[v]`` that
+    avoids v mirrors one through v, already searched.  What is left
+    stays mirror-invariant, so the search stays exact, and it only
+    shrinks, so the root's colour bounds stay valid.
     """
     best = [0, 0]
     if mask:
-        _expand(adj, mask, 0, 0, best, meter, *(classes or _color_order(adj, mask)))
+        _expand(adj, mask, 0, 0, best, meter, *(classes or _color_order(adj, mask)), mirror)
     return best[0], best[1]
 
 
@@ -124,12 +131,15 @@ def _color_order(adj, cand):
     return order, bounds
 
 
-def _expand(adj, cand, cur, size, best, meter, order, bounds):
+def _expand(adj, cand, cur, size, best, meter, order, bounds, mirror=None):
+    # only the root gets a mirror; its cand loses each branched vertex's image
     for i in range(len(order) - 1, -1, -1):
         if size + bounds[i] <= best[0]:
             return
         v = order[i]
         bit = 1 << v
+        if mirror is not None and not cand >> v & 1:
+            continue
         if meter is not None:
             meter.charge()
         sub = cand & adj[v]
@@ -139,6 +149,8 @@ def _expand(adj, cand, cur, size, best, meter, order, bounds):
             best[0] = size + 1
             best[1] = cur | bit
         cand &= ~bit
+        if mirror is not None:
+            cand &= ~(1 << mirror[v])
 
 
 def _dsatur_order(adj, n):

@@ -15,6 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
+from .budget import _meter
 from .errors import ClaimViolation, PreconditionViolated
 from .graphs import Graph, _blowup_quotient, _lift, has_induced_p4, mask_of, max_clique_witness
 from . import graphs as _graphs
@@ -202,8 +203,9 @@ def _quotient(G: Graph, parts, quotient: Graph) -> BlowupDecomposition:
 
 def twin_quotient(G: Graph) -> BlowupDecomposition:
     """Coarsest blow-up decomposition: classes of equal open
-    neighborhoods.  The quotient is twin-free."""
-    deco = _quotient(G, *_blowup_quotient(G))
+    neighborhoods.  The quotient is twin-free.  Grouping charges one node
+    per vertex to a meter named ``twin_quotient``."""
+    deco = _quotient(G, *_blowup_quotient(G, _meter("twin_quotient")))
     if len(set(deco.quotient.adj)) != len(deco.parts):
         raise ClaimViolation("twin quotient still contains twins")
     return deco

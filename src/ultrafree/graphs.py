@@ -181,14 +181,17 @@ def _lift(row: int, masks) -> int:
     return m
 
 
-def _blowup_quotient(G: Graph):
+def _blowup_quotient(G: Graph, meter=None):
     """``(classes, F)``: G's twin classes (vertices with one neighbourhood
     mask), each ascending and ordered by first vertex, and the twin-free
     quotient ``F = G.induced(first vertices)``.  G is the blow-up of F
     with ``len(classes[i])`` independent copies of vertex i, so a quantity
-    of G can be computed on F with the class sizes as weights."""
+    of G can be computed on F with the class sizes as weights.  A meter,
+    if given, is charged one node per vertex grouped."""
     by_mask: dict[int, list[int]] = {}
     for v, m in enumerate(G.adj):
+        if meter is not None:
+            meter.charge()
         by_mask.setdefault(m, []).append(v)
     classes = tuple(map(tuple, by_mask.values()))
     # a twin-free G is its own quotient: the first vertices are 0..n-1

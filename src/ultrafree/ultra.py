@@ -201,24 +201,12 @@ def find_half_graph(G: Graph, k: int):
     return emb
 
 
-def nu_bi(G: Graph):
-    """Exact bipartite induced matching number with a witness.
-
-    Maximum clique of the compatibility graph on darts (ordered adjacent
-    pairs, sorted); two darts are compatible when vertex-disjoint with
-    both cross pairs non-adjacent.  Dart (a, b) is compatible with
-    (c, d) exactly when c is outside N(b) | {a, b} and d is outside
-    N(a) | {a, b}; since ab is an edge these are the closed
-    neighbourhoods N[b] and N[a].  So with ``tails[v]`` (``heads[v]``)
-    the mask of darts whose first (second) vertex is v, the row of
-    (a, b) is the OR of ``tails[c]`` over c outside N[b], ANDed with the
-    OR of ``heads[d]`` over d outside N[a].  The witness is validated on
-    G; an invalid one raises ClaimViolation.
-    """
-    cands = sorted(dart for u, v in G.edges() for dart in ((u, v), (v, u)))
+def _compatibility_rows(G: Graph, darts) -> list[int]:
+    """Row i: the mask of the darts compatible with ``darts[i]``, bit j
+    standing for ``darts[j]``."""
     tails = [0] * G.n
     heads = [0] * G.n
-    for i, (a, b) in enumerate(cands):
+    for i, (a, b) in enumerate(darts):
         tails[a] |= 1 << i
         heads[b] |= 1 << i
     # far_*[v]: the darts whose first / second vertex lies outside N[v]
@@ -231,8 +219,35 @@ def nu_bi(G: Graph):
             h |= heads[u]
         far_tails.append(t)
         far_heads.append(h)
-    compat = [far_tails[b] & far_heads[a] for a, b in cands]
-    best, mask = _kernels.max_clique(compat, (1 << len(cands)) - 1, _meter("nu_bi"))
-    witness = BiInducedMatching(tuple(cands[i] for i in members(mask)))
+    return [far_tails[b] & far_heads[a] for a, b in darts]
+
+
+def nu_bi(G: Graph):
+    """Exact bipartite induced matching number with a witness.
+
+    Maximum clique of the compatibility graph on darts (ordered adjacent
+    pairs); two darts are compatible when vertex-disjoint with both cross
+    pairs non-adjacent.  Dart (a, b) is compatible with (c, d) exactly
+    when c is outside N(b) | {a, b} and d is outside N(a) | {a, b}; since
+    ab is an edge these are the closed neighbourhoods N[b] and N[a].  So
+    with ``tails[v]`` (``heads[v]``) the mask of darts whose first
+    (second) vertex is v, the row of (a, b) is the OR of ``tails[c]`` over
+    c outside N[b], ANDed with the OR of ``heads[d]`` over d outside N[a].
+
+    The clique search numbers the darts by descending compatibility
+    degree, ties by dart (the initial order of Tomita and Seki's MCQ),
+    and takes the reversal (a, b) -> (b, a), an automorphism of the
+    compatibility graph, as its mirror.  The witness lists its pairs in
+    dart order, so it does not depend on the search order.  It is
+    validated on G; an invalid one raises ClaimViolation.
+    """
+    darts = sorted(dart for u, v in G.edges() for dart in ((u, v), (v, u)))
+    degree = dict(zip(darts, map(int.bit_count, _compatibility_rows(G, darts))))
+    darts.sort(key=lambda dart: -degree[dart])  # stable: ties stay in dart order
+    index = {dart: i for i, dart in enumerate(darts)}
+    mirror = [index[b, a] for a, b in darts]
+    compat = _compatibility_rows(G, darts)
+    best, mask = _kernels.max_clique(compat, (1 << len(darts)) - 1, _meter("nu_bi"), mirror=mirror)
+    witness = BiInducedMatching(tuple(sorted(darts[i] for i in members(mask))))
     witness.validate(G)
     return best, witness

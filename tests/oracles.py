@@ -204,11 +204,13 @@ def nu_bi(G):
     return best
 
 
-def dart_rows(G):
-    """Sorted darts (ordered adjacent pairs) and, per dart, the mask of the
-    darts compatible with it: the four vertices distinct and both cross
-    pairs non-adjacent.  Tested pair by pair, from the definition."""
-    darts = sorted([(u, v) for u, v in G.edges()] + [(v, u) for u, v in G.edges()])
+def dart_rows(G, darts=None):
+    """The darts (ordered adjacent pairs), sorted unless given in an order,
+    and, per dart, the mask of the darts compatible with it: the four
+    vertices distinct and both cross pairs non-adjacent.  Tested pair by
+    pair, from the definition."""
+    if darts is None:
+        darts = sorted([(u, v) for u, v in G.edges()] + [(v, u) for u, v in G.edges()])
     rows = []
     for a, b in darts:
         row = 0

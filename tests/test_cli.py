@@ -190,7 +190,7 @@ class TestAnalyze:
 
     def test_invalid_nubi_witness_exits_one(self, c5_file, capsys, monkeypatch):
         # a clique of two darts that share vertex 0 fails nu_bi's own check
-        def two_darts(rows, cand, meter):
+        def two_darts(rows, cand, meter, mirror):
             return 2, 0b11
 
         monkeypatch.setattr(ultrafree.ultra._kernels, "max_clique", two_darts)
@@ -911,13 +911,13 @@ class TestCommandBudget:
         assert error["type"] == "budget" and "(time)" in error["message"]
 
     def test_budget_nodes_bounds_the_whole_suite(self, capsys):
-        # the suite charges 1,642 nodes over four meters, the largest 690:
-        # the command's one budget runs out at 1,641
+        # the suite charges 2,346 nodes over six meters, the largest 690:
+        # the command's one budget runs out at 2,345
         argv = ["verify", "--suite", "construction:d=5", "--json", "--budget-nodes"]
-        assert main(argv + ["1641"]) == 3
+        assert main(argv + ["2345"]) == 3
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["type"] == "budget" and "(nodes)" in error["message"]
-        assert main(argv + ["1642"]) == 0
+        assert main(argv + ["2346"]) == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
 
     def test_budget_nodes_bounds_the_correspondence_suite(self, capsys):
@@ -961,6 +961,7 @@ _BUDGET_TABLE = (
         (["space", "S", "--radon-cap", "2"], "radon_number"),
         (["space", "S", "--weak-net", "1/4"], "convex_sets"),
         (["gen", "ultra-vc", "--params", "m=3"], "count_cliques"),
+        (["decompose", "G", "--method", "twin"], "twin_quotient"),
     ]
 )
 

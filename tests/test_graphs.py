@@ -3,7 +3,7 @@ from math import prod
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from ultrafree import _kernels, budget
@@ -150,6 +150,36 @@ class TestCliqueKernels:
         size, vs = max_clique_witness(G)
         assert size == oracles.clique_number(G)
         assert len(vs) == size and oracles.is_clique(G, vs)
+
+
+@st.composite
+def mirrored_graphs(draw, max_pairs=7):
+    """Bitmask adjacency on 2k vertices, each edge added with its image
+    under the involution v <-> v ^ 1, and a mask closed under it."""
+    k = draw(st.integers(min_value=0, max_value=max_pairs))
+    adj = [0] * (2 * k)
+    for u, v in combinations(range(2 * k), 2):
+        if draw(st.booleans()):
+            for a, b in ((u, v), (u ^ 1, v ^ 1)):
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+    keep = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    return adj, sum(0b11 << 2 * i for i, f in enumerate(keep) if f)
+
+
+class TestMaxCliqueMirror:
+    @given(mirrored_graphs())
+    # the mirror may prune only at the root: dropping images below it
+    # loses this graph's 6-clique
+    @example(([4084, 4088, 1657, 2486, 3951, 3999, 3863, 3883, 3323, 3319, 1015, 1019], 4095))
+    @settings(max_examples=80, deadline=None)
+    def test_mirror_keeps_the_clique_size(self, case):
+        adj, mask = case
+        size, witness = _kernels.max_clique(adj, mask, mirror=[v ^ 1 for v in range(len(adj))])
+        assert size == _kernels.max_clique(adj, mask)[0]
+        vs = members(witness)
+        assert len(vs) == size and witness & ~mask == 0
+        assert all(adj[u] >> v & 1 for u, v in combinations(vs, 2))
 
 
 class TestChromatic:

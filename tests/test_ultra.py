@@ -44,11 +44,17 @@ def _metered_nu_bi(G):
 
 
 def _clique_of_oracle_rows(G):
-    """The same search run on the pairwise-built compatibility rows."""
+    """The same search run on the pairwise-built compatibility rows: darts
+    by descending row popcount, ties by dart, with the dart reversal as
+    the mirror, and the witness in dart order."""
     darts, rows = oracles.dart_rows(G)
+    degree = {dart: row.bit_count() for dart, row in zip(darts, rows)}
+    darts = sorted(darts, key=lambda dart: (-degree[dart], dart))
+    _, rows = oracles.dart_rows(G, darts)
+    mirror = [darts.index((b, a)) for a, b in darts]
     meter = SearchBudget().meter("nu_bi")
-    k, mask = _kernels.max_clique(rows, (1 << len(darts)) - 1, meter)
-    return k, tuple(darts[i] for i in members(mask)), meter.nodes
+    k, mask = _kernels.max_clique(rows, (1 << len(darts)) - 1, meter, mirror=mirror)
+    return k, tuple(sorted(darts[i] for i in members(mask))), meter.nodes
 
 
 class TestUltraParameter:
@@ -197,6 +203,8 @@ class TestNuBi:
         found = _metered_nu_bi(G)
         assert found == _clique_of_oracle_rows(G)
         assert found[0] == 6
+        # 644 nodes in sorted dart order without the mirror
+        assert found[2] == 210
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded) as exc, SearchBudget(max_nodes=2):
@@ -205,7 +213,7 @@ class TestNuBi:
 
     def test_invalid_witness_is_claim_violation(self, monkeypatch):
         # darts 0 and 1 of C5 are (0, 1) and (0, 4): they share vertex 0
-        monkeypatch.setattr(_kernels, "max_clique", lambda rows, cand, meter: (2, 0b11))
+        monkeypatch.setattr(_kernels, "max_clique", lambda rows, cand, meter, mirror: (2, 0b11))
         with pytest.raises(ClaimViolation, match="vertices must be distinct"):
             nu_bi(C5)
 
