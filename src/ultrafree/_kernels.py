@@ -64,15 +64,14 @@ def _count(adj, b, mask, weigh, meter):
     return total
 
 
-def _independent_sets(adj, a, mask, meter=None):
+def _independent_sets(adj, a, mask):
     """``(I, N(I))`` as bitmasks for every independent a-set I inside
     ``mask`` (a >= 1), lexicographic by I's member tuple, where N(I) is
-    the common neighbourhood of I.  The meter is charged one node per
-    vertex added below the last level."""
-    return _walk(adj, meter, 0, mask, -1, a)
+    the common neighbourhood of I."""
+    return _walk(adj, 0, mask, -1, a)
 
 
-def _walk(adj, meter, I, cand, common, need):
+def _walk(adj, I, cand, common, need):
     # cand: the vertices of mask after max(I) adjacent to nothing in I
     if need == 1:
         while cand:
@@ -83,12 +82,10 @@ def _walk(adj, meter, I, cand, common, need):
     while cand:
         low = cand & -cand
         cand ^= low
-        if meter is not None:
-            meter.charge()
         row = adj[low.bit_length() - 1]
         sub = cand & ~row
         if sub.bit_count() >= need - 1:
-            yield from _walk(adj, meter, I | low, sub, common & row, need - 1)
+            yield from _walk(adj, I | low, sub, common & row, need - 1)
 
 
 def max_clique(adj, mask, meter=None, classes=None, mirror=None):

@@ -54,7 +54,6 @@ from .graphs import (
     clique_number,
     codegree_min,
     is_kr_free,
-    is_maximal_kr_free,
 )
 from .io import (
     ParseError,
@@ -389,10 +388,12 @@ def _suite_construction(d):
     H, G = hypercube_lb(d)
     expected = (2 * d + 1) << d
     cd = codegree_min(G, 2)
-    maximal = is_maximal_kr_free(G, 3)
     # the classes come out by first vertex and blowup lays out H's copies
     # part-major in H's order, so the labelled quotient is H itself
     quotient = twin_quotient(G).quotient
+    # G + uv holds a triangle iff u and v share a neighbour, and the
+    # quotient is triangle-free iff G is
+    maximal = is_kr_free(quotient, 3) and (cd is None or cd >= 1)
     core = p4_obstruction(G).core
     yield partial(str, f"hypercube-lb:d={d}"), [
         _verdict(

@@ -224,11 +224,16 @@ def p4_obstruction(G: Graph) -> ObstructionCertificate:
     stands for its first vertex: the core is the first vertex of each
     class in the clique, and a witness (y, z) of F lifts to the first
     vertices of the classes y and z, the path ``has_induced_p4`` finds on G.
+    Each class pair tested charges one node to a meter named
+    ``p4_obstruction``.
     """
     classes, F, _ = twin_quotient(G)
+    meter = _meter("p4_obstruction")
     aux = [0] * F.n
     paths: dict[tuple[int, int], tuple[int, int]] = {}
     for i, j in combinations(range(F.n), 2):
+        if meter is not None:
+            meter.charge()
         w = has_induced_p4(F, i, j)
         if w is not None:
             aux[i] |= 1 << j

@@ -198,18 +198,19 @@ def _blowup_quotient(G: Graph, meter=None):
     return classes, G if len(classes) == G.n else G.induced([c[0] for c in classes])
 
 
-def _class_coneighborhoods(G: Graph, a: int):
-    """``(classes, F, weight, scan)``: G's independent a-sets up to twins.
+def _coneighborhood_counts(classes, F: Graph, a: int, b: int, meter):
+    """``(S, size, count)`` for every class set S met by the independent
+    a-sets I of G, where ``classes, F = _blowup_quotient(G)``.
 
-    ``classes`` and ``F`` are ``_blowup_quotient(G)``, and ``weight(mask)``
-    is the number of G-vertices in a set of classes.  ``scan(meter)``
-    yields ``(S, N_F(S))`` for every independent set S of F's classes with
-    |S| <= a <= weight(S): these are the class sets met by G's independent
-    a-sets, and such a set's co-neighbourhood is the union of the classes
-    in N_F(S).  Larger S come first, each size lexicographic.  A meter, if
-    given, is charged one node per co-neighbourhood yielded."""
-    classes, F = _blowup_quotient(G)
-    if F is G:
+    ``size`` is |N(I)| and ``count`` the number of b-cliques of G[N(I)]:
+    0 when size < b, size itself at b = 1.  G's independent a-sets, up to
+    twins, are F's independent class sets S with |S| <= a <= weight(S),
+    and N(I) is the union of the classes in N_F(S); so the count runs on
+    F, each clique weighted by the product of its class sizes.  Larger S
+    come first, each size lexicographic.  The meter is charged one node
+    per co-neighbourhood, plus the nodes of its clique count."""
+    biggest = max(map(len, classes), default=1)
+    if biggest == 1:
         weight = int.bit_count
     else:
         # one popcount per distinct class size, and a blow-up has few
@@ -224,28 +225,26 @@ def _class_coneighborhoods(G: Graph, a: int):
                 total += size * (mask & m).bit_count()
             return total
 
-    # s classes hold at least s and at most s * max(size) vertices
-    fewest = -(-a // max(map(len, classes), default=1))
-
-    def scan(meter=None):
-        for s in range(a, fewest - 1, -1):
-            for S, nbhd in _kernels._independent_sets(F.adj, s, F.full_mask):
-                if s == a or weight(S) >= a:
-                    if meter is not None:
-                        meter.charge()
-                    yield S, nbhd
-
-    return classes, F, weight, scan
+    # s classes hold at least s and at most s * biggest vertices
+    for s in range(a, -(-a // biggest) - 1, -1):
+        for S, nbhd in _kernels._independent_sets(F.adj, s, F.full_mask):
+            if s == a or weight(S) >= a:
+                if meter is not None:
+                    meter.charge()
+                size = weight(nbhd)
+                if b == 1 or size < b:  # a popcount, or no b-clique
+                    yield S, size, size if b == 1 else 0
+                else:
+                    yield S, size, _kernels.count_cliques(F.adj, b, nbhd, weight, meter)
 
 
 def codegree_min(G: Graph, a: int):
-    """Minimum |N(I)| over independent a-sets I; None when no such I.
-    The meter is charged one node per co-neighbourhood read."""
+    """Minimum |N(I)| over independent a-sets I; None when no such I."""
     if a < 1:
         raise ValueError("set size must be at least 1")
     meter = _meter("codegree_min")
-    _, _, weight, scan = _class_coneighborhoods(G, a)
-    return min((weight(nbhd) for _, nbhd in scan(meter)), default=None)
+    counts = _coneighborhood_counts(*_blowup_quotient(G), a, 1, meter)
+    return min((size for _, size, _ in counts), default=None)
 
 
 def clique_codensity(G: Graph, a: int, b: int):
@@ -253,22 +252,14 @@ def clique_codensity(G: Graph, a: int, b: int):
 
     Density is k_b(G[N(I)]) / C(|N(I)|, b), exact; a co-neighborhood with
     fewer than b vertices contributes density 0.  None when no independent
-    a-set exists.  Computed on the twin quotient F, where k_b counts each
-    b-clique of classes with the product of their sizes.
+    a-set exists.
     """
     if a < 1 or b < 2:
         raise ValueError("need a >= 1 and b >= 2")
     meter = _meter("clique_codensity")
-    _, F, weight, scan = _class_coneighborhoods(G, a)
-
-    def density(nbhd: int) -> Fraction:
-        size = weight(nbhd)
-        if size < b:
-            return Fraction(0)
-        count = _kernels.count_cliques(F.adj, b, nbhd, weigh=weight, meter=meter)
-        return Fraction(count, comb(size, b))
-
-    return min((density(nbhd) for _, nbhd in scan()), default=None)
+    counts = _coneighborhood_counts(*_blowup_quotient(G), a, b, meter)
+    # below b vertices the count is 0 and C(size, b) is 0 too
+    return min((Fraction(count, comb(size, b) or 1) for _, size, count in counts), default=None)
 
 
 def has_induced_p4(G: Graph, u: int, v: int):
@@ -302,12 +293,10 @@ def is_maximal_kr_free(G: Graph, r: int) -> bool:
     G+uv holds a K_r through u,v iff N(u,v) holds a K_{r-2}; for r=2 the
     empty clique always exists, so any edge completes a K_2.  Checked on
     the twin quotient F, whose cliques are G's up to the choice of copies:
-    F is K_r-free, every non-adjacent pair of classes has a K_{r-2} in its
-    common neighbourhood, and so does every class of two or more twins.
-    The meter is charged one node per co-neighbourhood tested, plus the
-    nodes of its clique search (none for r <= 3, a popcount)."""
-    _, F, _, scan = _class_coneighborhoods(G, 2)
+    F is K_r-free, and every co-neighbourhood of a non-adjacent pair holds
+    a K_{r-2}."""
+    classes, F = _blowup_quotient(G)
     if not is_kr_free(F, r):
         return False
     meter = _meter("is_maximal_kr_free")
-    return all(_kernels.count_cliques(F.adj, r - 2, nbhd, meter=meter) for _, nbhd in scan(meter))
+    return all(count for _, _, count in _coneighborhood_counts(classes, F, 2, r - 2, meter))

@@ -11,7 +11,7 @@ from typing import NamedTuple, Optional
 from . import _kernels
 from .budget import _meter
 from .errors import ClaimViolation, PreconditionViolated
-from .graphs import Graph, _blowup_quotient, _class_coneighborhoods, members
+from .graphs import Graph, _blowup_quotient, _coneighborhood_counts, members
 
 __all__ = [
     "UltraCertificate",
@@ -92,7 +92,8 @@ class BiInducedMatching(NamedTuple):
 def ultra_parameter(G: Graph, r: int) -> UltraCertificate:
     """Minimum over non-adjacent pairs u,v of the number of (r-2)-cliques
     in the common neighborhood, divided by n^(r-2).  Exact.  The K_r check
-    and every pair's count charge one meter, named ``ultra_parameter``.
+    and the co-neighbourhood counts charge one meter, named
+    ``ultra_parameter``.
 
     Computed on the twin quotient F, with the class sizes as clique
     weights.  Every pair of G lies in a non-adjacent pair of classes, or
@@ -102,16 +103,15 @@ def ultra_parameter(G: Graph, r: int) -> UltraCertificate:
     if r < 3:
         raise ValueError("need r >= 3")
     meter = _meter("ultra_parameter")
-    classes, F, weight, scan = _class_coneighborhoods(G, 2)
+    classes, F = _blowup_quotient(G)
     if F.n >= r and _kernels.count_cliques(F.adj, r, F.full_mask, meter=meter):
         raise PreconditionViolated(f"graph contains a {r}-clique")
-
-    def candidate(S: int, nbhd: int) -> tuple[int, int, int]:
-        ends = [classes[i] for i in members(S)]
-        u, v = (ends[0][0], ends[1][0]) if len(ends) == 2 else ends[0][:2]
-        return _kernels.count_cliques(F.adj, r - 2, nbhd, weigh=weight, meter=meter), u, v
-
-    worst = min((candidate(S, nbhd) for S, nbhd in scan()), default=None)
+    worst = None
+    for S, _, count in _coneighborhood_counts(classes, F, 2, r - 2, meter):
+        i, *j = members(S)
+        u, v = (classes[i][0], classes[j[0]][0]) if j else classes[i][:2]
+        if worst is None or (count, u, v) < worst:
+            worst = count, u, v
     if worst is None:
         return UltraCertificate(r, None, None)
     least, u, v = worst

@@ -490,10 +490,9 @@ def independent_sets(G, a, mask):
     return out
 
 
-def list_cliques_metered(adj, b, mask, meter):
+def list_cliques(adj, b, mask):
     """The b-cliques inside ``mask`` (b >= 1) by a direct lexicographic
-    recursion, charging ``meter`` one node per vertex added below the
-    last level: the reference node count for the kernels' generator of
+    recursion: the reference list for the kernels' generator of
     independent sets run on the complement."""
     out = []
 
@@ -509,7 +508,6 @@ def list_cliques_metered(adj, b, mask, meter):
         while m:
             low = m & -m
             m ^= low
-            meter.charge()
             sub = adj[low.bit_length() - 1] & m
             if sub.bit_count() >= need - 1:
                 rec(need - 1, sub, cur | low)

@@ -224,6 +224,20 @@ class TestAnalyze:
         assert obj["error"]["type"] == "budget"
         assert "ultra_parameter" in obj["error"]["message"]
 
+    def test_ultra_budget_charges_each_pair_at_r3(self, tmp_path, capsys):
+        # at r = 3 a pair's K_1 count is a popcount, so the K_3 check's 207
+        # nodes and one node per each of the 680 non-adjacent pairs are
+        # the whole call's 887
+        f = tmp_path / "h.json"
+        assert main(["gen", "hypercube-lb-quotient", "--params", "d=5", "--out", str(f)]) == 0
+        argv = ["analyze", str(f), "--metrics", "ultra:3", "--json", "--budget-nodes"]
+        for cap in ("207", "886"):
+            assert main(argv + [cap]) == 3
+            error = json.loads(capsys.readouterr().out)["error"]
+            assert error["type"] == "budget" and "ultra_parameter" in error["message"]
+        assert main(argv + ["887"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"ultra:3": "1/42"}
+
 
 class TestSetsys:
     def test_stars(self, c5_file, capsys):
@@ -911,13 +925,14 @@ class TestCommandBudget:
         assert error["type"] == "budget" and "(time)" in error["message"]
 
     def test_budget_nodes_bounds_the_whole_suite(self, capsys):
-        # the suite charges 2,346 nodes over six meters, the largest 690:
-        # the command's one budget runs out at 2,345
+        # the suite charges 2,517 nodes over six meters, the largest the
+        # 861 class pairs of p4_obstruction: the command's one budget runs
+        # out at 2,516
         argv = ["verify", "--suite", "construction:d=5", "--json", "--budget-nodes"]
-        assert main(argv + ["2345"]) == 3
+        assert main(argv + ["2516"]) == 3
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["type"] == "budget" and "(nodes)" in error["message"]
-        assert main(argv + ["2346"]) == 0
+        assert main(argv + ["2517"]) == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
 
     def test_budget_nodes_bounds_the_correspondence_suite(self, capsys):

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 from math import prod
 from types import SimpleNamespace
@@ -24,6 +25,7 @@ from ultrafree.graphs import (
     members,
 )
 from ultrafree.setsystems import mis_family
+from ultrafree.ultra import ultra_parameter
 
 C5 = Graph.cycle(5)
 
@@ -411,6 +413,42 @@ class TestMaximality:
             assert is_maximal_kr_free(G, r) == maximal
 
 
+def test_coneighbourhood_counts_charge_one_rule(monkeypatch):
+    # hypercube_lb(5).G has 690 co-neighbourhoods for a = 2: each of the
+    # four functions charges its meter one node per co-neighbourhood plus
+    # the nodes of its clique counts (ultra_parameter's K_3 check among
+    # them; is_maximal_kr_free runs its own under count_cliques)
+    meters = []
+    meter = SearchBudget.meter
+    monkeypatch.setattr(SearchBudget, "meter", lambda b, op: meters.append(meter(b, op)) or meters[-1])
+    clique_nodes = Counter()
+    count = _kernels.count_cliques
+
+    def counted(adj, b, mask, weigh=int.bit_count, meter=None):
+        before = meter.nodes if meter else 0
+        try:
+            return count(adj, b, mask, weigh, meter)
+        finally:
+            if meter:
+                clique_nodes[meter.op] += meter.nodes - before
+
+    monkeypatch.setattr(_kernels, "count_cliques", counted)
+    G = hypercube_lb(5).G
+    with SearchBudget():
+        codegree_min(G, 2)
+        clique_codensity(G, 2, 2)
+        is_maximal_kr_free(G, 3)
+        ultra_parameter(G, 3)
+    ops = ["codegree_min", "clique_codensity", "is_maximal_kr_free", "ultra_parameter"]
+    assert {m.op: m.nodes for m in meters if m.op in ops} == {
+        "codegree_min": 690,
+        "clique_codensity": 690 + 2_010,
+        "is_maximal_kr_free": 690,
+        "ultra_parameter": 690 + 207,
+    }
+    assert all(m.nodes == 690 + clique_nodes[m.op] for m in meters if m.op in ops)
+
+
 class TestBudget:
     def test_nodes_cap(self):
         G = random_graph(40, 1, 2, 7)
@@ -498,12 +536,12 @@ class TestBudgetDeadline:
         assert (exc.value.reason, exc.value.nodes) == ("time", 4)
 
 
-def _cliques_by_complement(adj, b, mask, meter):
+def _cliques_by_complement(adj, b, mask):
     """The b-cliques inside ``mask`` (b >= 1) as bitmasks: the independent
     b-sets of the complement within ``mask``, walked by the kernels' one
     generator of independent sets."""
     co = [mask & ~row & ~(1 << v) for v, row in enumerate(adj)]
-    return [I for I, _ in _kernels._independent_sets(co, b, mask, meter)]
+    return [I for I, _ in _kernels._independent_sets(co, b, mask)]
 
 
 class TestIndependentSets:
@@ -518,15 +556,10 @@ class TestIndependentSets:
     @settings(max_examples=150, deadline=None)
     def test_list_cliques_nodes_match_reference(self, G, b, data):
         mask = data.draw(st.integers(0, G.full_mask))
-        meter, ref = SearchBudget().meter("list_cliques"), SearchBudget().meter("list_cliques")
-        got = _cliques_by_complement(G.adj, b, mask, meter)
-        assert got == oracles.list_cliques_metered(G.adj, b, mask, ref)
-        assert meter.nodes == ref.nodes
+        assert _cliques_by_complement(G.adj, b, mask) == oracles.list_cliques(G.adj, b, mask)
 
     def test_list_cliques_nodes_on_a_dense_graph(self):
         G = random_graph(60, 3, 4, 1)
-        meter, ref = SearchBudget().meter("list_cliques"), SearchBudget().meter("list_cliques")
-        got = _cliques_by_complement(G.adj, 4, G.full_mask, meter)
+        got = _cliques_by_complement(G.adj, 4, G.full_mask)
         assert len(got) == 96_207
-        assert got == oracles.list_cliques_metered(G.adj, 4, G.full_mask, ref)
-        assert meter.nodes == ref.nodes
+        assert got == oracles.list_cliques(G.adj, 4, G.full_mask)
