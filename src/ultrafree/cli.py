@@ -304,36 +304,32 @@ def _cmd_decompose(args) -> int:
 def _tally(pairs) -> list[Check]:
     """One check per rule: its pass, skip and total counts over all
     instances, with the first failing instance kept as the witness."""
-    slots: dict[str, dict] = {}
+    # one slot per check name: [rule, passes, skips, total, witness]
+    slots: dict[str, list] = {}
     for instance, checks in pairs:
         for chk in checks:
             slot = slots.get(chk.name)
             if slot is None:
-                slot = slots[chk.name] = {
-                    "rule": chk.rule,
-                    "pass": 0,
-                    "skip": 0,
-                    "total": 0,
-                    "witness": None,
-                }
-            slot["total"] += 1
-            if chk.status == "pass":
-                slot["pass"] += 1
-            elif chk.status == "skipped":
-                slot["skip"] += 1
-            elif slot["witness"] is None:
-                slot["witness"] = {
+                slot = slots[chk.name] = [chk.rule, 0, 0, 0, None]
+            slot[3] += 1
+            status = chk.status
+            if status == "pass":
+                slot[1] += 1
+            elif status == "skipped":
+                slot[2] += 1
+            elif slot[4] is None:
+                slot[4] = {
                     "instance": instance(),
                     "value": chk.value,
                     "witness": chk.witness,
                 }
     out = []
-    for name, slot in slots.items():
-        value = {"pass": slot["pass"], "total": slot["total"]}
-        if slot["skip"]:
-            value["skipped"] = slot["skip"]
-        status = "fail" if slot["witness"] is not None else "pass" if slot["pass"] else "skipped"
-        out.append(Check(name, slot["rule"], status, value=value, witness=slot["witness"]))
+    for name, (rule, passed, skipped, total, witness) in slots.items():
+        value = {"pass": passed, "total": total}
+        if skipped:
+            value["skipped"] = skipped
+        status = "fail" if witness is not None else "pass" if passed else "skipped"
+        out.append(Check(name, rule, status, value=value, witness=witness))
     return out
 
 

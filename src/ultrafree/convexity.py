@@ -267,11 +267,12 @@ def correspondence_checks(G: Graph, rs) -> dict[int, list[Check]]:
     # lowest differing bit, which lies above u since earlier rows agree
     rebuilt = _ss.disjointness_graph(stars)
     bad_pair = None
-    for u in range(G.n):
-        diff = rebuilt.adj[u] ^ G.adj[u]
-        if diff:
-            bad_pair = (u, (diff & -diff).bit_length() - 1)
-            break
+    if rebuilt.adj != G.adj:
+        for u in range(G.n):
+            diff = rebuilt.adj[u] ^ G.adj[u]
+            if diff:
+                bad_pair = (u, (diff & -diff).bit_length() - 1)
+                break
     # ν is the clique number of the rebuilt graph, so when its rows are
     # all G's the same deterministic search would return ω again
     if bad_pair is None:
@@ -280,7 +281,7 @@ def correspondence_checks(G: Graph, rs) -> dict[int, list[Check]]:
         nu, nu_witness = _ss.matching_number(stars)
     maximal_stars = _ss.maximal_intersecting_subfamilies(stars)
     mis_ok = sorted(mis.sets) == maximal_stars
-    expected_h = 2 if G.edge_count() >= 1 else 1
+    expected_h = 2 if any(G.adj) else 1
     h = _ss.helly_number(stars)
 
     shared = [

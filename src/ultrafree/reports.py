@@ -114,9 +114,17 @@ def _verdict(name: str, rule: str, ok, value=None, witness=None) -> Check:
 def digest_of(*parts) -> str:
     """Short deterministic digest of the canonical form of the inputs.
     Every dict key in them must be a ``str``."""
-    import hashlib  # here, not at the top: most commands take no digest
+    # here, not at the top: most commands take no digest.  The builtin
+    # SHA-256 (``_sha256`` up to 3.11, ``_sha2`` from 3.12) loads no OpenSSL
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        try:
+            from _sha2 import sha256
+        except ImportError:
+            from hashlib import sha256
 
-    h = hashlib.sha256()
+    h = sha256()
     for p in parts:
         h.update(json.dumps(p, sort_keys=True, default=_fraction_text).encode())
         h.update(b"\x00")

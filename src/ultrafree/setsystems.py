@@ -105,10 +105,11 @@ def dual(F: SetSystem) -> SetSystem:
 
 
 def disjointness_graph(F: SetSystem) -> Graph:
-    m = len(F.sets)
+    sets = F.sets
+    m = len(sets)
     adj = [0] * m
     for i, j in combinations(range(m), 2):
-        if not F.sets[i] & F.sets[j]:
+        if not sets[i] & sets[j]:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
     return Graph.from_masks(adj)
@@ -129,22 +130,6 @@ def _element_cover_masks(F: SetSystem) -> tuple[int, ...]:
             m ^= low
     F._covers = covers = tuple(covers)
     return covers
-
-
-def _disjoint_packing_bound(F: SetSystem, unhit: int) -> int:
-    """Greedy pairwise-disjoint subfamily of the unhit sets: each needs its
-    own transversal element, so the count lower-bounds the remaining cost."""
-    taken_union = 0
-    count = 0
-    m = unhit
-    while m:
-        low = m & -m
-        i = low.bit_length() - 1
-        m ^= low
-        if not F.sets[i] & taken_union:
-            taken_union |= F.sets[i]
-            count += 1
-    return count
 
 
 def _greedy_cover(covers, unhit: int) -> list[int]:
@@ -169,9 +154,10 @@ def transversal_number(F: SetSystem):
     Branch and bound between two combinatorial bounds: a greedy cover gives
     the initial upper bound, and a greedy pairwise-disjoint packing of the
     unhit sets lower-bounds the cost of each node.  No LP is solved."""
-    if any(s == 0 for s in F.sets):
+    if 0 in F.sets:
         raise Infeasible("system contains an empty set")
-    m = len(F.sets)
+    sets = F.sets
+    m = len(sets)
     if m == 0:
         return 0, ()
     meter = _meter("transversal_number")
@@ -191,23 +177,27 @@ def transversal_number(F: SetSystem):
                 best_size = len(chosen)
                 best = tuple(sorted(chosen))
             return
-        if len(chosen) + _disjoint_packing_bound(F, unhit) >= best_size:
-            return
-        # branch on the unhit set with fewest elements (lowest index on ties)
-        pick = None
-        pick_size = None
+        # one ascending scan of the unhit sets.  A greedy pairwise-disjoint
+        # packing of them lower-bounds the remaining cost, since each needs
+        # its own element; the branch is on the set with fewest elements
+        # (lowest index on ties)
+        packing = taken = 0
+        pick = pick_size = None
         mm = unhit
         while mm:
             low = mm & -mm
-            i = low.bit_length() - 1
             mm ^= low
-            sz = F.sets[i].bit_count()
-            if pick_size is None or sz < pick_size:
-                pick, pick_size = i, sz
-        elems = sorted(
-            members(F.sets[pick]),
-            key=lambda v: (-(covers[v] & unhit).bit_count(), v),
-        )
+            s = sets[low.bit_length() - 1]
+            if not s & taken:
+                taken |= s
+                packing += 1
+            size = s.bit_count()
+            if pick_size is None or size < pick_size:
+                pick, pick_size = s, size
+        if len(chosen) + packing >= best_size:
+            return
+        # members ascend and the sort is stable, so ties keep the lowest first
+        elems = sorted(members(pick), key=lambda v: -(covers[v] & unhit).bit_count())
         for e in elems:
             chosen.append(e)
             rec(unhit & ~covers[e], chosen)
@@ -232,7 +222,7 @@ def fractional_transversal(F: SetSystem) -> FractionalSolution:
     """Optimal fractional transversal, with the optimal fractional matching
     attached as ``.dual`` and the equality of their values certified.
     The meter's nodes are the simplex's tableau rows built and rewritten."""
-    if any(s == 0 for s in F.sets):
+    if 0 in F.sets:
         raise Infeasible("system contains an empty set")
     m = len(F.sets)
     if m == 0:
@@ -309,7 +299,7 @@ def helly_number(F: SetSystem) -> int:
     if inter_all:
         return 1
     meter = _meter("helly_number")
-    best = 1 if any(s == 0 for s in F.sets) else 0
+    best = 1 if 0 in F.sets else 0
 
     # DFS over index-increasing subfamilies of the distinct nonempty sets.
     # In a minimal non-intersecting family every member has a private
@@ -319,7 +309,10 @@ def helly_number(F: SetSystem) -> int:
     # of their own in ``inter``.  Adding a set only shrinks these, so the
     # eligible sets of a child are a sublist of its parent's.  The private
     # witnesses of the members still to come are distinct points of
-    # ``inter``, so at most popcount(inter) more can join.
+    # ``inter``, so at most popcount(inter) more can join.  A later set
+    # that misses a child's ``new_inter`` closes that family one member
+    # on, and no minimal family holds more, so the child carries such a
+    # set only while size + 2 members would be a new best.
     def rec(size: int, witnesses: list[int], inter: int, eligible: list[int]):
         nonlocal best
         if meter is not None:
@@ -327,7 +320,7 @@ def helly_number(F: SetSystem) -> int:
         room = inter.bit_count()
         left = len(eligible)
         for t, s in enumerate(eligible):
-            if size + min(left - t, room) <= best:
+            if size + room <= best or size + left - t <= best:
                 return
             new_inter = inter & s
             if not new_inter:
@@ -339,9 +332,10 @@ def helly_number(F: SetSystem) -> int:
                 continue
             ws = [w & s for w in witnesses]
             ws.append(inter & ~s)
+            keep_closing = size + 2 > best
             later = []
             for x in eligible[t + 1 :]:
-                if new_inter & ~x:
+                if new_inter & ~x and (keep_closing or new_inter & x):
                     for w in ws:
                         if not w & x:
                             break
@@ -392,22 +386,32 @@ def _pq_properties(F: SetSystem, ps, q: int) -> dict[int, bool]:
         return out
     meter = _meter("has_pq_property")
     top = q - 2
-    # stack[d]: the levels of the family of the first d chosen members;
-    # nxt[d]: the next index to try as its (d+1)-th member
-    stack = [[0] * (q - 1)]
+    shifts = range(top, 0, -1)
+    # stack[d]: the levels of the family of the first d chosen members,
+    # and ``levels`` is stack[d] at depth d; nxt[d]: the next index to try
+    # as its (d+1)-th member
+    levels = [0] * (q - 1)
+    stack = [levels]
     nxt = [0]
-    while nxt:
-        d = len(nxt) - 1
+    d = 0
+    while True:
+        # the next index whose set meets no point of the top level; one
+        # past ``last`` leaves too few indices to reach p members
         j = nxt[d]
-        if j > m - p + d:  # too few indices remain to reach p members
+        last = m - p + d
+        saturated = levels[top]
+        while j <= last and sets[j] & saturated:
+            j += 1
+        if j > last:
+            if not d:
+                break
             nxt.pop()
             stack.pop()
+            d -= 1
+            levels = stack[d]
             continue
         nxt[d] = j + 1
         s = sets[j]
-        levels = stack[d]
-        if s & levels[top]:
-            continue
         if meter is not None:
             meter.charge()
         if d + 1 == p:
@@ -415,12 +419,13 @@ def _pq_properties(F: SetSystem, ps, q: int) -> dict[int, bool]:
             p = next(targets, None)
             if p is None:
                 break
-        new = levels[:]
-        for i in range(top, 0, -1):
-            new[i] |= new[i - 1] & s
-        new[0] |= s
-        stack.append(new)
+        levels = levels[:]
+        for i in shifts:
+            levels[i] |= levels[i - 1] & s
+        levels[0] |= s
+        stack.append(levels)
         nxt.append(j + 1)
+        d += 1
     return out
 
 
@@ -435,7 +440,10 @@ def maximal_intersecting_subfamilies(F: SetSystem) -> list[int]:
     # maximal unless a kept one contains it
     kept = []
     for c in sorted({c for c in _element_cover_masks(F) if c}, key=int.bit_count, reverse=True):
-        if not any(c & t == c for t in kept):
+        for t in kept:
+            if c & t == c:
+                break
+        else:
             kept.append(c)
     return sorted(kept)
 

@@ -842,12 +842,16 @@ class TestClosedStdout:
 class TestStartup:
     def test_import_skips_dataclasses_and_hashlib(self):
         # a command that takes no digest never loads hashlib (and OpenSSL);
-        # one that does still prints its pinned bytes
+        # one that does still prints its pinned bytes, and loads no OpenSSL
+        # where the interpreter has a builtin SHA-256
         code = (
-            "import sys, ultrafree.cli\n"
+            "import importlib.util, sys, ultrafree.cli\n"
             "loaded = {'dataclasses', 'inspect', 'hashlib'} & set(sys.modules)\n"
             "assert not loaded, loaded\n"
-            "sys.exit(ultrafree.cli.main(['verify', '--suite', 'halfgraph', '--json']))\n"
+            "status = ultrafree.cli.main(['verify', '--suite', 'halfgraph', '--json'])\n"
+            "builtin = any(importlib.util.find_spec(m) for m in ('_sha256', '_sha2'))\n"
+            "assert not (builtin and '_hashlib' in sys.modules), 'OpenSSL loaded'\n"
+            "sys.exit(status)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_child_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr.decode()

@@ -381,7 +381,7 @@ class TestCorrespondence:
 class TestCompositeMeters:
     def test_readme_example(self, monkeypatch):
         # every sub-solver of a composite call charges the one budget in
-        # force: 61 nodes over six meters, and one (r,2) search answers all
+        # force: 60 nodes over six meters, and one (r,2) search answers all
         # three r
         meters = []
         meter = SearchBudget.meter
@@ -391,20 +391,20 @@ class TestCompositeMeters:
             return meters[-1][1]
 
         monkeypatch.setattr(SearchBudget, "meter", recording_meter)
-        with SearchBudget(max_nodes=61):
+        with SearchBudget(max_nodes=60):
             correspondence_checks(Graph.cycle(7), (3, 4, 5))
         assert [(op, m.nodes) for op, m in meters] == [
             ("mis_family", 16),
             ("clique_number", 2),
             ("chromatic_number", 6),
             ("transversal_number", 10),
-            ("helly_number", 17),
+            ("helly_number", 16),
             ("has_pq_property", 10),
         ]
-        assert sum(m.nodes for _, m in meters) == 61
-        with pytest.raises(BudgetExceeded) as exc, SearchBudget(max_nodes=60):
+        assert sum(m.nodes for _, m in meters) == 60
+        with pytest.raises(BudgetExceeded) as exc, SearchBudget(max_nodes=59):
             correspondence_checks(Graph.cycle(7), (3, 4, 5))
-        assert (exc.value.op, exc.value.nodes) == ("has_pq_property", 61)
+        assert (exc.value.op, exc.value.nodes) == ("has_pq_property", 60)
 
 
 class TestCliqueFreeFromOmega:

@@ -226,6 +226,16 @@ class TestP4Obstruction:
         with pytest.raises(ClaimViolation, match="not an induced path"):
             ObstructionCertificate((0, 3), {(0, 3): (-3, 2)}).validate(Graph.path(4))
 
+    def test_validate_rejects_core_vertex_n(self):
+        # vertex 4 has no row in the 4-vertex path
+        with pytest.raises(ClaimViolation, match="outside"):
+            ObstructionCertificate((0, 4), {(0, 4): (1, 2)}).validate(Graph.path(4))
+
+    @pytest.mark.parametrize("link", [(4, 2), (1, 4)], ids=["first", "second"])
+    def test_validate_rejects_witness_vertex_n(self, link):
+        with pytest.raises(ClaimViolation, match="not an induced path"):
+            ObstructionCertificate((0, 3), {(0, 3): link}).validate(Graph.path(4))
+
     @pytest.mark.parametrize("link", [(1,), (1.0, 2), None], ids=["short", "float", "none"])
     def test_validate_rejects_malformed_witness(self, link):
         with pytest.raises(ClaimViolation, match="not a pair of vertices"):

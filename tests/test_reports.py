@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -134,6 +135,15 @@ class TestDigest:
     def test_rejects_what_json_cannot_write(self):
         with pytest.raises(TypeError, match="set is not JSON serializable"):
             digest_of({"s": {1}})
+
+    def test_hashlib_fallback(self, monkeypatch):
+        # with neither builtin SHA-256 module importable, hashlib's digest
+        # is the same
+        parts = ({"suite": "halfgraph"}, Fraction(1, 2), [1, "a"])
+        builtin = digest_of(*parts)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        assert digest_of(*parts) == builtin == oracles.digest_of(*parts)
 
 
 def test_version_consistency():

@@ -8,7 +8,7 @@ import oracles
 import ultrafree.setsystems
 from ultrafree.budget import BudgetExceeded, SearchBudget
 from ultrafree.constructions import hypercube_lb, kneser
-from ultrafree.errors import PreconditionViolated
+from ultrafree.errors import ClaimViolation, PreconditionViolated
 from ultrafree.graphs import Graph, chromatic_number, mask_of, members
 from ultrafree.setsystems import (
     FractionalSolution,
@@ -223,6 +223,29 @@ class TestFractional:
         assert exc.value.op == "fractional_transversal"
         with SearchBudget(max_nodes=10**6):
             assert fractional_transversal(F).value == Fraction(5, 2)
+
+    # Each stub returns a solution of {0,1}, {1,2} over three points that
+    # breaks exactly one of the four certificate checks, so deleting that
+    # check's raise lets the wrong solution through.  max_simplex returns
+    # (value, set weights, point weights).
+    @pytest.mark.parametrize(
+        "value, y, x, message",
+        [
+            (1, (1, 0), (-1, 2, 0), "negative weight"),
+            (2, (1, 1), (1, 1, 0), "matching overloads a point"),
+            (1, (1, 0), (1, 0, 0), "transversal misses a set"),
+            (1, (1, 0), (0, 1, 1), "duality gap"),
+        ],
+        ids=["negative", "overload", "miss", "gap"],
+    )
+    def test_wrong_lp_answer_fails_its_check(self, monkeypatch, value, y, x, message):
+        def stub(c, A, b, meter=None):
+            return Fraction(value), [Fraction(w) for w in y], [Fraction(w) for w in x]
+
+        monkeypatch.setattr(ultrafree.setsystems, "max_simplex", stub)
+        with pytest.raises(ClaimViolation) as exc:
+            fractional_transversal(SetSystem(3, [(0, 1), (1, 2)]))
+        assert str(exc.value) == f"LP certification failed: {message}"
 
 
 def _metered_vc_dimension(F):

@@ -148,6 +148,11 @@ class TestHalfGraphEmbedding:
         with pytest.raises(ClaimViolation, match="must lie in"):
             HalfGraphEmbedding((0, -1), (2, 3)).validate(Graph.path(4))
 
+    def test_rejects_vertex_n(self):
+        # vertex 4 has no row in the 4-vertex path
+        with pytest.raises(ClaimViolation, match="must lie in"):
+            HalfGraphEmbedding((0, 4), (2, 3)).validate(Graph.path(4))
+
 
 class TestBiInducedMatching:
     def test_empty_and_single(self):
@@ -168,6 +173,10 @@ class TestBiInducedMatching:
     def test_rejects_negative_vertex(self):
         with pytest.raises(ClaimViolation, match="must lie in"):
             BiInducedMatching(((0, 1), (3, -2))).validate(Graph.path(4))
+
+    def test_rejects_vertex_n(self):
+        with pytest.raises(ClaimViolation, match="must lie in"):
+            BiInducedMatching(((0, 1), (4, 2))).validate(Graph.path(4))
 
 
 class TestNuBi:
