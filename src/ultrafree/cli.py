@@ -9,52 +9,20 @@ error) is a single JSON object on stdout.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import math
 import os
 import re
 import sys
 from contextlib import nullcontext
-from fractions import Fraction
 from functools import cache, partial
+from importlib import import_module
 
+# what every command runs; a command imports each other layer where it
+# runs it, so a process loads only the layers its command needs
 from .budget import BudgetExceeded, SearchBudget
-from .catalog import connected_graphs, seeded_random_graphs
-from .constructions import (
-    blowup,
-    crown,
-    half_min,
-    hypercube_lb,
-    kneser,
-    turan,
-    ultra_vc_example,
-    random_graph,
-)
-from .convexity import (
-    Measure,
-    correspondence_checks,
-    radon_number,
-    space_helly_number,
-    weak_eps_net,
-)
-from .decompose import (
-    codegree_density_check,
-    haussler_partition,
-    min_degree_ultra_check,
-    p4_obstruction,
-    twin_quotient,
-    vc_chromatic_partition,
-)
 from .errors import ClaimViolation, PreconditionViolated
-from .graphs import (
-    Graph,
-    chromatic_number,
-    clique_codensity,
-    clique_number,
-    codegree_min,
-    is_kr_free,
-)
+from .graphs import Graph, codegree_min, is_kr_free
 from .io import (
     ParseError,
     _load_json,
@@ -70,19 +38,6 @@ from .io import (
     system_from_obj,
 )
 from .reports import Check, Report, _verdict, digest_of, jsonable
-from .setsystems import (
-    dual,
-    fractional_transversal,
-    has_pq_property,
-    helly_number,
-    matching_number,
-    mis_family,
-    mis_star_system,
-    neighborhood_system,
-    transversal_number,
-    vc_dimension,
-)
-from .ultra import find_half_graph, nu_bi, ultra_parameter
 
 __all__ = ["main", "run"]
 
@@ -92,6 +47,8 @@ _EXTENDED_COUNT = 40
 
 
 def _parse_fraction(text: str) -> Fraction:
+    from fractions import Fraction
+
     # "P" or "P/Q" only; decimals would silently lose precision
     if not _FRACTION_RE.match(text):
         raise ValueError(f"expected a rational like 3 or 1/28, got {text!r}")
@@ -124,21 +81,31 @@ def _parse_params(text: str | None) -> dict[str, int]:
 
 # -------------------------------------------------------------------- gen
 
+# family -> (its parameters, the layer that builds it, entry(layer, params))
 _FAMILIES = {
-    "complete": (("n",), lambda p: Graph.complete(p["n"])),
-    "empty": (("n",), lambda p: Graph.empty(p["n"])),
-    "cycle": (("n",), lambda p: Graph.cycle(p["n"])),
-    "path": (("n",), lambda p: Graph.path(p["n"])),
-    "turan": (("n", "parts"), lambda p: turan(p["n"], p["parts"])),
-    "kneser": (("m", "k"), lambda p: kneser(p["m"], p["k"])),
-    "crown": (("t",), lambda p: crown(p["t"])),
-    "half-min": (("k",), lambda p: half_min(p["k"])),
-    "hypercube-lb": (("d",), lambda p: hypercube_lb(p["d"]).G),
-    "hypercube-lb-quotient": (("d",), lambda p: hypercube_lb(p["d"]).H),
-    "ultra-vc": (("m",), lambda p: ultra_vc_example(p["m"])),
-    "c5-blowup": (("s",), lambda p: blowup(Graph.cycle(5), [p["s"]] * 5)),
-    "random": (("n", "num", "den", "seed"), lambda p: random_graph(p["n"], p["num"], p["den"], p["seed"])),
+    "complete": (("n",), "graphs", lambda m, p: m.Graph.complete(p["n"])),
+    "empty": (("n",), "graphs", lambda m, p: m.Graph.empty(p["n"])),
+    "cycle": (("n",), "graphs", lambda m, p: m.Graph.cycle(p["n"])),
+    "path": (("n",), "graphs", lambda m, p: m.Graph.path(p["n"])),
+    "turan": (("n", "parts"), "constructions", lambda m, p: m.turan(p["n"], p["parts"])),
+    "kneser": (("m", "k"), "constructions", lambda m, p: m.kneser(p["m"], p["k"])),
+    "crown": (("t",), "constructions", lambda m, p: m.crown(p["t"])),
+    "half-min": (("k",), "constructions", lambda m, p: m.half_min(p["k"])),
+    "hypercube-lb": (("d",), "constructions", lambda m, p: m.hypercube_lb(p["d"]).G),
+    "hypercube-lb-quotient": (("d",), "constructions", lambda m, p: m.hypercube_lb(p["d"]).H),
+    "ultra-vc": (("m",), "constructions", lambda m, p: m.ultra_vc_example(p["m"])),
+    "c5-blowup": (("s",), "constructions", lambda m, p: m.blowup(Graph.cycle(5), [p["s"]] * 5)),
+    "random": (
+        ("n", "num", "den", "seed"),
+        "constructions",
+        lambda m, p: m.random_graph(p["n"], p["num"], p["den"], p["seed"]),
+    ),
 }
+
+
+def _layer(name: str):
+    """The package module ``name``, imported on first use."""
+    return import_module(f"{__package__}.{name}")
 
 
 def _write(args, text: str) -> None:
@@ -155,41 +122,42 @@ def _cmd_gen(args) -> int:
         raise ValueError(
             f"unknown family {args.family!r}; choose from {', '.join(sorted(_FAMILIES))}"
         )
-    wanted, make = _FAMILIES[args.family]
+    wanted, layer, make = _FAMILIES[args.family]
     params = _parse_params(args.params)
     if set(params) != set(wanted):
         raise ValueError(
             f"family {args.family!r} needs exactly --params "
             + ",".join(f"{k}=..." for k in wanted)
         )
-    G = make(params)
+    G = make(_layer(layer), params)
     _write(args, emit_dimacs(G) if args.format == "dimacs" else emit_graph_json(G) + "\n")
     return 0
 
 
 # ---------------------------------------------------------------- metrics
 
-# token name -> (number of integer arguments, entry(input, *ints)).
-# Each entry names its function inside a lambda, as _FAMILIES does, so the
-# module global is looked up when the metric runs: a rebound global (a
-# test's patch, a profiler's wrapper) is the function called.
+# token name -> (number of integer arguments, the layer that computes it,
+# entry(layer, input, *ints)).  Each entry names its function on the layer
+# module inside a lambda, as _FAMILIES does, so the module attribute is
+# looked up when the metric runs: a rebound attribute (a test's patch, a
+# profiler's wrapper) is the function called.
 _GRAPH_METRICS = {
-    "chi": (0, lambda G: chromatic_number(G)),
-    "omega": (0, lambda G: clique_number(G)),
-    "mis": (0, lambda G: len(mis_family(G))),
-    "nubi": (0, lambda G: nu_bi(G)[0]),
-    "ultra": (1, lambda G, r: ultra_parameter(G, r).epsilon_star),
-    "codegree": (1, lambda G, a: codegree_min(G, a)),
-    "codensity": (2, lambda G, a, b: clique_codensity(G, a, b)),
+    "chi": (0, "graphs", lambda m, G: m.chromatic_number(G)),
+    "omega": (0, "graphs", lambda m, G: m.clique_number(G)),
+    "mis": (0, "setsystems", lambda m, G: len(m.mis_family(G))),
+    "nubi": (0, "ultra", lambda m, G: m.nu_bi(G)[0]),
+    "ultra": (1, "ultra", lambda m, G, r: m.ultra_parameter(G, r).epsilon_star),
+    "codegree": (1, "graphs", lambda m, G, a: m.codegree_min(G, a)),
+    "codensity": (2, "graphs", lambda m, G, a, b: m.clique_codensity(G, a, b)),
 }
 
 _SETSYS_METRICS = {
-    "tau": (0, lambda F: transversal_number(F)[0]),
-    "nu": (0, lambda F: matching_number(F)[0]),
-    "taustar": (0, lambda F: fractional_transversal(F).value),
-    "vc": (0, lambda F: vc_dimension(F)[0]),
-    "helly": (0, lambda F: helly_number(F)),
-    "pq": (2, lambda F, p, q: has_pq_property(F, p, q)),
+    "tau": (0, "setsystems", lambda m, F: m.transversal_number(F)[0]),
+    "nu": (0, "setsystems", lambda m, F: m.matching_number(F)[0]),
+    "taustar": (0, "setsystems", lambda m, F: m.fractional_transversal(F).value),
+    "vc": (0, "setsystems", lambda m, F: m.vc_dimension(F)[0]),
+    "helly": (0, "setsystems", lambda m, F: m.helly_number(F)),
+    "pq": (2, "setsystems", lambda m, F, p, q: m.has_pq_property(F, p, q)),
 }
 
 
@@ -207,16 +175,18 @@ def _print_metrics(table: dict, kind: str, load, args) -> int:
         try:
             if name not in table or table[name][0] != len(ints):
                 raise ValueError
-            calls.append((tok, table[name][1], [int(i) for i in ints]))
+            calls.append((tok, *table[name][1:], [int(i) for i in ints]))
         except ValueError:
             raise ValueError(f"unknown {kind} metric {tok!r}") from None
     x = load(args)
-    _print_payload(args, {tok: entry(x, *ints) for tok, entry, ints in calls})
+    _print_payload(args, {tok: entry(_layer(layer), x, *ints) for tok, layer, entry, ints in calls})
     return 0
 
 
 def _load_system(args):
     """The set system named by ``args.file``, derived as --derive says."""
+    from .setsystems import dual, mis_family, mis_star_system, neighborhood_system
+
     text = load_text(args.file)
     obj = _load_json(text) if text.lstrip().startswith("{") else None
     is_system = isinstance(obj, dict) and "ground" in obj and "sets" in obj
@@ -244,6 +214,8 @@ def _load_system(args):
 
 
 def _load_measure(spec: str, size: int) -> Measure:
+    from .convexity import Measure
+
     if spec == "uniform":
         return Measure.uniform(size)
     obj = _load_json(load_text(spec))
@@ -260,6 +232,8 @@ def _load_measure(spec: str, size: int) -> Measure:
 
 
 def _cmd_space(args) -> int:
+    from .convexity import radon_number, space_helly_number, weak_eps_net
+
     if args.measure is not None and args.weak_net is None:
         raise ValueError("--measure needs --weak-net")
     S = parse_space(args.file)
@@ -280,6 +254,8 @@ def _cmd_space(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .decompose import haussler_partition, twin_quotient
+
     if args.method == "twin":
         for opt in ("r", "eps"):
             if getattr(args, opt) is not None:
@@ -340,6 +316,8 @@ def _instance(G: Graph, **extra):
 
 
 def _catalog(kind: str, seed: int) -> list[Graph]:
+    from .catalog import connected_graphs, seeded_random_graphs
+
     cat = connected_graphs(7)
     if kind == "extended":
         cat = cat + seeded_random_graphs(_EXTENDED_COUNT, 12, seed)
@@ -347,12 +325,17 @@ def _catalog(kind: str, seed: int) -> list[Graph]:
 
 
 def _suite_correspondence(catalog, seed):
+    from .convexity import correspondence_checks
+
     for G in _catalog(catalog, seed):
         for r, checks in correspondence_checks(G, (3, 4, 5)).items():
             yield partial(_instance, G, r=r), checks
 
 
 def _suite_halfgraph():
+    from .constructions import blowup, hypercube_lb
+    from .ultra import find_half_graph, ultra_parameter
+
     instances: list[tuple[str, Graph]] = [("cycle:n=5", Graph.cycle(5))]
     instances.append(("hypercube-lb:d=2", hypercube_lb(2).G))
     for s in range(2, 9):
@@ -379,6 +362,9 @@ def _suite_halfgraph():
 
 
 def _suite_construction(d):
+    from .constructions import hypercube_lb
+    from .decompose import p4_obstruction, twin_quotient
+
     if d < 2:
         raise ValueError("construction suite needs d >= 2")
     H, G = hypercube_lb(d)
@@ -421,6 +407,9 @@ def _suite_construction(d):
 
 
 def _suite_mindeg_ultra():
+    from .constructions import turan
+    from .decompose import min_degree_ultra_check
+
     for r in (3, 4, 5):
         for n in range(r - 1, 31):
             name = f"turan:n={n}:parts={r - 1}:r={r}"
@@ -428,11 +417,17 @@ def _suite_mindeg_ultra():
 
 
 def _suite_codeg_edge(catalog, seed):
+    from .decompose import codegree_density_check
+
     for G in _catalog(catalog, seed):
         yield partial(_instance, G), codegree_density_check(G)
 
 
 def _suite_vc_chromatic(catalog, seed):
+    from fractions import Fraction
+
+    from .decompose import vc_chromatic_partition
+
     triangle_free = [G for G in _catalog(catalog, seed) if G.n and is_kr_free(G, 3)]
     for c in (Fraction(1, 4), Fraction(1, 3), Fraction(2, 5)):
         for G in triangle_free:
@@ -515,10 +510,22 @@ def _print_payload(args, payload: dict) -> None:
             print(f"{k} = {json.dumps(jsonable(v))}")
 
 
+def _stdout_to_devnull() -> None:
+    """Point stdout at devnull once its reader has closed the pipe, so that
+    no later write or flush, up to the one at exit, meets the pipe again."""
+    fd = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(fd, sys.stdout.fileno())
+    os.close(fd)
+
+
 def _emit_error(args, kind: str, message: str, code: int) -> int:
     if getattr(args, "json", False):
         obj = {"error": {"type": kind, "message": message}}
-        print(json.dumps(obj, indent=2, sort_keys=True))
+        try:
+            print(json.dumps(obj, indent=2, sort_keys=True), flush=True)
+        except BrokenPipeError:
+            # no reader is left for the report; the exit code still says it
+            _stdout_to_devnull()
     else:
         print(f"error ({kind}): {message}", file=sys.stderr)
     return code
@@ -631,21 +638,25 @@ def main(argv=None) -> int:
         return _emit_error(args, "usage", str(e), 2)
     except OSError as e:
         if isinstance(e, BrokenPipeError):
-            # the reader closed stdout: point it at devnull so that neither
-            # the error below nor the flush at exit writes to the pipe again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            _stdout_to_devnull()
         return _emit_error(args, "io", str(e), 2)
 
 
-def run() -> int:
+def run():
     """The process entry of ``python -m ultrafree.cli`` and of the
-    ``ultrafree`` script: ``main()``, then ``gc.freeze()``, so that the
-    collections at interpreter exit skip the heap the OS frees anyway.
-    ``main(argv)`` called in-process leaves the caller's heap unfrozen."""
+    ``ultrafree`` script: ``main()``, then a flush of stdout and stderr,
+    then ``os._exit`` with main's exit code.  The process skips the
+    interpreter's teardown (and with it any ``atexit`` handler; the
+    package registers none), whose memory the OS frees anyway.
+    ``main(argv)`` called in-process returns its code to the caller."""
     code = main()
-    gc.freeze()
-    return code
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _stdout_to_devnull()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    run()

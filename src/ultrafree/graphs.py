@@ -7,7 +7,6 @@ deterministic.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from . import _kernels
@@ -253,6 +252,8 @@ def clique_codensity(G: Graph, a: int, b: int):
     """
     if a < 1 or b < 2:
         raise ValueError("need a >= 1 and b >= 2")
+    from fractions import Fraction
+
     meter = _meter("clique_codensity")
     counts = _coneighborhood_counts(*_blowup_quotient(G), a, b, meter)
     # below b vertices the count is 0 and C(size, b) is 0 too

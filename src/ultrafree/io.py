@@ -14,10 +14,7 @@ import json
 import os
 from pathlib import Path
 
-from .convexity import ConvexitySpace, explicit_space, mis_space, subcube_space
-from .decompose import BlowupDecomposition
 from .graphs import Graph
-from .setsystems import SetSystem
 
 __all__ = [
     "parse_graph",
@@ -170,6 +167,8 @@ def emit_dimacs(G: Graph) -> str:
 
 
 def system_from_obj(obj) -> SetSystem:
+    from .setsystems import SetSystem
+
     if not isinstance(obj, dict):
         raise ParseError("set-system JSON must be an object")
     ground = _int_field(obj, "ground", "set-system JSON")
@@ -192,6 +191,8 @@ def system_from_obj(obj) -> SetSystem:
 
 def parse_space(source) -> ConvexitySpace:
     """Convexity space from JSON text, or from a file of it."""
+    from .convexity import explicit_space, mis_space, subcube_space
+
     obj = _load_json(load_text(source))
     if not isinstance(obj, dict):
         raise ParseError("space JSON must be an object")

@@ -8,8 +8,6 @@ which makes the all-slack basis feasible and removes any phase-1 step.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 __all__ = ["max_simplex"]
 
 
@@ -24,6 +22,8 @@ def max_simplex(c, A, b, meter=None):
     row built and per row rewritten by a pivot, and reads its clock after
     each such row, since one row can take far longer than a search node.
     """
+    from fractions import Fraction
+
     m = len(A)
     n = len(c)
     if any(bi < 0 for bi in b):

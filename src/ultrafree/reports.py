@@ -9,23 +9,30 @@ strings.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+import sys
 
 TOOL_VERSION = "0.1.0"
 
 __all__ = ["Check", "Report", "TOOL_VERSION"]
 
 
+def _is_fraction(value) -> bool:
+    # no value is a Fraction before the fractions module loads, and a
+    # command that makes no rational never loads it
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(value, fractions.Fraction)
+
+
 def _fraction_text(value) -> str:
     """A rational as its 'P/Q' string; the ``default`` hook of json.dumps."""
-    if isinstance(value, Fraction):
+    if _is_fraction(value):
         return f"{value.numerator}/{value.denominator}"
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def jsonable(value):
     """Rationals as 'P/Q' strings; containers recursively; rest as is."""
-    if isinstance(value, Fraction):
+    if _is_fraction(value):
         return _fraction_text(value)
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}

@@ -8,7 +8,6 @@ rational simplex for the fractional pair.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from . import _kernels
@@ -40,8 +39,8 @@ class Infeasible(PreconditionViolated):
 class SetSystem:
     """Ordered family of subsets of range(ground); duplicates allowed."""
 
-    # _covers: the incidence transpose, filled on first use; it is not
-    # part of identity
+    # _covers: the incidence transpose, filled on first use (or by dual,
+    # which knows it); it is not part of identity
     __slots__ = ("ground", "sets", "_covers")
 
     def __init__(self, ground: int, sets):
@@ -100,8 +99,11 @@ class FractionalSolution:
 
 
 def dual(F: SetSystem) -> SetSystem:
-    """Transpose the incidence matrix: one set per original ground element."""
-    return SetSystem.from_masks(len(F.sets), _element_cover_masks(F))
+    """Transpose the incidence matrix: one set per original ground element.
+    The dual's own transpose is ``F.sets``, so it is born with it."""
+    D = SetSystem.from_masks(len(F.sets), _element_cover_masks(F))
+    D._covers = F.sets
+    return D
 
 
 def disjointness_graph(F: SetSystem) -> Graph:
@@ -222,6 +224,8 @@ def fractional_transversal(F: SetSystem) -> FractionalSolution:
     """Optimal fractional transversal, with the optimal fractional matching
     attached as ``.dual`` and the equality of their values certified.
     The meter's nodes are the simplex's tableau rows built and rewritten."""
+    from fractions import Fraction
+
     if 0 in F.sets:
         raise Infeasible("system contains an empty set")
     m = len(F.sets)

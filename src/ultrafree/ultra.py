@@ -5,7 +5,6 @@ matching number.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from . import _kernels
@@ -37,6 +36,8 @@ class UltraCertificate(NamedTuple):
     worst_pair: Optional[tuple[int, int, int]]
 
     def admits(self, eps) -> bool:
+        from fractions import Fraction
+
         return self.epsilon_star is None or Fraction(eps) <= self.epsilon_star
 
 
@@ -100,6 +101,8 @@ def ultra_parameter(G: Graph, r: int) -> UltraCertificate:
     inside one class, and shares its count; the lexicographically first
     G-pair of a class pair is (first_i, first_j), and of a class
     (first_i, second_i)."""
+    from fractions import Fraction
+
     if r < 3:
         raise ValueError("need r >= 3")
     meter = _meter("ultra_parameter")
@@ -124,6 +127,8 @@ def is_eps_ultra(G: Graph, r: int, eps) -> bool:
     For eps > 0 this is just eps <= epsilon_star: a positive clique count
     behind every non-adjacent pair already forces maximality.
     """
+    from fractions import Fraction
+
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")

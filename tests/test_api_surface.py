@@ -1,7 +1,8 @@
 """The package carries no module-level API that no command reaches.
 
 Liveness is rooted at what runs: ``cli.main``, code outside any function
-in a package module (``import ultrafree.cli`` runs every module's body),
+in a package module (a module's body runs when it is imported), a
+module-level ``__getattr__`` (Python calls it, as it runs module bodies),
 and every line of ``tools/*.py``.  A top-level function is live when a
 root or another live function, not its own body, reads its name (as a
 bare name or an attribute).  Tests do not count as callers, and neither
@@ -58,7 +59,7 @@ def _dead_functions():
     """The top-level functions that no root reaches, as "module.name".
     A function read only by a dead one is dead too."""
     defs, refs = _scan()
-    live = {("cli", "main")}
+    live = {("cli", "main")} | {d for d in defs if d[1] == "__getattr__"}
     grew = True
     while grew:
         grew = False
@@ -123,15 +124,17 @@ def test_every_all_entry_resolves():
 
 
 def test_the_surface_is_declared_once():
-    # __init__.py star-imports the exporting modules and names no name;
-    # _kernels, lp and cli keep their __all__ and stay unexported
-    imports = [
-        node
-        for node in ast.walk(ast.parse((SRC / "__init__.py").read_text(encoding="utf-8")))
-        if isinstance(node, ast.ImportFrom)
+    # __init__.py names the exporting modules in one tuple, imports no
+    # name from them, and binds their exports on first use; _kernels, lp
+    # and cli keep their __all__ and stay unexported
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    (layers,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["_LAYERS"]
     ]
-    assert [[a.name for a in node.names] for node in imports] == [["*"]] * len(imports)
-    stems = [node.module for node in imports]
+    stems = [elt.value for elt in layers.elts]
     assert sorted(stems) == sorted(set(MODULES) - {"__init__", "_kernels", "lp", "cli"})
     exported = ["BACKEND", "__version__"]
     for stem in stems:

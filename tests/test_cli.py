@@ -138,7 +138,7 @@ class TestAnalyze:
         def unreachable(G):
             raise AssertionError("no metric may run before every token is checked")
 
-        monkeypatch.setattr(ultrafree.cli, "chromatic_number", unreachable)
+        monkeypatch.setattr(ultrafree.graphs, "chromatic_number", unreachable)
         assert main(["analyze", c5_file, "--metrics", "chi,girth", "--json"]) == 2
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "usage"
         # nor is a graph input's star system derived first
@@ -147,21 +147,21 @@ class TestAnalyze:
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "usage"
 
     def test_metrics_call_the_module_global(self, c5_file, capsys, monkeypatch):
-        # the metric tables look their functions up when a metric runs, so
-        # a rebound ultrafree.cli global is the one called
+        # the metric tables look their functions up on the layer module when
+        # a metric runs, so a rebound module attribute is the one called
         calls = []
 
-        def recording(name):
-            fn = getattr(ultrafree.cli, name)
+        def recording(module, name):
+            fn = getattr(module, name)
 
             def wrapper(*args):
                 calls.append(name)
                 return fn(*args)
 
-            monkeypatch.setattr(ultrafree.cli, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
 
-        recording("chromatic_number")
-        recording("transversal_number")
+        recording(ultrafree.graphs, "chromatic_number")
+        recording(ultrafree.setsystems, "transversal_number")
         assert main(["analyze", c5_file, "--metrics", "chi"]) == 0
         assert main(["setsys", c5_file, "--metrics", "tau"]) == 0
         assert capsys.readouterr().out == "chi = 3\ntau = 3\n"
@@ -179,7 +179,7 @@ class TestAnalyze:
         def exhausted(G):
             raise error
 
-        monkeypatch.setattr(ultrafree.cli, "clique_number", exhausted)
+        monkeypatch.setattr(ultrafree.graphs, "clique_number", exhausted)
         assert main(["analyze", c5_file, "--metrics", "omega", "--json"]) == 3
         captured = capsys.readouterr()
         assert json.loads(captured.out) == {"error": {"type": "resource", "message": message}}
@@ -630,7 +630,7 @@ class TestVerify:
     def test_failure_exits_one(self, capsys, monkeypatch):
         # swap the pair so the size formula no longer matches
         monkeypatch.setattr(
-            "ultrafree.cli.hypercube_lb",
+            "ultrafree.constructions.hypercube_lb",
             lambda d: (hypercube_lb(d).G, hypercube_lb(d).H),
         )
         assert main(["verify", "--suite", "construction:d=2", "--json"]) == 1
@@ -727,9 +727,9 @@ class TestVerify:
     )
     def test_suite_parameter_rejected(self, suite, capsys, monkeypatch):
         # rejected before any work: no catalog is built, no suite runs
-        monkeypatch.setattr("ultrafree.cli.connected_graphs", None)
-        monkeypatch.setattr("ultrafree.cli.ultra_parameter", None)
-        monkeypatch.setattr("ultrafree.cli.turan", None)
+        monkeypatch.setattr("ultrafree.catalog.connected_graphs", None)
+        monkeypatch.setattr("ultrafree.ultra.ultra_parameter", None)
+        monkeypatch.setattr("ultrafree.constructions.turan", None)
         assert main(["verify", "--suite", f"{suite}:d=9", "--json"]) == 2
         obj = json.loads(capsys.readouterr().out)
         assert obj["error"]["type"] == "usage"
@@ -744,7 +744,7 @@ class TestVerify:
     @staticmethod
     def _two_graph_catalog(monkeypatch):
         cat = [Graph.path(3), Graph.cycle(5)]
-        monkeypatch.setattr("ultrafree.cli.connected_graphs", lambda n: list(cat))
+        monkeypatch.setattr("ultrafree.catalog.connected_graphs", lambda n: list(cat))
         return cat
 
     def test_correspondence_failure_witness(self, capsys, monkeypatch):
@@ -814,6 +814,22 @@ class TestVerify:
 
 
 class TestClosedStdout:
+    @staticmethod
+    def _run(argv, env):
+        # stdout is a pipe whose read end is closed before the command starts
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            return subprocess.run(
+                [sys.executable, "-m", "ultrafree.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -822,35 +838,57 @@ class TestClosedStdout:
         ],
     )
     def test_broken_pipe_exits_two(self, argv, c5_file):
-        # a pipe whose read end is closed before the command starts
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "ultrafree.cli", *(a.format(c5=c5_file) for a in argv)],
-                stdout=write_end,
-                stderr=subprocess.PIPE,
-                env=_child_env(),
-                timeout=120,
-            )
-        finally:
-            os.close(write_end)
+        proc = self._run([a.format(c5=c5_file) for a in argv], _child_env())
         assert proc.returncode == 2
         assert b"Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "{missing}", "--metrics", "chi", "--json"],
+            ["verify", "--suite", "bogus", "--json"],
+        ],
+        ids=["parse-error", "usage-error"],
+    )
+    def test_error_report_exits_two(self, argv, unbuffered, tmp_path):
+        # the JSON error report meets the closed pipe itself: a buffered
+        # stdout fails at its flush, an unbuffered one at the print
+        env = _child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = self._run([a.format(missing=tmp_path / "missing.json") for a in argv], env)
+        assert proc.returncode == 2, proc.stderr.decode()
+        assert b"Traceback" not in proc.stderr
+        assert b"Exception ignored" not in proc.stderr
 
 
 class TestStartup:
     def test_import_skips_dataclasses_and_hashlib(self):
+        # import ultrafree.cli loads only the layers every command runs and
+        # no fractions, which a command that makes no rational never loads;
         # a command that takes no digest never loads hashlib (and OpenSSL);
         # one that does still prints its pinned bytes, and loads no OpenSSL
-        # where the interpreter has a builtin SHA-256
+        # where the interpreter has a builtin SHA-256.  No assertion names a
+        # stdlib module that a host's site may preload
         code = (
-            "import importlib.util, sys, ultrafree.cli\n"
-            "loaded = {'dataclasses', 'inspect', 'hashlib'} & set(sys.modules)\n"
+            "import contextlib, importlib.util, io, sys, ultrafree.cli\n"
+            "ours = {m for m in sys.modules if m.split('.')[0] == 'ultrafree'}\n"
+            "layers = {'cli', 'budget', 'errors', '_kernels', 'graphs', 'io', 'reports'}\n"
+            "assert ours == {'ultrafree'} | {'ultrafree.' + m for m in layers}, sorted(ours)\n"
+            "loaded = {'dataclasses', 'inspect', 'hashlib', 'fractions', 'decimal'} & set(sys.modules)\n"
             "assert not loaded, loaded\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert ultrafree.cli.main(['analyze', {C5_JSON!r}, '--metrics', 'chi,omega', '--json']) == 0\n"
+            "assert 'fractions' not in sys.modules\n"
             "status = ultrafree.cli.main(['verify', '--suite', 'halfgraph', '--json'])\n"
             "builtin = any(importlib.util.find_spec(m) for m in ('_sha256', '_sha2'))\n"
             "assert not (builtin and '_hashlib' in sys.modules), 'OpenSSL loaded'\n"
+            "namespace = {}\n"
+            "exec('from ultrafree import *', namespace)\n"
+            "missing = set(ultrafree.__all__) - set(namespace)\n"
+            "assert not missing, missing\n"
             "sys.exit(status)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_child_env(), timeout=120)
@@ -861,8 +899,9 @@ class TestStartup:
 
 
 class TestProcessEntry:
-    # ``python -m ultrafree.cli`` exits through ``run()``, which freezes the
-    # heap after ``main()``; its exit code and stdout are main()'s
+    # ``python -m ultrafree.cli`` exits through ``run()``, which flushes
+    # stdout and stderr after ``main()`` and ends the process with
+    # ``os._exit``; its exit code, stdout and stderr are main()'s
     def _run(self, *argv):
         return subprocess.run(
             [sys.executable, "-m", "ultrafree.cli", *argv], capture_output=True, env=_child_env(), timeout=120
@@ -879,6 +918,13 @@ class TestProcessEntry:
         proc = self._run("analyze", C5_JSON, "--metrics", "chi,bogus", "--json")
         assert proc.returncode == 2, proc.stderr.decode()
         assert json.loads(proc.stdout)["error"]["type"] == "usage"
+
+    def test_usage_error_on_stderr(self):
+        # without --json the report goes to stderr, flushed before the exit
+        proc = self._run("analyze", C5_JSON, "--metrics", "chi,bogus")
+        assert proc.returncode == 2, proc.stderr.decode()
+        assert proc.stdout == b""
+        assert proc.stderr == b"error (usage): unknown graph metric 'bogus'\n"
 
     def test_budget_error(self):
         proc = self._run("verify", "--suite", "correspondence", "--budget-nodes", "30", "--json")

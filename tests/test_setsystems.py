@@ -75,6 +75,19 @@ class TestSetSystem:
         assert SetSystem(3, [(0,)]) != SetSystem(3, [(1,)])
 
 
+@st.composite
+def _systems_with_repeats(draw):
+    # a random system plus a duplicate, a subset of a member and an empty set
+    F = draw(oracles.set_systems(max_sets=5))
+    sets = list(F.sets)
+    if sets:
+        sets.append(draw(st.sampled_from(sets)))
+        sets.append(draw(st.sampled_from(sets)) & draw(st.integers(0, (1 << F.ground) - 1)))
+    sets.append(0)
+    order = draw(st.permutations(range(len(sets))))
+    return SetSystem.from_masks(F.ground, [sets[i] for i in order])
+
+
 class TestTranspose:
     def test_computed_once_and_not_identity(self):
         F = SetSystem(3, [(0, 1), (1, 2)])
@@ -84,13 +97,15 @@ class TestTranspose:
         G = SetSystem(3, [(0, 1), (1, 2)])
         assert F == G and hash(F) == hash(G)
 
-    def test_dual_leaves_its_own_transpose_unfilled(self):
-        # the stars' transpose is rebuilt from the stars, never copied from
-        # the system they came from, so maximal stars test the stars
-        mis = mis_family(C5)
-        stars = dual(mis)
-        assert stars._covers is None
-        assert ultrafree.setsystems._element_cover_masks(stars) == mis.sets
+    @given(_systems_with_repeats())
+    @settings(max_examples=80, deadline=None)
+    def test_dual_is_born_with_its_transpose(self, F):
+        # the transpose of dual(F) is F.sets: the same masks that a fresh
+        # copy of the dual, with no transpose kept, computes for itself
+        D = dual(F)
+        assert D._covers is F.sets
+        fresh = SetSystem.from_masks(len(F.sets), D.sets)
+        assert ultrafree.setsystems._element_cover_masks(fresh) == F.sets
 
 
 class TestDual:
@@ -401,19 +416,6 @@ class TestPqProperties:
     def test_rejects_any_bad_p(self):
         with pytest.raises(ValueError, match="need p >= q >= 2"):
             ultrafree.setsystems._pq_properties(SetSystem(2, []), (3, 2), 3)
-
-
-@st.composite
-def _systems_with_repeats(draw):
-    # a random system plus a duplicate, a subset of a member and an empty set
-    F = draw(oracles.set_systems(max_sets=5))
-    sets = list(F.sets)
-    if sets:
-        sets.append(draw(st.sampled_from(sets)))
-        sets.append(draw(st.sampled_from(sets)) & draw(st.integers(0, (1 << F.ground) - 1)))
-    sets.append(0)
-    order = draw(st.permutations(range(len(sets))))
-    return SetSystem.from_masks(F.ground, [sets[i] for i in order])
 
 
 class TestMaximalIntersecting:
