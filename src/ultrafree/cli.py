@@ -8,15 +8,15 @@ error) is a single JSON object on stdout.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import re
 import sys
 from contextlib import nullcontext
-from functools import cache, partial
+from functools import partial
 from importlib import import_module
+from types import SimpleNamespace
 
 # what every command runs; a command imports each other layer where it
 # runs it, so a process loads only the layers its command needs
@@ -531,91 +531,259 @@ def _emit_error(args, kind: str, message: str, code: int) -> int:
     return code
 
 
-# a process builds at most two parsers, one per --json mode, and a
-# second in-process main() call leaves the collector no parser to free
-@cache
-def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
-    class Parser(argparse.ArgumentParser):
-        # under --json a usage error becomes the ValueError that main
-        # reports as a JSON object; otherwise argparse prints its usage
-        def error(self, message):
-            if json_errors:
-                raise ValueError(message)
-            super().error(message)
+# ------------------------------------------------------------ command line
 
-    # main spots --json by its literal name, so no option may be abbreviated
-    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    common.add_argument("--budget-nodes", type=int, default=None, metavar="N")
-    common.add_argument("--budget-ms", type=int, default=None, metavar="T")
-    common.add_argument("--json", action="store_true")
 
-    parser = Parser(
-        prog="ultrafree",
-        allow_abbrev=False,
-        description="Exact solvers and verification suites for clique-density-critical graphs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Option:
+    """One ``--option`` of the command line: the type of its value (bool
+    for a flag, which takes none), the values it may take, its value when
+    not given, whether it must be given, and its value's name in the
+    usage line."""
 
-    def command(name: str, func, help: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, parents=[common], allow_abbrev=False, help=help)
-        p.set_defaults(func=func)
-        return p
+    __slots__ = ("type", "choices", "default", "required", "metavar")
 
-    p = command("gen", _cmd_gen, "emit a constructed graph")
-    p.add_argument("family")
-    p.add_argument("--params", default="", metavar="k=v,...")
-    p.add_argument("--format", choices=("json", "dimacs"), default="json")
-    p.add_argument("--out", default=None, metavar="FILE")
+    def __init__(self, type=str, choices=(), default=None, required=False, metavar=None):
+        self.type = type
+        self.choices = choices
+        self.default = False if type is bool else default
+        self.required = required
+        self.metavar = "{" + ",".join(choices) + "}" if choices else metavar
 
-    graph_metrics = partial(_print_metrics, _GRAPH_METRICS, "graph", lambda a: parse_graph(a.file))
-    p = command("analyze", graph_metrics, "graph metrics")
-    p.add_argument("file")
-    p.add_argument("--metrics", required=True)
 
-    set_metrics = partial(_print_metrics, _SETSYS_METRICS, "set-system", _load_system)
-    p = command("setsys", set_metrics, "set-system metrics")
-    p.add_argument("file")
-    p.add_argument(
-        "--derive",
-        choices=("stars", "mis", "neighborhoods", "dual", "none"),
-        default=None,
-    )
-    p.add_argument("--metrics", required=True)
+# the options every command takes
+_COMMON = {
+    "--budget-nodes": _Option(int, metavar="N"),
+    "--budget-ms": _Option(int, metavar="T"),
+    "--json": _Option(bool),
+}
 
-    p = command("space", _cmd_space, "convexity-space metrics")
-    p.add_argument("file")
-    p.add_argument("--radon-cap", type=int, default=None, metavar="K")
-    p.add_argument("--weak-net", default=None, metavar="EPS")
-    # None when not given: _cmd_space reads it only with --weak-net
-    p.add_argument("--measure", default=None, metavar="uniform|FILE")
-    p.add_argument("--helly", action="store_true")
+# command -> (handler, one-line help, positionals, its own options)
+_COMMANDS = {
+    "gen": (
+        _cmd_gen,
+        "emit a constructed graph",
+        ("family",),
+        {
+            "--params": _Option(default="", metavar="k=v,..."),
+            "--format": _Option(choices=("json", "dimacs"), default="json"),
+            "--out": _Option(metavar="FILE"),
+        },
+    ),
+    "analyze": (
+        partial(_print_metrics, _GRAPH_METRICS, "graph", lambda a: parse_graph(a.file)),
+        "graph metrics",
+        ("file",),
+        {"--metrics": _Option(required=True, metavar="METRICS")},
+    ),
+    "setsys": (
+        partial(_print_metrics, _SETSYS_METRICS, "set-system", _load_system),
+        "set-system metrics",
+        ("file",),
+        {
+            "--derive": _Option(choices=("stars", "mis", "neighborhoods", "dual", "none")),
+            "--metrics": _Option(required=True, metavar="METRICS"),
+        },
+    ),
+    "space": (
+        _cmd_space,
+        "convexity-space metrics",
+        ("file",),
+        {
+            "--radon-cap": _Option(int, metavar="K"),
+            "--weak-net": _Option(metavar="EPS"),
+            # None when not given: _cmd_space reads it only with --weak-net
+            "--measure": _Option(metavar="uniform|FILE"),
+            "--helly": _Option(bool),
+        },
+    ),
+    "decompose": (
+        _cmd_decompose,
+        "blow-up decomposition",
+        ("file",),
+        {
+            # None when not given: _cmd_decompose uses r = 3 with haussler
+            "--r": _Option(int, metavar="R"),
+            "--eps": _Option(metavar="P/Q"),
+            "--method": _Option(choices=("haussler", "twin"), default="haussler"),
+            "--out": _Option(metavar="FILE"),
+        },
+    ),
+    "verify": (
+        _cmd_verify,
+        "run a verification suite",
+        (),
+        {
+            "--suite": _Option(required=True, metavar="SUITE"),
+            # None when not given: _cmd_verify fills in the catalog suites' defaults
+            "--catalog": _Option(choices=("small", "extended")),
+            "--seed": _Option(int, metavar="SEED"),
+        },
+    ),
+}
 
-    p = command("decompose", _cmd_decompose, "blow-up decomposition")
-    p.add_argument("file")
-    # None when not given: _cmd_decompose uses r = 3 with haussler
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--eps", default=None, metavar="P/Q")
-    p.add_argument("--method", choices=("haussler", "twin"), default="haussler")
-    p.add_argument("--out", default=None, metavar="FILE")
+_HELP = ("-h", "--help")
+# a token that begins with "-" and is still a value: a negative number
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+# the width a usage line wraps at
+_WIDTH = 78
 
-    p = command("verify", _cmd_verify, "run a verification suite")
-    p.add_argument("--suite", required=True)
-    # None when not given: _cmd_verify fills in the catalog suites' defaults
-    p.add_argument("--catalog", choices=("small", "extended"), default=None)
-    p.add_argument("--seed", type=int, default=None)
-    return parser
+
+class _UsageError(ValueError):
+    """A malformed command line; ``command`` names the command whose usage
+    line heads the message, None for the top level's."""
+
+    def __init__(self, message: str, command: str | None = None):
+        super().__init__(message)
+        self.command = command
+
+
+def _usage(command: str | None) -> str:
+    """The usage line of ``command``, or of the top level for None."""
+    if command is None:
+        return f"usage: ultrafree [-h] {{{','.join(_COMMANDS)}}} ..."
+    _, _, positionals, own = _COMMANDS[command]
+    parts = ["[-h]"]
+    for name, opt in {**_COMMON, **own}.items():
+        part = name if opt.type is bool else f"{name} {opt.metavar}"
+        parts.append(part if opt.required else f"[{part}]")
+    head = f"usage: ultrafree {command}"
+    flat = " ".join([head, *parts, *positionals])
+    if len(flat) <= _WIDTH:
+        return flat
+    # too wide: the options wrap under the command's name, and the
+    # positionals start a line of their own
+    indent = " " * (len(head) + 1)
+    lines = []
+    for line, group in ((head, parts), (None, positionals)):
+        for part in group:
+            if line is not None and len(line) + 1 + len(part) > _WIDTH:
+                lines.append(line)
+                line = None
+            line = indent + part if line is None else f"{line} {part}"
+        if line is not None:
+            lines.append(line)
+    return "\n".join(lines)
+
+
+def _cmd_help(args) -> int:
+    """Print the usage and help of ``args.command``, or the top level's."""
+    if args.command is None:
+        lines = ["Exact solvers and verification suites for clique-density-critical graphs.", "", "commands:"]
+        lines += [f"  {name:<11}{spec[1]}" for name, spec in _COMMANDS.items()]
+    else:
+        lines = [_COMMANDS[args.command][1]]
+    sys.stdout.write("\n".join([_usage(args.command), "", *lines, ""]))
+    return 0
+
+
+def _help_args(command: str | None):
+    # help runs under no budget, whatever options came before it
+    return SimpleNamespace(command=command, func=_cmd_help, budget_nodes=None, budget_ms=None, json=False)
+
+
+def _option(token: str, options: dict):
+    """``(name, explicit value or None)`` when argv ``token`` is an option,
+    with name None for an unknown one; None when ``token`` is a value."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in options or token in _HELP:
+        return token, None
+    name, eq, value = token.partition("=")
+    if eq and (name in options or name in _HELP):
+        return name, value
+    if _NEGATIVE.match(token) or " " in token:
+        return None
+    return None, None
+
+
+def _parse_command(command: str, argv):
+    """The namespace that ``argv``, the tokens after ``command``, give it,
+    with the tokens it takes none of, in their order."""
+    handler, _, positionals, own = _COMMANDS[command]
+    options = {**_COMMON, **own}
+    values = {name: opt.default for name, opt in options.items()}
+    taken, rest = [], []
+    dashed = False
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if token == "--" and not dashed:
+            # every later token is a value
+            dashed = True
+            continue
+        found = None if dashed else _option(token, options)
+        if found is None or found[0] is None:
+            fits = found is None and len(taken) < len(positionals)
+            (taken if fits else rest).append(token)
+            continue
+        name, value = found
+        if name in _HELP:
+            if value is not None:
+                raise _UsageError(f"argument -h/--help: ignored explicit argument {value!r}", command)
+            return _help_args(command), []
+        opt = options[name]
+        if opt.type is bool:
+            if value is not None:
+                raise _UsageError(f"argument {name}: ignored explicit argument {value!r}", command)
+            value = True
+        else:
+            if value is None:
+                if i == len(argv) or _option(argv[i], options) is not None:
+                    raise _UsageError(f"argument {name}: expected one argument", command)
+                value = argv[i]
+                i += 1
+            if opt.type is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise _UsageError(f"argument {name}: invalid int value: {value!r}", command) from None
+            if opt.choices and value not in opt.choices:
+                choices = ", ".join(map(repr, opt.choices))
+                raise _UsageError(f"argument {name}: invalid choice: {value!r} (choose from {choices})", command)
+        values[name] = value
+    # a required option has no default, and a given value is never None
+    missing = [*positionals[len(taken) :], *(n for n, o in options.items() if o.required and values[n] is None)]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}", command)
+    fields = {name[2:].replace("-", "_"): value for name, value in values.items()}
+    return SimpleNamespace(command=command, func=handler, **dict(zip(positionals, taken)), **fields), rest
+
+
+def _parse_args(argv):
+    """The namespace the ``_cmd_*`` handlers read, parsed from ``argv``:
+    ``--opt value`` or ``--opt=value``, options and positionals in any
+    order, the last of a repeated option winning, no abbreviation, and a
+    value that begins with "-" only if it reads as a negative number.  A
+    malformed ``argv`` raises _UsageError."""
+    unknown = []
+    for i, token in enumerate(argv):
+        found = _option(token, {})
+        if found is None:
+            break
+        if found[0] is not None:
+            if found[1] is not None:
+                raise _UsageError(f"argument -h/--help: ignored explicit argument {found[1]!r}")
+            return _help_args(None)
+        unknown.append(token)
+    else:
+        raise _UsageError("the following arguments are required: command")
+    if token not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise _UsageError(f"argument command: invalid choice: {token!r} (choose from {choices})")
+    args, rest = _parse_command(token, argv[i + 1 :])
+    unknown += rest
+    if unknown:
+        raise _UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+    return args
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = argparse.Namespace(json="--json" in argv)
+    # main spots --json by its literal name, so no option may be abbreviated
+    args = SimpleNamespace(json="--json" in argv)
     try:
-        args = _build_parser(args.json).parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-    except ValueError as e:
-        return _emit_error(args, "usage", str(e), 2)
-    try:
+        args = _parse_args(argv)
         # the command's one budget; without a --budget-* flag none is in
         # force, and no search opens a meter
         flagged = args.budget_nodes is not None or args.budget_ms is not None
@@ -623,6 +791,12 @@ def main(argv=None) -> int:
             code = args.func(args)
         sys.stdout.flush()
         return code
+    except _UsageError as e:
+        if args.json:
+            return _emit_error(args, "usage", str(e), 2)
+        prog = "ultrafree" if e.command is None else f"ultrafree {e.command}"
+        print(f"{_usage(e.command)}\n{prog}: error: {e}", file=sys.stderr)
+        return 2
     except BudgetExceeded as e:
         return _emit_error(args, "budget", str(e), 3)
     except (RecursionError, MemoryError) as e:

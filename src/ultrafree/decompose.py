@@ -20,8 +20,6 @@ from .errors import ClaimViolation, PreconditionViolated
 from .graphs import Graph, _blowup_quotient, _lift, has_induced_p4, mask_of, max_clique_witness
 from . import graphs as _graphs
 from .reports import Check, _verdict
-from .setsystems import neighborhood_system, vc_dimension
-from .ultra import is_eps_ultra, ultra_parameter
 
 __all__ = [
     "BlowupDecomposition",
@@ -153,6 +151,8 @@ def haussler_partition(G: Graph, r: int, eps) -> BlowupDecomposition:
     """Partition by neighborhood proximity at threshold s = eps*n/10,
     verify the structural claims, split undersized parts into singletons,
     and return the quotient with its origin map."""
+    from .ultra import is_eps_ultra
+
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -258,6 +258,8 @@ def vc_chromatic_partition(G: Graph, c):
     ClaimViolation on failure, while the color-count bound is recorded
     as a check.
     """
+    from .setsystems import neighborhood_system, vc_dimension
+
     c = Fraction(c)
     if c <= 0:
         raise ValueError("c must be positive")
@@ -293,6 +295,8 @@ def min_degree_ultra_check(G: Graph, r: int) -> list[Check]:
     """Degree hypothesis ((2r-5)/(2r-3) + eps)*n forces the clique
     density parameter up to eps^(r-2); checked exactly.  The slack eps
     is read off G's min degree, and an instance with none is skipped."""
+    from .ultra import ultra_parameter
+
     if r < 3:
         raise ValueError("need r >= 3")
     delta = G.min_degree()

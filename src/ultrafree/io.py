@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import os
-from pathlib import Path
 
 from .graphs import Graph
 
@@ -33,17 +32,17 @@ def load_text(source) -> str:
     Anything that begins like one of the supported formats is taken
     verbatim; otherwise it must be the path of a readable file.
     """
-    if isinstance(source, os.PathLike):
-        return Path(source).read_text(encoding="utf-8")
-    head = source.lstrip()[:1]
-    if head in ("{", "["):
-        return source
-    first = source.lstrip().split(None, 1)[0] if source.strip() else ""
-    if first in ("p", "c", "e"):
-        return source
-    if os.path.exists(source):
-        return Path(source).read_text(encoding="utf-8")
-    raise ParseError(f"not a recognized format and no such file: {source!r}")
+    if not isinstance(source, os.PathLike):
+        head = source.lstrip()[:1]
+        if head in ("{", "["):
+            return source
+        first = source.lstrip().split(None, 1)[0] if source.strip() else ""
+        if first in ("p", "c", "e"):
+            return source
+        if not os.path.exists(source):
+            raise ParseError(f"not a recognized format and no such file: {source!r}")
+    with open(source, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _unique_keys(pairs) -> dict:

@@ -1,9 +1,13 @@
 import gc
 import hashlib
+import importlib.util
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -696,7 +700,7 @@ class TestVerify:
         assert list(obj) == ["error"] and obj["error"]["type"] == "usage"
         assert needle in obj["error"]["message"]
         assert captured.err == ""
-        # without --json argparse prints its usage and message on stderr
+        # without --json the parser prints its usage and message on stderr
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -813,6 +817,362 @@ class TestVerify:
         assert calls == []
 
 
+# The command-line grammar, recorded from the argparse parser (Python 3.11)
+# that the table-driven parser replaced.  A valid argv pins the fields it
+# parses to beyond its command's defaults; a rejected one pins its message,
+# printed under the usage line of the command named (None: the top level).
+# The usage lines are argparse's at its default width of 78 columns.
+_PARSE_DEFAULTS = {
+    "gen": {"budget_nodes": None, "budget_ms": None, "json": False, "params": "", "format": "json", "out": None},
+    "analyze": {"budget_nodes": None, "budget_ms": None, "json": False},
+    "setsys": {"budget_nodes": None, "budget_ms": None, "json": False, "derive": None},
+    "space": {
+        "budget_nodes": None,
+        "budget_ms": None,
+        "json": False,
+        "radon_cap": None,
+        "weak_net": None,
+        "measure": None,
+        "helly": False,
+    },
+    "decompose": {
+        "budget_nodes": None,
+        "budget_ms": None,
+        "json": False,
+        "r": None,
+        "eps": None,
+        "method": "haussler",
+        "out": None,
+    },
+    "verify": {"budget_nodes": None, "budget_ms": None, "json": False, "catalog": None, "seed": None},
+}
+_PARSED = [
+    (["gen", "cycle"], {"family": "cycle"}),
+    (
+        ["gen", "cycle", "--params", "n=5", "--format", "dimacs", "--out", "c.col"],
+        {"family": "cycle", "params": "n=5", "format": "dimacs", "out": "c.col"},
+    ),
+    (
+        ["gen", "--params=n=5", "--format=dimacs", "--out=c.col", "cycle"],
+        {"family": "cycle", "params": "n=5", "format": "dimacs", "out": "c.col"},
+    ),
+    (["analyze", "g.json", "--metrics", "chi"], {"file": "g.json", "metrics": "chi"}),
+    (["analyze", "--metrics=chi,omega", "g.json", "--json"], {"json": True, "file": "g.json", "metrics": "chi,omega"}),
+    (["setsys", "g.json", "--metrics", "tau"], {"file": "g.json", "metrics": "tau"}),
+    (
+        ["setsys", "g.json", "--derive", "mis", "--metrics", "tau"],
+        {"file": "g.json", "derive": "mis", "metrics": "tau"},
+    ),
+    (["setsys", "--derive=dual", "--metrics=vc", "f.json"], {"file": "f.json", "derive": "dual", "metrics": "vc"}),
+    (["space", "s.json"], {"file": "s.json"}),
+    (
+        ["space", "s.json", "--radon-cap", "4", "--helly", "--weak-net", "1/4", "--measure", "uniform"],
+        {"file": "s.json", "radon_cap": 4, "weak_net": "1/4", "measure": "uniform", "helly": True},
+    ),
+    (
+        ["space", "--radon-cap=4", "--weak-net=1/4", "--measure=m.json", "s.json"],
+        {"file": "s.json", "radon_cap": 4, "weak_net": "1/4", "measure": "m.json"},
+    ),
+    (["decompose", "g.json"], {"file": "g.json"}),
+    (
+        ["decompose", "g.json", "--r", "3", "--eps", "1/28", "--method", "haussler", "--out", "d.json"],
+        {"file": "g.json", "r": 3, "eps": "1/28", "out": "d.json"},
+    ),
+    (
+        ["decompose", "--r=4", "--eps=1/5", "--method=twin", "--out=d.json", "g.json"],
+        {"file": "g.json", "r": 4, "eps": "1/5", "method": "twin", "out": "d.json"},
+    ),
+    (["verify", "--suite", "halfgraph"], {"suite": "halfgraph"}),
+    (
+        ["verify", "--suite", "correspondence", "--catalog", "extended", "--seed", "7"],
+        {"suite": "correspondence", "catalog": "extended", "seed": 7},
+    ),
+    (
+        ["verify", "--suite=codeg-edge", "--catalog=small", "--seed=7"],
+        {"suite": "codeg-edge", "catalog": "small", "seed": 7},
+    ),
+    (
+        ["verify", "--suite", "halfgraph", "--budget-nodes", "10", "--budget-ms", "500", "--json"],
+        {"budget_nodes": 10, "budget_ms": 500, "json": True, "suite": "halfgraph"},
+    ),
+    (
+        ["verify", "--budget-nodes=10", "--budget-ms=500", "--suite", "halfgraph"],
+        {"budget_nodes": 10, "budget_ms": 500, "suite": "halfgraph"},
+    ),
+    (
+        ["verify", "--suite", "halfgraph", "--suite", "mindeg-ultra", "--seed", "1", "--seed=2", "--json", "--json"],
+        {"json": True, "suite": "mindeg-ultra", "seed": 2},
+    ),
+    (["gen", "path", "--format", "dimacs", "--format", "json"], {"family": "path"}),
+    (
+        ["analyze", "g.json", "--metrics", "chi", "--budget-nodes", "-1", "--budget-ms", "-5"],
+        {"budget_nodes": -1, "budget_ms": -5, "file": "g.json", "metrics": "chi"},
+    ),
+    (
+        ["space", "s.json", "--radon-cap", "-3", "--weak-net", "-1"],
+        {"file": "s.json", "radon_cap": -3, "weak_net": "-1"},
+    ),
+    (["decompose", "g.json", "--r", "-2", "--eps", "-.5"], {"file": "g.json", "r": -2, "eps": "-.5"}),
+    (["gen", "-5"], {"family": "-5"}),
+    (["space", "s.json", "--weak-net=-1/2"], {"file": "s.json", "weak_net": "-1/2"}),
+    (["analyze", "g.json", "--metrics", "-chi omega"], {"file": "g.json", "metrics": "-chi omega"}),
+    (["gen", "-x y"], {"family": "-x y"}),
+    (["verify", "--suite="], {"suite": ""}),
+    (["analyze", "", "--metrics", ""], {"file": "", "metrics": ""}),
+    (["analyze", "-", "--metrics", "chi"], {"file": "-", "metrics": "chi"}),
+    (["analyze", "--metrics", "chi", "--", "-g.json"], {"file": "-g.json", "metrics": "chi"}),
+    (
+        ["analyze", "--json", "--metrics", "chi", "g.json", "--budget-ms", "0"],
+        {"budget_ms": 0, "json": True, "file": "g.json", "metrics": "chi"},
+    ),
+    (
+        ["analyze", "P", "--metrics", "chi,omega,mis,codensity:2:3", "--json"],
+        {"json": True, "file": "P", "metrics": "chi,omega,mis,codensity:2:3"},
+    ),
+    (["analyze", "P", "--metrics", "nubi", "--json"], {"json": True, "file": "P", "metrics": "nubi"}),
+    (["analyze", "P", "--metrics", "ultra:3", "--json"], {"json": True, "file": "P", "metrics": "ultra:3"}),
+    (["analyze", "P", "--metrics", "ultra:4", "--json"], {"json": True, "file": "P", "metrics": "ultra:4"}),
+    (["analyze", "P", "--metrics", "ultra:5", "--json"], {"json": True, "file": "P", "metrics": "ultra:5"}),
+    (["analyze", "P", "--metrics", "chi,omega", "--json"], {"json": True, "file": "P", "metrics": "chi,omega"}),
+    (
+        ["setsys", "P", "--derive", "stars", "--metrics", "tau,nu", "--json"],
+        {"json": True, "file": "P", "derive": "stars", "metrics": "tau,nu"},
+    ),
+    (
+        ["space", "P", "--helly", "--radon-cap", "3", "--weak-net", "1/4", "--json"],
+        {"json": True, "file": "P", "radon_cap": 3, "weak_net": "1/4", "helly": True},
+    ),
+    (["decompose", "P", "--method", "twin", "--json"], {"json": True, "file": "P", "method": "twin"}),
+    (
+        ["decompose", "P", "--method", "haussler", "--r", "3", "--eps", "1/28", "--json"],
+        {"json": True, "file": "P", "r": 3, "eps": "1/28"},
+    ),
+    (["verify", "--suite", "mindeg-ultra", "--json"], {"json": True, "suite": "mindeg-ultra"}),
+    (["verify", "--suite", "halfgraph", "--json"], {"json": True, "suite": "halfgraph"}),
+    (
+        ["verify", "--suite", "correspondence", "--catalog", "extended", "--seed", "20260301", "--json"],
+        {"json": True, "suite": "correspondence", "catalog": "extended", "seed": 20260301},
+    ),
+    (["verify", "--suite", "construction:d=5", "--json"], {"json": True, "suite": "construction:d=5"}),
+    (["gen", "cycle", "--params", "n=5"], {"family": "cycle", "params": "n=5"}),
+    (
+        ["gen", "turan", "--params", "n=12,parts=3", "--format", "dimacs", "--out", "t.col"],
+        {"family": "turan", "params": "n=12,parts=3", "format": "dimacs", "out": "t.col"},
+    ),
+    (
+        ["analyze", "g.json", "--metrics", "chi,omega,mis,nubi,ultra:3,codegree:2,codensity:2:2"],
+        {"file": "g.json", "metrics": "chi,omega,mis,nubi,ultra:3,codegree:2,codensity:2:2"},
+    ),
+    (
+        ["setsys", "g.json", "--derive", "stars", "--metrics", "tau,nu,taustar,vc,helly,pq:3:2"],
+        {"file": "g.json", "derive": "stars", "metrics": "tau,nu,taustar,vc,helly,pq:3:2"},
+    ),
+    (
+        ["space", "s.json", "--radon-cap", "4", "--helly", "--weak-net", "1/4", "--measure", "uniform"],
+        {"file": "s.json", "radon_cap": 4, "weak_net": "1/4", "measure": "uniform", "helly": True},
+    ),
+    (
+        ["decompose", "g.json", "--r", "3", "--eps", "1/28", "--method", "haussler"],
+        {"file": "g.json", "r": 3, "eps": "1/28"},
+    ),
+    (
+        ["verify", "--suite", "correspondence", "--catalog", "small", "--json"],
+        {"json": True, "suite": "correspondence", "catalog": "small"},
+    ),
+]
+_USAGE = {
+    None: "usage: ultrafree [-h] {gen,analyze,setsys,space,decompose,verify} ...",
+    "gen": (
+        "usage: ultrafree gen [-h] [--budget-nodes N] [--budget-ms T] [--json]\n"
+        "                     [--params k=v,...] [--format {json,dimacs}] [--out FILE]\n"
+        "                     family"
+    ),
+    "analyze": (
+        "usage: ultrafree analyze [-h] [--budget-nodes N] [--budget-ms T] [--json]\n"
+        "                         --metrics METRICS\n"
+        "                         file"
+    ),
+    "setsys": (
+        "usage: ultrafree setsys [-h] [--budget-nodes N] [--budget-ms T] [--json]\n"
+        "                        [--derive {stars,mis,neighborhoods,dual,none}]\n"
+        "                        --metrics METRICS\n"
+        "                        file"
+    ),
+    "space": (
+        "usage: ultrafree space [-h] [--budget-nodes N] [--budget-ms T] [--json]\n"
+        "                       [--radon-cap K] [--weak-net EPS]\n"
+        "                       [--measure uniform|FILE] [--helly]\n"
+        "                       file"
+    ),
+    "decompose": (
+        "usage: ultrafree decompose [-h] [--budget-nodes N] [--budget-ms T] [--json]\n"
+        "                           [--r R] [--eps P/Q] [--method {haussler,twin}]\n"
+        "                           [--out FILE]\n"
+        "                           file"
+    ),
+    "verify": (
+        "usage: ultrafree verify [-h] [--budget-nodes N] [--budget-ms T] [--json]\n"
+        "                        --suite SUITE [--catalog {small,extended}]\n"
+        "                        [--seed SEED]"
+    ),
+}
+_REJECTED = [
+    ([], None, "the following arguments are required: command"),
+    (
+        ["foo"],
+        None,
+        "argument command: invalid choice: 'foo'"
+        " (choose from 'gen', 'analyze', 'setsys', 'space', 'decompose', 'verify')",
+    ),
+    (
+        ["-5", "verify"],
+        None,
+        "argument command: invalid choice: '-5'"
+        " (choose from 'gen', 'analyze', 'setsys', 'space', 'decompose', 'verify')",
+    ),
+    (["-x"], None, "the following arguments are required: command"),
+    (
+        ["--budget-ms", "5", "verify"],
+        None,
+        "argument command: invalid choice: '5'"
+        " (choose from 'gen', 'analyze', 'setsys', 'space', 'decompose', 'verify')",
+    ),
+    (["-x", "verify", "--suite", "halfgraph"], None, "unrecognized arguments: -x"),
+    (["gen"], "gen", "the following arguments are required: family"),
+    (["analyze"], "analyze", "the following arguments are required: file, --metrics"),
+    (["setsys", "g.json"], "setsys", "the following arguments are required: --metrics"),
+    (["space"], "space", "the following arguments are required: file"),
+    (["decompose"], "decompose", "the following arguments are required: file"),
+    (["verify"], "verify", "the following arguments are required: --suite"),
+    (["verify", "--suite", "halfgraph", "--js"], None, "unrecognized arguments: --js"),
+    (["analyze", "g.json", "--metrics", "chi", "--budget-n", "0"], None, "unrecognized arguments: --budget-n 0"),
+    (["verify", "--suite", "halfgraph", "--cat", "small"], None, "unrecognized arguments: --cat small"),
+    (["verify", "--suite", "halfgraph", "extra", "more"], None, "unrecognized arguments: extra more"),
+    (["analyze", "a", "b", "--metrics", "x", "--zz"], None, "unrecognized arguments: b --zz"),
+    (["analyze", "a", "--zz", "b", "--metrics", "x"], None, "unrecognized arguments: --zz b"),
+    (["verify", "--suite", "halfgraph", "-"], None, "unrecognized arguments: -"),
+    (["verify", "--suite", "halfgraph", "-x"], None, "unrecognized arguments: -x"),
+    (["verify", "--", "--suite", "halfgraph"], "verify", "the following arguments are required: --suite"),
+    (["analyze", "--", "g.json", "--metrics", "chi"], "analyze", "the following arguments are required: --metrics"),
+    (["verify", "--suite"], "verify", "argument --suite: expected one argument"),
+    (["verify", "--suite", "--seed", "1"], "verify", "argument --suite: expected one argument"),
+    (["verify", "--suite", "halfgraph", "--suite"], "verify", "argument --suite: expected one argument"),
+    (["verify", "--suite", "--", "halfgraph"], "verify", "argument --suite: expected one argument"),
+    (["space", "F", "--weak-net", "-1/2"], "space", "argument --weak-net: expected one argument"),
+    (["space", "F", "--weak-net", "-x"], "space", "argument --weak-net: expected one argument"),
+    (["analyze", "g.json", "--metrics"], "analyze", "argument --metrics: expected one argument"),
+    (
+        ["verify", "--suite", "halfgraph", "--budget-nodes", "x"],
+        "verify",
+        "argument --budget-nodes: invalid int value: 'x'",
+    ),
+    (
+        ["verify", "--suite", "halfgraph", "--budget-ms", "1.5"],
+        "verify",
+        "argument --budget-ms: invalid int value: '1.5'",
+    ),
+    (["space", "s.json", "--radon-cap", "two"], "space", "argument --radon-cap: invalid int value: 'two'"),
+    (["decompose", "g.json", "--r", "1/2"], "decompose", "argument --r: invalid int value: '1/2'"),
+    (["verify", "--suite", "halfgraph", "--seed", "x"], "verify", "argument --seed: invalid int value: 'x'"),
+    (["verify", "--suite=", "--seed="], "verify", "argument --seed: invalid int value: ''"),
+    (
+        ["gen", "cycle", "--format", "xml"],
+        "gen",
+        "argument --format: invalid choice: 'xml' (choose from 'json', 'dimacs')",
+    ),
+    (
+        ["setsys", "g.json", "--metrics", "tau", "--derive", "edges"],
+        "setsys",
+        "argument --derive: invalid choice: 'edges' (choose from 'stars', 'mis', 'neighborhoods', 'dual', 'none')",
+    ),
+    (
+        ["decompose", "g.json", "--method", "Twin"],
+        "decompose",
+        "argument --method: invalid choice: 'Twin' (choose from 'haussler', 'twin')",
+    ),
+    (
+        ["verify", "--suite", "halfgraph", "--catalog", "huge"],
+        "verify",
+        "argument --catalog: invalid choice: 'huge' (choose from 'small', 'extended')",
+    ),
+    (["verify", "--suite", "halfgraph", "--json=1"], "verify", "argument --json: ignored explicit argument '1'"),
+    (["space", "s.json", "--helly=yes"], "space", "argument --helly: ignored explicit argument 'yes'"),
+    (["verify", "--suite", "halfgraph", "-h=1"], "verify", "argument -h/--help: ignored explicit argument '1'"),
+    (["verify", "--suite", "halfgraph", "--help="], "verify", "argument -h/--help: ignored explicit argument ''"),
+    (
+        ["verify", "--catalog", "huge", "--seed", "x"],
+        "verify",
+        "argument --catalog: invalid choice: 'huge' (choose from 'small', 'extended')",
+    ),
+    (
+        ["verify", "--catalog", "huge", "--help"],
+        "verify",
+        "argument --catalog: invalid choice: 'huge' (choose from 'small', 'extended')",
+    ),
+    (["verify", "--seed", "x", "extra"], "verify", "argument --seed: invalid int value: 'x'"),
+    (["verify", "extra", "--seed", "x"], "verify", "argument --seed: invalid int value: 'x'"),
+    (["analyze", "g.json", "extra"], "analyze", "the following arguments are required: --metrics"),
+]
+
+# argv that ask for help, with the command whose help is printed
+_HELP_ARGV = [
+    (["-h"], None),
+    (["--help"], None),
+    (["-x", "--help"], None),
+    (["--help", "foo"], None),
+    (["verify", "--help"], "verify"),
+    (["gen", "-h"], "gen"),
+    (["analyze", "-h", "--bogus"], "analyze"),
+    (["space", "--budget-nodes", "-1", "-h"], "space"),
+    (["decompose", "--help", "--json"], "decompose"),
+    (["setsys", "extra", "-h"], "setsys"),
+]
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("argv, fields", _PARSED, ids=[" ".join(a) for a, _ in _PARSED])
+    def test_parsed_fields(self, argv, fields):
+        args = vars(ultrafree.cli._parse_args(argv))
+        assert callable(args.pop("func"))
+        assert args == {"command": argv[0], **_PARSE_DEFAULTS[argv[0]], **fields}
+
+    @pytest.mark.parametrize("argv, command, message", _REJECTED, ids=[" ".join(a) for a, *_ in _REJECTED])
+    def test_rejected(self, argv, command, message, capsys):
+        prog = "ultrafree" if command is None else f"ultrafree {command}"
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"{_USAGE[command]}\n{prog}: error: {message}\n")
+        assert main(argv + ["--json"]) == 2
+        out, err = capsys.readouterr()
+        assert json.loads(out) == {"error": {"type": "usage", "message": message}}
+        assert err == ""
+
+    @pytest.mark.parametrize("argv, command", _HELP_ARGV, ids=[" ".join(a) for a, _ in _HELP_ARGV])
+    def test_help(self, argv, command, capsys):
+        for extra in ([], ["--json"]):
+            assert main(argv + extra) == 0
+            out, err = capsys.readouterr()
+            assert out.startswith(f"{_USAGE[command]}\n\n")
+            assert err == ""
+
+    def test_corpus_holds_the_readme_and_workload_commands(self, tmp_path, monkeypatch):
+        root = Path(__file__).resolve().parent.parent
+        corpus = {tuple(argv) for argv, _ in _PARSED}
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S):
+            for line in block.splitlines():
+                if line.startswith("ultrafree "):
+                    assert tuple(shlex.split(line, comments=True)[1:]) in corpus, line
+        spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        for name in workloads.WORKLOADS:
+            for cmd in workloads.build(name, workloads.CLI_DEFAULT_SEED, tmp_path / "inputs", tmp_path):
+                # the input file, named by its content's hash, is P
+                argv = cmd.argv if cmd.kind == "verify" else [cmd.argv[0], "P", *cmd.argv[2:]]
+                assert tuple(argv) in corpus, cmd.argv
+
+
 class TestClosedStdout:
     @staticmethod
     def _run(argv, env):
@@ -870,18 +1230,27 @@ class TestStartup:
         # no fractions, which a command that makes no rational never loads;
         # a command that takes no digest never loads hashlib (and OpenSSL);
         # one that does still prints its pinned bytes, and loads no OpenSSL
-        # where the interpreter has a builtin SHA-256.  No assertion names a
-        # stdlib module that a host's site may preload
+        # where the interpreter has a builtin SHA-256.  Neither the import nor
+        # the analyze command loads argparse, or the gettext and locale it
+        # would bring.  No assertion names a stdlib module that a host's site
+        # may preload: argparse, gettext and locale are asserted absent only
+        # where a bare interpreter has not loaded them
+        parser_modules = {"argparse", "gettext", "locale"}
+        probe = f"import json, sys; print(json.dumps(sorted({parser_modules!r} & set(sys.modules))))"
+        bare = subprocess.run([sys.executable, "-c", probe], capture_output=True, timeout=120)
+        assert bare.returncode == 0, bare.stderr.decode()
+        parser_modules -= set(json.loads(bare.stdout))
         code = (
             "import contextlib, importlib.util, io, sys, ultrafree.cli\n"
             "ours = {m for m in sys.modules if m.split('.')[0] == 'ultrafree'}\n"
             "layers = {'cli', 'budget', 'errors', '_kernels', 'graphs', 'io', 'reports'}\n"
             "assert ours == {'ultrafree'} | {'ultrafree.' + m for m in layers}, sorted(ours)\n"
-            "loaded = {'dataclasses', 'inspect', 'hashlib', 'fractions', 'decimal'} & set(sys.modules)\n"
-            "assert not loaded, loaded\n"
+            f"absent = {{'dataclasses', 'inspect', 'hashlib', 'fractions', 'decimal'}} | {parser_modules!r}\n"
+            "assert not absent & set(sys.modules), absent & set(sys.modules)\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert ultrafree.cli.main(['analyze', {C5_JSON!r}, '--metrics', 'chi,omega', '--json']) == 0\n"
-            "assert 'fractions' not in sys.modules\n"
+            f"absent = {{'fractions'}} | {parser_modules!r}\n"
+            "assert not absent & set(sys.modules), absent & set(sys.modules)\n"
             "status = ultrafree.cli.main(['verify', '--suite', 'halfgraph', '--json'])\n"
             "builtin = any(importlib.util.find_spec(m) for m in ('_sha256', '_sha2'))\n"
             "assert not (builtin and '_hashlib' in sys.modules), 'OpenSSL loaded'\n"
@@ -896,6 +1265,26 @@ class TestStartup:
         assert hashlib.sha256(proc.stdout).hexdigest() == (
             "ce66d8238cfd9e67fea0eb0288d612f346958fe62be7ba04c25babbc457feffd"
         )
+
+    def test_import_skips_pathlib(self):
+        # with -S no site module preloads pathlib, so its absence is the
+        # package's doing
+        code = "import sys, ultrafree.cli\nassert 'pathlib' not in sys.modules\n"
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, env=_child_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+
+    def test_construction_suite_skips_unused_layers(self):
+        # the construction suite runs decompose's twin quotient and P4 core,
+        # neither of which reads a set system, an LP or the ultra layer
+        code = (
+            "import contextlib, io, sys, ultrafree.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert ultrafree.cli.main(['verify', '--suite', 'construction:d=3', '--json']) == 0\n"
+            "loaded = {'ultrafree.setsystems', 'ultrafree.lp', 'ultrafree.ultra'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_child_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
 
 
 class TestProcessEntry:
@@ -930,6 +1319,19 @@ class TestProcessEntry:
         proc = self._run("verify", "--suite", "correspondence", "--budget-nodes", "30", "--json")
         assert proc.returncode == 3, proc.stderr.decode()
         assert json.loads(proc.stdout)["error"]["type"] == "budget"
+
+    def test_help(self):
+        proc = self._run("verify", "--help")
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.startswith(b"usage: ultrafree verify")
+        assert proc.stderr == b""
+
+    def test_help_to_closed_stdout_exits_two(self):
+        # the help text is output like any other: lost to a closed pipe, the
+        # command exits 2 without a traceback
+        proc = TestClosedStdout._run(["verify", "--help"], _child_env())
+        assert proc.returncode == 2
+        assert b"Traceback" not in proc.stderr
 
     def test_main_leaves_the_heap_unfrozen(self, capsys):
         frozen = gc.get_freeze_count()

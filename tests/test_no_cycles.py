@@ -83,10 +83,10 @@ def test_no_search_leaves_a_cycle_when_it_raises(collector_off):
 
 
 def test_a_second_command_leaves_no_cycle(collector_off, capsys):
-    # the parser is built once per --json mode, so only the first call
-    # leaves its parser's cycles behind
+    # parsing the command line builds no parser object, so the first
+    # command leaves no cycle either
     argv = ["verify", "--suite", "halfgraph"]
     assert main(argv) == 0
-    gc.collect()
+    assert gc.collect() == 0
     assert main(argv) == 0
     assert gc.collect() == 0
