@@ -6,11 +6,6 @@ loops of the package.  ``count_cliques`` takes an additive ``weigh`` of
 vertex masks, so one recursion counts the cliques of a graph and, on its
 twin quotient with the class sizes as weights, those of a blow-up.
 ``_independent_sets`` is the one walk over independent sets.
-
-A nested function that calls itself holds its own name in a closure
-cell, a reference cycle that only the cyclic garbage collector frees.
-So each such helper, here and in ``setsystems`` and ``ultra``, is
-deleted in a ``finally``: no search leaves a cycle, even one that raises.
 """
 
 from __future__ import annotations
@@ -182,31 +177,25 @@ def _dsatur_order(adj, n):
     return order, used
 
 
-def _kcolorable(adj, order, k, meter):
-    color_masks = [0] * k
-    n = len(order)
-
-    def rec(i, used):
-        if i == n:
+def _kcolorable(adj, order, k, meter, color_masks, i, used):
+    """Whether ``order[i:]`` extends the colouring in ``color_masks``
+    (vertex masks of the first ``used`` of k colours) to a proper
+    k-colouring, trying the least free colour first."""
+    if i == len(order):
+        return True
+    v = order[i]
+    bit = 1 << v
+    nb = adj[v]
+    for c in range(min(used + 1, k)):
+        if color_masks[c] & nb:
+            continue
+        if meter is not None:
+            meter.charge()
+        color_masks[c] |= bit
+        if _kcolorable(adj, order, k, meter, color_masks, i + 1, used if c < used else c + 1):
             return True
-        v = order[i]
-        bit = 1 << v
-        nb = adj[v]
-        for c in range(min(used + 1, k)):
-            if color_masks[c] & nb:
-                continue
-            if meter is not None:
-                meter.charge()
-            color_masks[c] |= bit
-            if rec(i + 1, used if c < used else c + 1):
-                return True
-            color_masks[c] &= ~bit
-        return False
-
-    try:
-        return rec(0, 0)
-    finally:
-        del rec
+        color_masks[c] &= ~bit
+    return False
 
 
 def chromatic_number(adj, n, meter=None, omega=None):
@@ -231,7 +220,7 @@ def chromatic_number(adj, n, meter=None, omega=None):
     # _kcolorable tries the least free colour first, so in DSATUR's order
     # its first path is the DSATUR colouring.
     order, used = _dsatur_order(adj, n)
-    while k < used and not _kcolorable(adj, order, k, meter):
+    while k < used and not _kcolorable(adj, order, k, meter, [0] * k, 0, 0):
         k += 1
     return k
 
@@ -244,38 +233,36 @@ def enumerate_mis(adj, n, meter=None):
     full = (1 << n) - 1
     cadj = [full & ~adj[v] & ~(1 << v) for v in range(n)]
     out = []
-
-    def bk(r, p, x):
-        if meter is not None:
-            meter.charge()
-        if p == 0 and x == 0:
-            out.append(r)
-            return
-        # pivot: maximize candidates eliminated; lowest such vertex on ties
-        px = p | x
-        best_u = -1
-        best_cnt = -1
-        m = px
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            m ^= low
-            cnt = (p & cadj[u]).bit_count()
-            if cnt > best_cnt:
-                best_cnt = cnt
-                best_u = u
-        m = p & ~cadj[best_u]
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            bk(r | low, p & cadj[v], x & cadj[v])
-            p ^= low
-            x |= low
-
-    try:
-        bk(0, full, 0)
-    finally:
-        del bk
+    _bk(cadj, 0, full, 0, out, meter)
     out.sort(key=members)
     return out
+
+
+def _bk(cadj, r, p, x, out, meter):
+    # appends to out the maximal independent sets that hold r, meet only
+    # p outside it and miss x, pivoting on the vertex of p | x that
+    # eliminates the most candidates (the lowest on ties)
+    if meter is not None:
+        meter.charge()
+    if p == 0 and x == 0:
+        out.append(r)
+        return
+    best_u = -1
+    best_cnt = -1
+    m = p | x
+    while m:
+        low = m & -m
+        u = low.bit_length() - 1
+        m ^= low
+        cnt = (p & cadj[u]).bit_count()
+        if cnt > best_cnt:
+            best_cnt = cnt
+            best_u = u
+    m = p & ~cadj[best_u]
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        m ^= low
+        _bk(cadj, r | low, p & cadj[v], x & cadj[v], out, meter)
+        p ^= low
+        x |= low

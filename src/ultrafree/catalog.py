@@ -10,8 +10,8 @@ with ``_encode``; a test regenerates it and compares the bytes.
 
 from __future__ import annotations
 
+import os
 import random
-from pathlib import Path
 
 from .constructions import random_graph
 from .errors import ClaimViolation
@@ -60,36 +60,38 @@ def _decode(line: str) -> Graph:
     return Graph.from_masks(adj)
 
 
-_STORED_PATH = Path(__file__).with_name("connected7.g6")
+_STORED_PATH = os.path.join(os.path.dirname(__file__), "connected7.g6")
 # https://oeis.org/A001349: connected graphs on n = 1..7 vertices
 _STORED_COUNTS = (1, 1, 2, 6, 21, 112, 853)
 _stored: list[Graph] | None = None
 
 
-def _load_stored(path: Path) -> list[Graph]:
+def _load_stored(path) -> list[Graph]:
     """The graphs stored at ``path``, after the cheap checks: every line
     decodes, every graph is connected, the graphs ascend strictly by
     (n, masks), and the per-n counts are A001349's.  That the graphs are
     canonical and complete is proved by regenerating the file in the
     tests, not here."""
+    name = os.path.basename(path)
     try:
-        text = path.read_text(encoding="ascii")
+        with open(path, encoding="ascii") as fh:
+            text = fh.read()
     except UnicodeDecodeError as e:
-        raise ClaimViolation(f"{path.name}: {e}") from None
+        raise ClaimViolation(f"{name}: {e}") from None
     graphs = []
     for num, line in enumerate(text.splitlines(), 1):
         try:
             G = _decode(line)
         except ValueError as e:
-            raise ClaimViolation(f"{path.name} line {num}: {e}") from None
+            raise ClaimViolation(f"{name} line {num}: {e}") from None
         if not G.is_connected():
-            raise ClaimViolation(f"{path.name} line {num}: graph is not connected")
+            raise ClaimViolation(f"{name} line {num}: graph is not connected")
         if graphs and (G.n, G.adj) <= (graphs[-1].n, graphs[-1].adj):
-            raise ClaimViolation(f"{path.name} line {num}: not after the line before it")
+            raise ClaimViolation(f"{name} line {num}: not after the line before it")
         graphs.append(G)
     expected = [n for n, count in enumerate(_STORED_COUNTS, 1) for _ in range(count)]
     if [G.n for G in graphs] != expected:
-        raise ClaimViolation(f"{path.name}: per-n counts are not {_STORED_COUNTS}")
+        raise ClaimViolation(f"{name}: per-n counts are not {_STORED_COUNTS}")
     return graphs
 
 

@@ -7,8 +7,8 @@ reports are reproducible.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from itertools import combinations
-from typing import NamedTuple
 
 from .errors import ClaimViolation
 from .graphs import Graph, _lift, is_maximal_kr_free
@@ -58,9 +58,8 @@ def crown(t: int) -> Graph:
     return Graph(2 * t, [(i, t + j) for i in range(t) for j in range(t) if i != j])
 
 
-class HypercubePair(NamedTuple):
-    H: Graph
-    G: Graph
+class HypercubePair(namedtuple("HypercubePair", "H G")):
+    __slots__ = ()
 
 
 def hypercube_lb(d: int) -> HypercubePair:

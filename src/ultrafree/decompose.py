@@ -11,9 +11,9 @@ machine-checked certificate for that instance.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple
 
 from .budget import _meter
 from .errors import ClaimViolation, PreconditionViolated
@@ -37,10 +37,8 @@ __all__ = [
 E_UP = Fraction(2718282, 1000000)
 
 
-class BlowupDecomposition(NamedTuple):
-    parts: tuple[tuple[int, ...], ...]
-    quotient: Graph
-    origin: tuple[int, ...]
+class BlowupDecomposition(namedtuple("BlowupDecomposition", "parts quotient origin")):
+    __slots__ = ()
 
     def validate(self, G: Graph) -> None:
         """Re-verify every structural invariant against G; raises
@@ -80,15 +78,14 @@ class BlowupDecomposition(NamedTuple):
         return f"part {i} disagrees with the quotient"
 
 
-class ObstructionCertificate(NamedTuple):
+class ObstructionCertificate(namedtuple("ObstructionCertificate", "core links")):
     """Core vertices pairwise joined by induced 4-vertex paths.
 
     Any edge-preserving map to a triangle-free target must keep the core
     injective, so its size lower-bounds every such image.
     """
 
-    core: tuple[int, ...]
-    links: dict
+    __slots__ = ()
 
     def validate(self, G: Graph) -> None:
         if any(not 0 <= v < G.n for v in self.core):

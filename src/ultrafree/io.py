@@ -56,11 +56,14 @@ def _unique_keys(pairs) -> dict:
 
 def _load_json(text: str):
     """Parse JSON text; a key repeated in one object is a ParseError,
-    not a silent overwrite."""
+    not a silent overwrite, and so is nesting deeper than the parser's
+    recursion allows."""
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ParseError("JSON nesting too deep") from None
 
 
 def _int_field(obj: dict, key: str, what: str) -> int:

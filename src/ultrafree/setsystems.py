@@ -97,6 +97,24 @@ class FractionalSolution:
     def __repr__(self):
         return f"FractionalSolution(value={self.value})"
 
+    def validate(self, F: SetSystem) -> None:
+        """Certify these weights as an optimal fractional transversal of F
+        by the fractional matching ``dual``: both are nonnegative, the
+        matching loads no point above 1, the transversal gives every set
+        at least 1, and both totals are ``value``.  Raises ClaimViolation
+        on the first check that fails."""
+        x, y = self.weights, self.dual.weights
+        if any(w < 0 for w in y.values()) or any(w < 0 for w in x.values()):
+            raise ClaimViolation("LP certification failed: negative weight")
+        for v in range(F.ground):
+            if sum(w for j, w in y.items() if F.sets[j] >> v & 1) > 1:
+                raise ClaimViolation("LP certification failed: matching overloads a point")
+        for s in F.sets:
+            if sum(x.get(v, 0) for v in members(s)) < 1:
+                raise ClaimViolation("LP certification failed: transversal misses a set")
+        if not sum(x.values()) == sum(y.values()) == self.value:
+            raise ClaimViolation("LP certification failed: duality gap")
+
 
 def dual(F: SetSystem) -> SetSystem:
     """Transpose the incidence matrix: one set per original ground element.
@@ -165,51 +183,43 @@ def transversal_number(F: SetSystem):
     meter = _meter("transversal_number")
     covers = _element_cover_masks(F)
     all_sets = (1 << m) - 1
-
     greedy = _greedy_cover(covers, all_sets)
-    best_size = len(greedy)
-    best = tuple(sorted(greedy))
+    return _hit(sets, covers, all_sets, [], (len(greedy), tuple(sorted(greedy))), meter)
 
-    def rec(unhit: int, chosen: list[int]):
-        nonlocal best_size, best
-        if meter is not None:
-            meter.charge()
-        if unhit == 0:
-            if len(chosen) < best_size:
-                best_size = len(chosen)
-                best = tuple(sorted(chosen))
-            return
-        # one ascending scan of the unhit sets.  A greedy pairwise-disjoint
-        # packing of them lower-bounds the remaining cost, since each needs
-        # its own element; the branch is on the set with fewest elements
-        # (lowest index on ties)
-        packing = taken = 0
-        pick = pick_size = None
-        mm = unhit
-        while mm:
-            low = mm & -mm
-            mm ^= low
-            s = sets[low.bit_length() - 1]
-            if not s & taken:
-                taken |= s
-                packing += 1
-            size = s.bit_count()
-            if pick_size is None or size < pick_size:
-                pick, pick_size = s, size
-        if len(chosen) + packing >= best_size:
-            return
-        # members ascend and the sort is stable, so ties keep the lowest first
-        elems = sorted(members(pick), key=lambda v: -(covers[v] & unhit).bit_count())
-        for e in elems:
-            chosen.append(e)
-            rec(unhit & ~covers[e], chosen)
-            chosen.pop()
 
-    try:
-        rec(all_sets, [])
-    finally:
-        del rec
-    return best_size, best
+def _hit(sets, covers, unhit: int, chosen: list[int], best, meter):
+    """The best ``(size, witness)`` of ``best`` and the hitting sets that
+    extend ``chosen`` to hit the sets in ``unhit``."""
+    if meter is not None:
+        meter.charge()
+    if unhit == 0:
+        return (len(chosen), tuple(sorted(chosen))) if len(chosen) < best[0] else best
+    # one ascending scan of the unhit sets.  A greedy pairwise-disjoint
+    # packing of them lower-bounds the remaining cost, since each needs
+    # its own element; the branch is on the set with fewest elements
+    # (lowest index on ties)
+    packing = taken = 0
+    pick = pick_size = None
+    mm = unhit
+    while mm:
+        low = mm & -mm
+        mm ^= low
+        s = sets[low.bit_length() - 1]
+        if not s & taken:
+            taken |= s
+            packing += 1
+        size = s.bit_count()
+        if pick_size is None or size < pick_size:
+            pick, pick_size = s, size
+    if len(chosen) + packing >= best[0]:
+        return best
+    # members ascend and the sort is stable, so ties keep the lowest first
+    elems = sorted(members(pick), key=lambda v: -(covers[v] & unhit).bit_count())
+    for e in elems:
+        chosen.append(e)
+        best = _hit(sets, covers, unhit & ~covers[e], chosen, best, meter)
+        chosen.pop()
+    return best
 
 
 def matching_number(F: SetSystem):
@@ -236,22 +246,10 @@ def fractional_transversal(F: SetSystem) -> FractionalSolution:
     b = [1] * F.ground
     c = [1] * m
     value, y, x = max_simplex(c, A, b, _meter("fractional_transversal"))
-
-    if any(w < 0 for w in y) or any(w < 0 for w in x):
-        raise ClaimViolation("LP certification failed: negative weight")
-    for v in range(F.ground):
-        if sum((y[j] for j in range(m) if F.sets[j] >> v & 1), Fraction(0)) > 1:
-            raise ClaimViolation("LP certification failed: matching overloads a point")
-    for j in range(m):
-        if sum((x[v] for v in members(F.sets[j])), Fraction(0)) < 1:
-            raise ClaimViolation("LP certification failed: transversal misses a set")
-    total_x = sum(x, Fraction(0))
-    total_y = sum(y, Fraction(0))
-    if not (total_x == total_y == value):
-        raise ClaimViolation("LP certification failed: duality gap")
-
     matching = FractionalSolution({j: w for j, w in enumerate(y) if w}, value)
-    return FractionalSolution({v: w for v, w in enumerate(x) if w}, value, matching)
+    solution = FractionalSolution({v: w for v, w in enumerate(x) if w}, value, matching)
+    solution.validate(F)
+    return solution
 
 
 def vc_dimension(F: SetSystem):
@@ -304,53 +302,53 @@ def helly_number(F: SetSystem) -> int:
         return 1
     meter = _meter("helly_number")
     best = 1 if 0 in F.sets else 0
+    return _helly(0, [], full, sorted({s for s in F.sets if s and full & ~s}), best, meter)
 
-    # DFS over index-increasing subfamilies of the distinct nonempty sets.
-    # In a minimal non-intersecting family every member has a private
-    # witness: a point in all the other members but not in it.
-    # ``witnesses`` holds each chosen member's candidates, and ``eligible``
-    # the later sets that leave every chosen member a candidate and have one
-    # of their own in ``inter``.  Adding a set only shrinks these, so the
-    # eligible sets of a child are a sublist of its parent's.  The private
-    # witnesses of the members still to come are distinct points of
-    # ``inter``, so at most popcount(inter) more can join.  A later set
-    # that misses a child's ``new_inter`` closes that family one member
-    # on, and no minimal family holds more, so the child carries such a
-    # set only while size + 2 members would be a new best.
-    def rec(size: int, witnesses: list[int], inter: int, eligible: list[int]):
-        nonlocal best
-        if meter is not None:
-            meter.charge()
-        room = inter.bit_count()
-        left = len(eligible)
-        for t, s in enumerate(eligible):
-            if size + room <= best or size + left - t <= best:
-                return
-            new_inter = inter & s
-            if not new_inter:
-                # s ends the family; visit it only if that is a new best
-                if size + 1 > best:
-                    if meter is not None:
-                        meter.charge()
-                    best = size + 1
-                continue
-            ws = [w & s for w in witnesses]
-            ws.append(inter & ~s)
-            keep_closing = size + 2 > best
-            later = []
-            for x in eligible[t + 1 :]:
-                if new_inter & ~x and (keep_closing or new_inter & x):
-                    for w in ws:
-                        if not w & x:
-                            break
-                    else:
-                        later.append(x)
-            rec(size + 1, ws, new_inter, later)
 
-    try:
-        rec(0, [], full, sorted({s for s in F.sets if s and full & ~s}))
-    finally:
-        del rec
+def _helly(size: int, witnesses: list[int], inter: int, eligible: list[int], best: int, meter) -> int:
+    """The larger of ``best`` and the largest minimal non-intersecting
+    family that extends the ``size`` chosen members by sets of
+    ``eligible``.
+
+    The search is a DFS over index-increasing subfamilies of the distinct
+    nonempty sets.  In a minimal non-intersecting family every member has
+    a private witness: a point in all the other members but not in it.
+    ``witnesses`` holds each chosen member's candidates, and ``eligible``
+    the later sets that leave every chosen member a candidate and have one
+    of their own in ``inter``.  Adding a set only shrinks these, so the
+    eligible sets of a child are a sublist of its parent's.  The private
+    witnesses of the members still to come are distinct points of
+    ``inter``, so at most popcount(inter) more can join.  A later set
+    that misses a child's ``new_inter`` closes that family one member
+    on, and no minimal family holds more, so the child carries such a
+    set only while size + 2 members would be a new best."""
+    if meter is not None:
+        meter.charge()
+    room = inter.bit_count()
+    left = len(eligible)
+    for t, s in enumerate(eligible):
+        if size + room <= best or size + left - t <= best:
+            return best
+        new_inter = inter & s
+        if not new_inter:
+            # s ends the family; visit it only if that is a new best
+            if size + 1 > best:
+                if meter is not None:
+                    meter.charge()
+                best = size + 1
+            continue
+        ws = [w & s for w in witnesses]
+        ws.append(inter & ~s)
+        keep_closing = size + 2 > best
+        later = []
+        for x in eligible[t + 1 :]:
+            if new_inter & ~x and (keep_closing or new_inter & x):
+                for w in ws:
+                    if not w & x:
+                        break
+                else:
+                    later.append(x)
+        best = _helly(size + 1, ws, new_inter, later, best, meter)
     return best
 
 

@@ -5,7 +5,7 @@ matching number.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from . import _kernels
 from .budget import _meter
@@ -23,7 +23,7 @@ __all__ = [
 ]
 
 
-class UltraCertificate(NamedTuple):
+class UltraCertificate(namedtuple("UltraCertificate", "r epsilon_star worst_pair")):
     """Exact worst-case clique density over the non-adjacent pairs.
 
     ``epsilon_star`` is None when the graph has no non-adjacent pair
@@ -31,9 +31,7 @@ class UltraCertificate(NamedTuple):
     minimizing pair together with its clique count.
     """
 
-    r: int
-    epsilon_star: Optional[Fraction]
-    worst_pair: Optional[tuple[int, int, int]]
+    __slots__ = ()
 
     def admits(self, eps) -> bool:
         from fractions import Fraction
@@ -41,15 +39,14 @@ class UltraCertificate(NamedTuple):
         return self.epsilon_star is None or Fraction(eps) <= self.epsilon_star
 
 
-class HalfGraphEmbedding(NamedTuple):
+class HalfGraphEmbedding(namedtuple("HalfGraphEmbedding", "xs ys")):
     """xs[i]ys[i] are non-edges and xs[i]ys[j] are edges for j < i.
 
     Pairs with j > i and same-side pairs are unconstrained.  ``validate``
     raises ClaimViolation on the first pair that breaks the pattern.
     """
 
-    xs: tuple[int, ...]
-    ys: tuple[int, ...]
+    __slots__ = ()
 
     def validate(self, G: Graph) -> None:
         k = len(self.xs)
@@ -68,7 +65,7 @@ class HalfGraphEmbedding(NamedTuple):
                     raise ClaimViolation(f"xs[{i}]ys[{j}] must be an edge")
 
 
-class BiInducedMatching(NamedTuple):
+class BiInducedMatching(namedtuple("BiInducedMatching", "pairs")):
     """Ordered pairs with cross edges exactly along the diagonal.
 
     Same-side adjacency is unconstrained; that is what distinguishes
@@ -76,7 +73,7 @@ class BiInducedMatching(NamedTuple):
     on the first pair that breaks the pattern.
     """
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     def validate(self, G: Graph) -> None:
         flat = [v for p in self.pairs for v in p]
@@ -152,49 +149,12 @@ def find_half_graph(G: Graph, k: int):
         return None
     meter = _meter("find_half_graph")
     classes, F = _blowup_quotient(G)
-    nc = len(classes)
     caps = [len(c) for c in classes]
-    cls_adj = F.adj
-    full = (1 << nc) - 1
     xs_cls = [0] * k
     ys_cls = [0] * k
-
-    def rec(i: int, x_cand: int) -> bool:
-        if meter is not None:
-            meter.charge()
-        if i == k:
-            return True
-        for cx in range(nc):
-            if not x_cand >> cx & 1 or caps[cx] == 0:
-                continue
-            caps[cx] -= 1
-            xs_cls[i] = cx
-            for cy in range(nc):
-                if cls_adj[cx] >> cy & 1 or caps[cy] == 0:
-                    continue
-                if meter is not None:
-                    meter.charge()
-                nxt = x_cand & cls_adj[cy]
-                need = k - i - 1
-                if need and sum(
-                    caps[c] - (1 if c == cy else 0) for c in members(nxt)
-                ) < need:
-                    continue
-                caps[cy] -= 1
-                ys_cls[i] = cy
-                if rec(i + 1, nxt):
-                    return True
-                caps[cy] += 1
-            caps[cx] += 1
-        return False
-
-    try:
-        found = rec(0, full)
-    finally:
-        del rec
-    if not found:
+    if not _place(F.adj, caps, xs_cls, ys_cls, 0, (1 << len(classes)) - 1, meter):
         return None
-    used = [0] * nc
+    used = [0] * len(classes)
     xs = [0] * k
     ys = [0] * k
     for i in range(k):
@@ -204,6 +164,41 @@ def find_half_graph(G: Graph, k: int):
     emb = HalfGraphEmbedding(tuple(xs), tuple(ys))
     emb.validate(G)
     return emb
+
+
+def _place(cls_adj, caps, xs_cls, ys_cls, i: int, x_cand: int, meter) -> bool:
+    """Whether classes for the pairs i.. of the embedding fit the
+    capacities ``caps``, with x_i among the classes of ``x_cand``; on
+    success ``xs_cls`` and ``ys_cls`` hold the first fit."""
+    if meter is not None:
+        meter.charge()
+    k = len(xs_cls)
+    if i == k:
+        return True
+    nc = len(caps)
+    for cx in range(nc):
+        if not x_cand >> cx & 1 or caps[cx] == 0:
+            continue
+        caps[cx] -= 1
+        xs_cls[i] = cx
+        for cy in range(nc):
+            if cls_adj[cx] >> cy & 1 or caps[cy] == 0:
+                continue
+            if meter is not None:
+                meter.charge()
+            nxt = x_cand & cls_adj[cy]
+            need = k - i - 1
+            if need and sum(
+                caps[c] - (1 if c == cy else 0) for c in members(nxt)
+            ) < need:
+                continue
+            caps[cy] -= 1
+            ys_cls[i] = cy
+            if _place(cls_adj, caps, xs_cls, ys_cls, i + 1, nxt, meter):
+                return True
+            caps[cy] += 1
+        caps[cx] += 1
+    return False
 
 
 def _compatibility_rows(G: Graph, darts) -> list[int]:

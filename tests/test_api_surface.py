@@ -12,8 +12,8 @@ public method of a module-level class must be read as an attribute by
 package code outside its own body.  Every name listed in an ``__all__``
 must exist, and each module's ``__all__`` is the one declaration of
 what ``ultrafree`` exports.  No module reads the process environment, no
-check name is written in two modules, and no function outside
-``budget.py`` takes a ``budget``.
+check name is written in two modules, no function outside ``budget.py``
+takes a ``budget``, and no function nests a function that calls itself.
 """
 
 import ast
@@ -204,3 +204,19 @@ def test_no_function_outside_budget_takes_a_budget():
                 makes.append(stem)
     assert takes == []
     assert set(makes) == {"cli"}
+
+
+def test_no_function_nests_a_function_that_calls_itself():
+    # a nested function that reads its own name holds itself in a closure
+    # cell, a reference cycle only the cyclic collector frees; a recursive
+    # search is a module-level function, which holds no cell
+    found = set()
+    for stem in MODULES:
+        for outer in ast.walk(ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))):
+            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for inner in ast.walk(outer):
+                if inner is not outer and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if any(isinstance(n, ast.Name) and n.id == inner.name for n in ast.walk(inner)):
+                        found.add(f"{stem}.py:{inner.lineno} {inner.name}")
+    assert sorted(found) == []

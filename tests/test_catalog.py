@@ -211,7 +211,7 @@ class TestStoredCatalog:
         # holds every connected graph on <= 7 vertices once, canonically
         generated = write_catalog._generated_connected(7)
         text = "".join(catalog._encode(G) + "\n" for G in generated)
-        assert catalog._STORED_PATH.read_bytes() == text.encode("ascii")
+        assert Path(catalog._STORED_PATH).read_bytes() == text.encode("ascii")
         assert catalog._load_stored(catalog._STORED_PATH) == generated
 
     def test_load_needs_no_canonical_form(self, monkeypatch):
@@ -287,7 +287,7 @@ class TestStoredCatalog:
         ],
     )
     def test_corrupt_copy_rejected(self, corrupt, tmp_path, monkeypatch):
-        lines = catalog._STORED_PATH.read_text().splitlines()
+        lines = Path(catalog._STORED_PATH).read_text().splitlines()
         bad = tmp_path / "connected7.g6"
         bad.write_text("".join(line + "\n" for line in corrupt(lines)), encoding="utf-8")
         cold_catalog(monkeypatch, bad)

@@ -1273,6 +1273,32 @@ class TestStartup:
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, env=_child_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr.decode()
 
+    def test_certificate_commands_skip_typing(self, tmp_path):
+        # the certificates are collections.namedtuple subclasses, so the
+        # layers that declare them import no typing
+        blowup = tmp_path / "blowup.json"
+        assert main(["gen", "c5-blowup", "--params", "s=2", "--out", str(blowup)]) == 0
+        code = (
+            "import contextlib, io, sys, ultrafree.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert ultrafree.cli.main(['verify', '--suite', 'construction:d=3', '--json']) == 0\n"
+            f"    assert ultrafree.cli.main(['analyze', {C5_JSON!r}, '--metrics', 'nubi,ultra:3']) == 0\n"
+            f"    assert ultrafree.cli.main(['decompose', {str(blowup)!r}, '--method', 'twin']) == 0\n"
+            "assert 'typing' not in sys.modules\n"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, env=_child_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+
+    def test_catalog_suite_skips_pathlib(self):
+        code = (
+            "import contextlib, io, sys, ultrafree.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert ultrafree.cli.main(['verify', '--suite', 'codeg-edge', '--json']) == 0\n"
+            "assert 'pathlib' not in sys.modules\n"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, env=_child_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+
     def test_construction_suite_skips_unused_layers(self):
         # the construction suite runs decompose's twin quotient and P4 core,
         # neither of which reads a set system, an LP or the ultra layer
@@ -1460,6 +1486,36 @@ class TestRepeatedKeys:
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["type"] == "parse-error"
         assert "'01'" in error["message"]
+
+
+class TestDeepNesting:
+    # nesting deeper than the JSON parser's recursion is malformed input,
+    # not a resource failure
+    DEEP = "[" * 5000 + "]" * 5000
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["analyze", "F", "--metrics", "omega"], '{"n": 1, "edges": %s}'),
+            (["setsys", "F", "--metrics", "tau"], '{"ground": 1, "sets": %s}'),
+            (["space", "F", "--helly"], '{"kind": "subcubes", "dim": %s}'),
+        ],
+        ids=["analyze", "setsys", "space"],
+    )
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_exits_two_as_a_parse_error(self, argv, text, as_json, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(text % self.DEEP)
+        argv = [str(path) if a == "F" else a for a in argv] + ["--json"] * as_json
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err
+        if as_json:
+            assert err == ""
+            assert json.loads(out)["error"] == {"type": "parse-error", "message": "JSON nesting too deep"}
+        else:
+            assert out == ""
+            assert err == "error (parse-error): JSON nesting too deep\n"
 
 
 class TestOptionChecks:

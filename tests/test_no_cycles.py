@@ -1,10 +1,12 @@
 """No search leaves a reference cycle behind.
 
-A nested function that calls itself is a cycle through its closure cell
-until its name is deleted, and only the cyclic garbage collector frees
-one; a command would pay for each search's cycle in collections.  With
-the collector off, every search below must leave ``gc.collect()``
-nothing to free, also when its budget runs out inside the recursion.
+Only the cyclic garbage collector frees a cycle, so a command would pay
+for each search's cycle in collections.  Every recursive search is a
+module-level function, which holds no closure cell, and
+``tests/test_api_surface.py`` checks that no function nests one that
+calls itself.  With the collector off, every search below must leave
+``gc.collect()`` nothing to free, also when its budget runs out inside
+the recursion.
 """
 
 import gc

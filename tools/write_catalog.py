@@ -160,7 +160,8 @@ def _generated_connected(max_n: int) -> list[Graph]:
 
 def main() -> None:
     text = "".join(catalog._encode(G) + "\n" for G in _generated_connected(7))
-    catalog._STORED_PATH.write_text(text, encoding="ascii")
+    with open(catalog._STORED_PATH, "w", encoding="ascii") as fh:
+        fh.write(text)
     print(f"wrote {catalog._STORED_PATH}: {text.count(chr(10))} graphs, {len(text)} bytes")
 
 
