@@ -177,22 +177,22 @@ def _dsatur_order(adj, n):
     return order, used
 
 
-def _kcolorable(adj, order, k, meter, color_masks, i, used):
+def _kcolorable(adj, order, meter, color_masks, i, used):
     """Whether ``order[i:]`` extends the colouring in ``color_masks``
-    (vertex masks of the first ``used`` of k colours) to a proper
+    (vertex masks of the first ``used`` of its k colours) to a proper
     k-colouring, trying the least free colour first."""
     if i == len(order):
         return True
     v = order[i]
     bit = 1 << v
     nb = adj[v]
-    for c in range(min(used + 1, k)):
+    for c in range(min(used + 1, len(color_masks))):
         if color_masks[c] & nb:
             continue
         if meter is not None:
             meter.charge()
         color_masks[c] |= bit
-        if _kcolorable(adj, order, k, meter, color_masks, i + 1, used if c < used else c + 1):
+        if _kcolorable(adj, order, meter, color_masks, i + 1, used if c < used else c + 1):
             return True
         color_masks[c] &= ~bit
     return False
@@ -220,7 +220,7 @@ def chromatic_number(adj, n, meter=None, omega=None):
     # _kcolorable tries the least free colour first, so in DSATUR's order
     # its first path is the DSATUR colouring.
     order, used = _dsatur_order(adj, n)
-    while k < used and not _kcolorable(adj, order, k, meter, [0] * k, 0, 0):
+    while k < used and not _kcolorable(adj, order, meter, [0] * k, 0, 0):
         k += 1
     return k
 

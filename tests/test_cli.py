@@ -1490,8 +1490,9 @@ class TestRepeatedKeys:
 
 class TestDeepNesting:
     # nesting deeper than the JSON parser's recursion is malformed input,
-    # not a resource failure
-    DEEP = "[" * 5000 + "]" * 5000
+    # not a resource failure; 200,000 levels is past the limit of every
+    # supported Python (3.12 on checks a C recursion limit of about 10,000)
+    DEEP = "[" * 200_000 + "]" * 200_000
 
     @pytest.mark.parametrize(
         "argv, text",

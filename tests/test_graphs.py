@@ -268,7 +268,7 @@ class TestChromaticOrder:
         k = oracles.first_fit_colour_count(G, order)
         assert k == used
         meter = SearchBudget().meter("chromatic_number")
-        assert _kernels._kcolorable(G.adj, order, k, meter, [0] * k, 0, 0)
+        assert _kernels._kcolorable(G.adj, order, meter, [0] * k, 0, 0)
         assert meter.nodes == G.n
 
 
