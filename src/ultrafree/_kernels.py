@@ -5,7 +5,8 @@
 loops of the package.  ``count_cliques`` takes an additive ``weigh`` of
 vertex masks, so one recursion counts the cliques of a graph and, on its
 twin quotient with the class sizes as weights, those of a blow-up.
-``_independent_sets`` is the one walk over independent sets.
+``_independent_sets`` is the one walk over independent sets, and
+``_kcolour``, DSATUR on an explicit stack, the one colouring search.
 """
 
 from __future__ import annotations
@@ -145,65 +146,70 @@ def _expand(adj, cand, cur, size, best, meter, order, bounds, mirror=None):
             cand &= ~(1 << mirror[v])
 
 
-def _dsatur_order(adj, n):
-    """The order in which DSATUR colours the vertices, and how many colours
-    it uses: next the uncoloured vertex with the most distinct neighbour
-    colours, then the highest degree, then the lowest index, each with the
-    least colour free at it."""
-    # key[u] = distinct neighbour colours * n + degree, which orders as the
-    # pair since a degree is below n; -1 once u is coloured.  max() returns
-    # the first maximum, so the lowest vertex wins ties.
-    key = [adj[u].bit_count() for u in range(n)]
-    sat = [0] * n  # bitmask of colors seen on neighbors
-    uncolored = (1 << n) - 1
-    order = []
-    used = 0
-    for _ in range(n):
-        v = max(range(n), key=key.__getitem__)
-        order.append(v)
-        key[v] = -1
-        uncolored ^= 1 << v
-        free = ~sat[v]
-        bit = free & -free
-        used = max(used, bit.bit_length())
-        m = adj[v] & uncolored
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            m ^= low
-            if not sat[u] & bit:
-                sat[u] |= bit
-                key[u] += n
-    return order, used
-
-
-def _kcolorable(adj, order, meter, color_masks, i, used):
-    """Whether ``order[i:]`` extends the colouring in ``color_masks``
-    (vertex masks of the first ``used`` of its k colours) to a proper
-    k-colouring, trying the least free colour first."""
-    if i == len(order):
-        return True
-    v = order[i]
-    bit = 1 << v
-    nb = adj[v]
-    for c in range(min(used + 1, len(color_masks))):
-        if color_masks[c] & nb:
-            continue
-        if meter is not None:
-            meter.charge()
-        color_masks[c] |= bit
-        if _kcolorable(adj, order, meter, color_masks, i + 1, used if c < used else c + 1):
-            return True
-        color_masks[c] &= ~bit
-    return False
+def _kcolour(adj, k, uncol, meter):
+    """Whether the graph on ``uncol`` is k-colourable: DSATUR with
+    forward checking, on an explicit stack.  It branches on an uncoloured
+    vertex adjacent to the most classes, then with the most uncoloured
+    neighbours, then the lowest.  It tries each class free at it, least
+    first, and at most one new class, one meter node each, and it drops a
+    child as soon as an uncoloured vertex is adjacent to all k classes."""
+    # a colouring: the uncoloured mask; each open class's neighbourhood
+    # mask; levels[j], the vertices adjacent to at least j classes
+    # (bit-sliced as in setsystems._pq_properties; levels[0] is all, and
+    # no uncoloured vertex reaches k)
+    nbrs, levels = (), [-1] + [0] * (k - 1)
+    shifts = range(k - 1, 0, -1)
+    stack = []  # frames: a colouring, its branch vertex, its next class
+    while uncol:
+        for level in reversed(levels):
+            cand = level & uncol
+            if cand:
+                break
+        v = cand.bit_length() - 1
+        if cand & cand - 1:
+            most = -1
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                d = (adj[low.bit_length() - 1] & uncol).bit_count()
+                if d > most:
+                    most, v = d, low.bit_length() - 1
+        c = 0
+        # the next free class at v whose child lives, else the frame below
+        while True:
+            used = len(nbrs)
+            while c < used and nbrs[c] >> v & 1:
+                c += 1
+            if c == k or c > used:
+                if not stack:
+                    return False
+                uncol, nbrs, levels, v, c = stack.pop()
+                continue
+            if meter is not None:
+                meter.charge()
+            row = adj[v]
+            rest = uncol ^ 1 << v
+            # the uncoloured neighbours of v that class c is new to
+            old = nbrs[c] if c < used else 0
+            s = row & rest & ~old
+            if levels[k - 1] & s:
+                c += 1
+                continue
+            stack.append((uncol, nbrs, levels, v, c + 1))
+            if s:
+                levels = levels[:]
+                for i in shifts:
+                    levels[i] |= levels[i - 1] & s
+            uncol, nbrs = rest, nbrs[:c] + (old | row,) + nbrs[c + 1 :]
+            break
+    return True
 
 
 def chromatic_number(adj, n, meter=None, omega=None):
-    """Exact chromatic number of the graph on vertices 0..n-1: the clique
-    number when the greedy colour classes are that many, else the least
-    k from the clique number up to DSATUR's colour count for which a
-    k-colouring search in DSATUR's order succeeds.  ``omega`` is the
-    graph's clique number when the caller has it; None searches for it."""
+    """Exact chromatic number of the graph on vertices 0..n-1: the least
+    k from the clique number up to the greedy colour count that
+    ``_kcolour`` finds a colouring for.  ``omega`` is the graph's clique
+    number when the caller has it; None searches for it."""
     if n == 0:
         return 0
     if not any(adj):
@@ -213,14 +219,7 @@ def chromatic_number(adj, n, meter=None, omega=None):
     # and the root of the clique search bounds by the same classes
     classes = _color_order(adj, full)
     k = max_clique(adj, full, meter, classes)[0] if omega is None else omega
-    if classes[1][-1] == k:
-        return k
-    # DSATUR has coloured with `used` colours, so k stops there unsearched,
-    # and a graph whose clique number meets it runs no search.
-    # _kcolorable tries the least free colour first, so in DSATUR's order
-    # its first path is the DSATUR colouring.
-    order, used = _dsatur_order(adj, n)
-    while k < used and not _kcolorable(adj, order, meter, [0] * k, 0, 0):
+    while k < classes[1][-1] and not _kcolour(adj, k, full, meter):
         k += 1
     return k
 

@@ -11,7 +11,6 @@ with ``_encode``; a test regenerates it and compares the bytes.
 from __future__ import annotations
 
 import os
-import random
 
 from .constructions import random_graph
 from .errors import ClaimViolation
@@ -109,6 +108,8 @@ def connected_graphs(max_n: int) -> list[Graph]:
 
 def seeded_random_graphs(count: int, max_n: int, seed: int) -> list[Graph]:
     """Reproducible random graphs with 1 <= n <= max_n."""
+    import random
+
     rng = random.Random(seed)
     out = []
     for _ in range(count):

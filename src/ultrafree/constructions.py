@@ -6,7 +6,6 @@ reports are reproducible.
 
 from __future__ import annotations
 
-import random
 from collections import namedtuple
 from itertools import combinations
 
@@ -149,6 +148,8 @@ def random_graph(n: int, p_num: int, p_den: int, seed: int) -> Graph:
     """Seeded Erdos-Renyi-style test fodder: edge iff rng < p_num/p_den."""
     if not (p_den >= 1 and 0 <= p_num <= p_den):
         raise ValueError(f"need p_den >= 1 and 0 <= p_num <= p_den, got p_num={p_num}, p_den={p_den}")
+    import random
+
     rng = random.Random(seed)
     edges = [(u, v) for u, v in combinations(range(n), 2) if rng.randrange(p_den) < p_num]
     return Graph(n, edges)

@@ -12,7 +12,6 @@ subcube space over {0,1}^n, and explicit spaces from any set system.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from .budget import _meter
@@ -40,6 +39,8 @@ class Measure:
     __slots__ = ("weights",)
 
     def __init__(self, weights):
+        from fractions import Fraction
+
         w = {int(p): Fraction(x) for p, x in dict(weights).items()}
         if any(x < 0 for x in w.values()):
             raise ValueError("measure weights must be nonnegative")
@@ -51,9 +52,13 @@ class Measure:
     def uniform(cls, size: int) -> "Measure":
         if size < 1:
             raise ValueError("need at least one point")
+        from fractions import Fraction
+
         return cls({p: Fraction(1, size) for p in range(size)})
 
     def mass(self, mask: int) -> Fraction:
+        from fractions import Fraction
+
         return sum(
             (x for p, x in self.weights.items() if mask >> p & 1), Fraction(0)
         )
@@ -224,6 +229,8 @@ def weak_eps_net(S: ConvexitySpace, mu: Measure, eps) -> tuple[int, ...]:
     Greedy over the enumerated heavy convex sets: correct by construction,
     not guaranteed minimum.  Only the enumeration is metered.
     """
+    from fractions import Fraction
+
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")

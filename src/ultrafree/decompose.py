@@ -12,7 +12,6 @@ machine-checked certificate for that instance.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import combinations
 
 from .budget import _meter
@@ -32,10 +31,6 @@ __all__ = [
     "min_degree_ultra_check",
     "codegree_density_check",
 ]
-
-# rational upper bound on Euler's number; rounding up only weakens bounds
-E_UP = Fraction(2718282, 1000000)
-
 
 class BlowupDecomposition(namedtuple("BlowupDecomposition", "parts quotient origin")):
     __slots__ = ()
@@ -141,13 +136,19 @@ def packing_bound(d: int, family_size: int, sep_level) -> Fraction:
     in a system of VC dimension d; s is any positive rational."""
     if sep_level <= 0:
         raise ValueError("separation level must be positive")
-    return E_UP * (d + 1) * (2 * E_UP * family_size / Fraction(sep_level)) ** d
+    from fractions import Fraction
+
+    # a rational upper bound on Euler's number; rounding up only weakens bounds
+    e = Fraction(2718282, 1000000)
+    return e * (d + 1) * (2 * e * family_size / Fraction(sep_level)) ** d
 
 
 def haussler_partition(G: Graph, r: int, eps) -> BlowupDecomposition:
     """Partition by neighborhood proximity at threshold s = eps*n/10,
     verify the structural claims, split undersized parts into singletons,
     and return the quotient with its origin map."""
+    from fractions import Fraction
+
     from .ultra import is_eps_ultra
 
     eps = Fraction(eps)
@@ -255,6 +256,8 @@ def vc_chromatic_partition(G: Graph, c):
     ClaimViolation on failure, while the color-count bound is recorded
     as a check.
     """
+    from fractions import Fraction
+
     from .setsystems import neighborhood_system, vc_dimension
 
     c = Fraction(c)
@@ -292,6 +295,8 @@ def min_degree_ultra_check(G: Graph, r: int) -> list[Check]:
     """Degree hypothesis ((2r-5)/(2r-3) + eps)*n forces the clique
     density parameter up to eps^(r-2); checked exactly.  The slack eps
     is read off G's min degree, and an instance with none is skipped."""
+    from fractions import Fraction
+
     from .ultra import ultra_parameter
 
     if r < 3:
@@ -340,6 +345,8 @@ def codegree_density_check(G: Graph) -> list[Check]:
                 "co-neighborhood-density", "codegree-forces-density", None, value={"reason": reason}
             )
         ]
+    from fractions import Fraction
+
     c = Fraction(delta2, G.n)
     dens = _graphs.clique_codensity(G, 2, 2)
     required = 2 - 1 / c

@@ -252,12 +252,19 @@ def clique_codensity(G: Graph, a: int, b: int):
     """
     if a < 1 or b < 2:
         raise ValueError("need a >= 1 and b >= 2")
+    meter = _meter("clique_codensity")
+    # the least count / total, compared in integers
+    best_count, best_total = None, 1
+    for _, size, count in _coneighborhood_counts(*_blowup_quotient(G), a, b, meter):
+        # below b vertices the count is 0 and C(size, b) is 0 too
+        total = comb(size, b) or 1
+        if best_count is None or count * best_total < best_count * total:
+            best_count, best_total = count, total
+    if best_count is None:
+        return None
     from fractions import Fraction
 
-    meter = _meter("clique_codensity")
-    counts = _coneighborhood_counts(*_blowup_quotient(G), a, b, meter)
-    # below b vertices the count is 0 and C(size, b) is 0 too
-    return min((Fraction(count, comb(size, b) or 1) for _, size, count in counts), default=None)
+    return Fraction(best_count, best_total)
 
 
 def has_induced_p4(G: Graph, u: int, v: int):

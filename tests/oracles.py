@@ -403,16 +403,6 @@ def set_systems(draw, max_ground=6, max_sets=6):
     return SetSystem.from_masks(ground, tuple(masks))
 
 
-def first_fit_colour_count(G, order):
-    """Colours used by first-fit in ``order``: each vertex takes the least
-    colour none of its earlier neighbours has."""
-    colour = {}
-    for v in order:
-        taken = {colour[u] for u in colour if G.has_edge(u, v)}
-        colour[v] = min(c for c in range(len(taken) + 1) if c not in taken)
-    return len(set(colour.values()))
-
-
 def convex_closure(ground, masks):
     """All nonempty intersections of nonempty subfamilies of ``masks``,
     plus the ground, as a sorted list of distinct bitmasks."""

@@ -214,6 +214,13 @@ class TestAnalyze:
         assert obj["error"]["type"] == "budget"
         assert "budget exceeded" in obj["error"]["message"]
 
+    def test_chi_of_the_lower_bound_graph_within_budget(self, tmp_path, capsys):
+        # χ of the 352-vertex d = 5 construction, in 147 nodes
+        f = tmp_path / "h.json"
+        assert main(["gen", "hypercube-lb", "--params", "d=5", "--out", str(f)]) == 0
+        assert main(["analyze", str(f), "--metrics", "chi", "--budget-nodes", "5000", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"chi": 4}
+
     def test_ultra_budget_spans_pairs(self, tmp_path, capsys):
         # the K_4 check takes 195 nodes and each of the 105 non-adjacent
         # pairs 6 more: one meter for the whole call runs out.  K(7,2) is
@@ -1295,6 +1302,35 @@ class TestStartup:
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert ultrafree.cli.main(['verify', '--suite', 'codeg-edge', '--json']) == 0\n"
             "assert 'pathlib' not in sys.modules\n"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, env=_child_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+
+    def test_commands_that_make_no_rational_skip_fractions(self, tmp_path):
+        # fractions, and the decimal it imports, load only where a rational
+        # is made; -S keeps a site module from preloading either
+        blowup = tmp_path / "blowup.json"
+        assert main(["gen", "c5-blowup", "--params", "s=2", "--out", str(blowup)]) == 0
+        code = (
+            "import contextlib, io, sys, ultrafree.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert ultrafree.cli.main(['verify', '--suite', 'correspondence', '--json']) == 0\n"
+            "    assert ultrafree.cli.main(['verify', '--suite', 'construction:d=3', '--json']) == 0\n"
+            f"    assert ultrafree.cli.main(['decompose', {str(blowup)!r}, '--method', 'twin']) == 0\n"
+            "loaded = {'fractions', 'decimal'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, env=_child_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+
+    def test_unseeded_suites_skip_random(self):
+        # only the seeded catalog and random_graph draw random numbers
+        code = (
+            "import contextlib, io, sys, ultrafree.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert ultrafree.cli.main(['verify', '--suite', 'codeg-edge', '--json']) == 0\n"
+            "    assert ultrafree.cli.main(['verify', '--suite', 'construction:d=3', '--json']) == 0\n"
+            "assert 'random' not in sys.modules\n"
         )
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, env=_child_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr.decode()

@@ -7,7 +7,6 @@ import hypothesis.strategies as st
 import ultrafree.graphs
 from ultrafree.constructions import blowup, crown, half_min, hypercube_lb, turan
 from ultrafree.decompose import (
-    E_UP,
     BlowupDecomposition,
     ObstructionCertificate,
     codegree_density_check,
@@ -25,6 +24,8 @@ from ultrafree.graphs import Graph, is_maximal_kr_free
 import oracles
 from write_catalog import canonical_form
 
+# packing_bound's rational upper bound on Euler's number
+E_UP = Fraction(2718282, 1000000)
 C5 = Graph.cycle(5)
 
 

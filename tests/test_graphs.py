@@ -1,15 +1,17 @@
+import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import comb, prod
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from ultrafree import _kernels, budget
+from ultrafree import _kernels, budget, graphs as _graphs
 from ultrafree.budget import BudgetExceeded, SearchBudget
-from ultrafree.constructions import blowup, hypercube_lb, random_graph
+from ultrafree.constructions import blowup, hypercube_lb, kneser, random_graph
 from ultrafree.graphs import (
     Graph,
     chromatic_number,
@@ -211,28 +213,28 @@ class TestChromaticGreedyExit:
     @settings(max_examples=60, deadline=None)
     def test_dsatur_only_when_greedy_exceeds_omega(self, G):
         calls = []
-        dsatur = _kernels._dsatur_order
+        kcolour = _kernels._kcolour
 
-        def counted(adj, n):
-            calls.append(n)
-            return dsatur(adj, n)
+        def counted(adj, k, uncol, meter):
+            calls.append(k)
+            return kcolour(adj, k, uncol, meter)
 
-        _kernels._dsatur_order = counted
+        _kernels._kcolour = counted
         try:
             chi = chromatic_number(G, omega=clique_number(G))
         finally:
-            _kernels._dsatur_order = dsatur
+            _kernels._kcolour = kcolour
         assert chi == oracles.chromatic_number(G)
         greedy = _kernels._color_order(G.adj, G.full_mask)[1][-1] if G.n else 0
         assert bool(calls) == (G.edge_count() > 0 and greedy > clique_number(G))
 
-    @pytest.mark.parametrize("G, dsatur_calls", [(Graph.cycle(8), 0), (Graph.cycle(7), 1)])
-    def test_even_cycle_runs_no_dsatur(self, G, dsatur_calls, monkeypatch):
+    @pytest.mark.parametrize("G, searches", [(Graph.cycle(8), 0), (Graph.cycle(7), 1)])
+    def test_even_cycle_runs_no_dsatur(self, G, searches, monkeypatch):
         calls = []
-        dsatur = _kernels._dsatur_order
-        monkeypatch.setattr(_kernels, "_dsatur_order", lambda adj, n: calls.append(n) or dsatur(adj, n))
+        kcolour = _kernels._kcolour
+        monkeypatch.setattr(_kernels, "_kcolour", lambda adj, k, *rest: calls.append(k) or kcolour(adj, k, *rest))
         assert chromatic_number(G) == 2 + G.n % 2
-        assert len(calls) == dsatur_calls
+        assert len(calls) == searches
 
     @pytest.mark.parametrize("G", [Graph.cycle(8), Graph.cycle(7)])
     def test_greedy_classes_of_the_whole_graph_once(self, G, monkeypatch):
@@ -252,29 +254,34 @@ class TestChromaticGreedyExit:
 
 class TestChromaticOrder:
     def test_blowup_within_cap(self):
-        # 144 vertices; the search in DSATUR's order takes about 1.1 M nodes
+        # 144 vertices; DSATUR with forward checking takes 83 nodes
         G = hypercube_lb(4).G
-        with SearchBudget(max_nodes=2_000_000):
+        with SearchBudget(max_nodes=100):
             assert chromatic_number(G) == 4
 
-    @given(oracles.graphs(max_n=12))
-    @settings(max_examples=60, deadline=None)
-    def test_dsatur_count_succeeds_on_first_path(self, G):
-        # in DSATUR's order, k = the first-fit colour count colours the
-        # graph on the search's first path, one node per vertex; that count
-        # is the one DSATUR reports
-        order, used = _kernels._dsatur_order(G.adj, G.n)
-        assert sorted(order) == list(range(G.n))
-        k = oracles.first_fit_colour_count(G, order)
-        assert k == used
-        meter = SearchBudget().meter("chromatic_number")
-        assert _kernels._kcolorable(G.adj, order, meter, [0] * k, 0, 0)
-        assert meter.nodes == G.n
+    def test_kneser_within_cap(self):
+        # χ(K(9,3)) = 9 - 6 + 2 (Lovász) in 1,105 nodes
+        with SearchBudget(max_nodes=20_000):
+            assert chromatic_number(kneser(9, 3)) == 5
+
+    def test_long_odd_cycle(self):
+        # ω = 2 below the greedy 3: the 2-colouring search fails 1,500
+        # vertices deep, past any recursion limit
+        assert chromatic_number(Graph.cycle(1501)) == 3
+
+    def test_long_shuffled_path(self):
+        # a relabelled path whose greedy classes are 3, so the 2-colouring
+        # search runs, and succeeds, 1,500 vertices deep
+        label = list(range(1500))
+        random.Random(7).shuffle(label)
+        G = Graph(1500, [(label[i], label[i + 1]) for i in range(1499)])
+        assert _kernels._color_order(G.adj, G.full_mask)[1][-1] == 3
+        assert chromatic_number(G) == 2
 
 
 class TestChromaticAtDsaturCount:
-    # ω = DSATUR's count = 2 on a path: χ is answered with no colouring
-    # search, so neither the recursion depth nor the node count grows with n
+    # ω = the greedy count = 2 on a path: χ is answered with no colouring
+    # search, so neither the search depth nor the node count grows with n
     def test_long_path(self):
         assert chromatic_number(Graph.path(1500)) == 2
 
@@ -307,6 +314,17 @@ class TestCodegree:
     def test_codensity_matches_brute(self, G):
         for a, b in ((1, 2), (2, 2), (2, 3), (3, 2)):
             assert clique_codensity(G, a, b) == oracles.clique_codensity(G, a, b)
+
+    @given(oracles.graphs(max_n=9), st.lists(st.integers(min_value=1, max_value=3), min_size=9, max_size=9))
+    @settings(max_examples=40, deadline=None)
+    def test_codensity_is_the_least_fraction(self, F, sizes):
+        # the integer comparison finds the least of the per-co-neighbourhood
+        # Fractions, on a graph and on a blow-up of it
+        for G in (F, blowup(F, sizes[: F.n])):
+            for a, b in ((1, 2), (2, 2), (2, 3), (3, 2)):
+                counts = _graphs._coneighborhood_counts(*_graphs._blowup_quotient(G), a, b, None)
+                least = min((Fraction(count, comb(size, b) or 1) for _, size, count in counts), default=None)
+                assert clique_codensity(G, a, b) == least
 
     def test_pinned(self):
         assert codegree_min(C5, 2) == 1
