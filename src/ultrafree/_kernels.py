@@ -11,6 +11,8 @@ twin quotient with the class sizes as weights, those of a blow-up.
 
 from __future__ import annotations
 
+from .budget import _FREE
+
 __all__ = [
     "count_cliques",
     "max_clique",
@@ -29,7 +31,7 @@ def members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def count_cliques(adj, b, mask, weigh=int.bit_count, meter=None):
+def count_cliques(adj, b, mask, weigh=int.bit_count, meter=_FREE):
     """Number of b-vertex cliques (as vertex subsets) inside ``mask``.
 
     ``weigh`` maps a vertex bitmask to its total weight and is additive
@@ -51,8 +53,7 @@ def _count(adj, b, mask, weigh, meter):
     while m:
         low = m & -m
         m ^= low
-        if meter is not None:
-            meter.charge()
+        meter.charge()
         # cliques whose lowest vertex is low: rest lives among later vertices
         sub = adj[low.bit_length() - 1] & m
         if sub.bit_count() >= b - 1:
@@ -84,7 +85,7 @@ def _walk(adj, I, cand, common, need):
             yield from _walk(adj, I | low, sub, common & row, need - 1)
 
 
-def max_clique(adj, mask, meter=None, classes=None, mirror=None):
+def max_clique(adj, mask, meter=_FREE, classes=None, mirror=None):
     """Largest clique inside ``mask``: returns ``(size, witness_mask)``.
 
     Branch and bound with a greedy-coloring upper bound.  ``classes`` is
@@ -133,8 +134,7 @@ def _expand(adj, cand, cur, size, best, meter, order, bounds, mirror=None):
         bit = 1 << v
         if mirror is not None and not cand >> v & 1:
             continue
-        if meter is not None:
-            meter.charge()
+        meter.charge()
         sub = cand & adj[v]
         if sub:
             _expand(adj, sub, cur | bit, size + 1, best, meter, *_color_order(adj, sub))
@@ -185,8 +185,7 @@ def _kcolour(adj, k, uncol, meter):
                     return False
                 uncol, nbrs, levels, v, c = stack.pop()
                 continue
-            if meter is not None:
-                meter.charge()
+            meter.charge()
             row = adj[v]
             rest = uncol ^ 1 << v
             # the uncoloured neighbours of v that class c is new to
@@ -205,7 +204,7 @@ def _kcolour(adj, k, uncol, meter):
     return True
 
 
-def chromatic_number(adj, n, meter=None, omega=None):
+def chromatic_number(adj, n, meter=_FREE, omega=None):
     """Exact chromatic number of the graph on vertices 0..n-1: the least
     k from the clique number up to the greedy colour count that
     ``_kcolour`` finds a colouring for.  ``omega`` is the graph's clique
@@ -224,7 +223,7 @@ def chromatic_number(adj, n, meter=None, omega=None):
     return k
 
 
-def enumerate_mis(adj, n, meter=None):
+def enumerate_mis(adj, n, meter=_FREE):
     """All maximal independent sets as bitmasks, sorted by member tuple.
 
     Bron-Kerbosch with pivoting, run on the complement adjacency.
@@ -241,8 +240,7 @@ def _bk(cadj, r, p, x, out, meter):
     # appends to out the maximal independent sets that hold r, meet only
     # p outside it and miss x, pivoting on the vertex of p | x that
     # eliminates the most candidates (the lowest on ties)
-    if meter is not None:
-        meter.charge()
+    meter.charge()
     if p == 0 and x == 0:
         out.append(r)
         return

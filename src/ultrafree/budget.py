@@ -3,7 +3,7 @@
 Every exact solver in this package walks a search tree and charges its
 nodes to the :class:`SearchBudget` in force.  When a cap is hit the
 solver raises :class:`BudgetExceeded` instead of returning a wrong
-answer; with no budget in force it opens no meter.
+answer; with no budget in force it charges a meter that counts nothing.
 """
 
 from __future__ import annotations
@@ -73,14 +73,27 @@ class SearchBudget:
         return _Meter(op, self)
 
 
+class _Free:
+    """The meter of every search run with no budget in force: it counts nothing."""
+
+    __slots__ = ()
+
+    def charge(self) -> None:
+        pass
+
+    check_time = charge
+
+
+_FREE = _Free()
+
+
 def _meter(op: str):
-    """A meter for one invocation of ``op`` on the budget in force, or
-    None when none is.  It reads the clock once as it opens, so an
-    invocation that starts after the budget's deadline raises before its
-    first node."""
+    """A meter for one invocation of ``op`` on the budget in force, else
+    ``_FREE``.  It reads the clock once as it opens, so an invocation that
+    starts after the budget's deadline raises before its first node."""
     budget = _active.get()
     if budget is None:
-        return None
+        return _FREE
     meter = budget.meter(op)
     meter.check_time()
     return meter

@@ -111,8 +111,7 @@ class ConvexitySpace:
             fresh = []
             for a in frontier:
                 for g in gens:
-                    if meter is not None:
-                        meter.charge()
+                    meter.charge()
                     x = a & g
                     if x and x not in closure:
                         closure.add(x)
@@ -196,8 +195,7 @@ def radon_number(S: ConvexitySpace, cap: int):
     meter = _meter("radon_number")
     for r in range(1, cap + 1):
         for pts in combinations(range(S.ground_size), r + 1):
-            if meter is not None:
-                meter.charge()
+            meter.charge()
             if _radon_split(S, pts) is None:
                 break
         else:

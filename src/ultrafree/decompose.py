@@ -229,8 +229,7 @@ def p4_obstruction(G: Graph) -> ObstructionCertificate:
     aux = [0] * F.n
     paths: dict[tuple[int, int], tuple[int, int]] = {}
     for i, j in combinations(range(F.n), 2):
-        if meter is not None:
-            meter.charge()
+        meter.charge()
         w = has_induced_p4(F, i, j)
         if w is not None:
             aux[i] |= 1 << j

@@ -11,7 +11,7 @@ from math import comb
 
 from . import _kernels
 from ._kernels import members
-from .budget import _meter
+from .budget import _FREE, _meter
 
 __all__ = [
     "Graph",
@@ -177,17 +177,16 @@ def _lift(row: int, masks) -> int:
     return m
 
 
-def _blowup_quotient(G: Graph, meter=None):
+def _blowup_quotient(G: Graph, meter=_FREE):
     """``(classes, F)``: G's twin classes (vertices with one neighbourhood
     mask), each ascending and ordered by first vertex, and the twin-free
     quotient ``F = G.induced(first vertices)``.  G is the blow-up of F
     with ``len(classes[i])`` independent copies of vertex i, so a quantity
-    of G can be computed on F with the class sizes as weights.  A meter,
-    if given, is charged one node per vertex grouped."""
+    of G can be computed on F with the class sizes as weights.  The meter
+    is charged one node per vertex grouped."""
     by_mask: dict[int, list[int]] = {}
     for v, m in enumerate(G.adj):
-        if meter is not None:
-            meter.charge()
+        meter.charge()
         by_mask.setdefault(m, []).append(v)
     classes = tuple(map(tuple, by_mask.values()))
     # a twin-free G is its own quotient: the first vertices are 0..n-1
@@ -225,8 +224,7 @@ def _coneighborhood_counts(classes, F: Graph, a: int, b: int, meter):
     for s in range(a, -(-a // biggest) - 1, -1):
         for S, nbhd in _kernels._independent_sets(F.adj, s, F.full_mask):
             if s == a or weight(S) >= a:
-                if meter is not None:
-                    meter.charge()
+                meter.charge()
                 size = weight(nbhd)
                 if b == 1 or size < b:  # a popcount, or no b-clique
                     yield S, size, size if b == 1 else 0

@@ -8,17 +8,19 @@ which makes the all-slack basis feasible and removes any phase-1 step.
 
 from __future__ import annotations
 
+from .budget import _FREE
+
 __all__ = ["max_simplex"]
 
 
-def max_simplex(c, A, b, meter=None):
+def max_simplex(c, A, b, meter=_FREE):
     """Maximize c.x subject to A.x <= b, x >= 0 (all entries rational,
     b >= 0).
 
     Returns ``(value, x, duals)`` where ``duals`` are the optimal
     multipliers of the row constraints (the solution of the dual LP).
     Raises ValueError on unbounded problems or negative entries of b.
-    ``meter`` (a budget meter, or None) is charged one node per tableau
+    ``meter`` (a budget meter) is charged one node per tableau
     row built and per row rewritten by a pivot, and reads its clock after
     each such row, since one row can take far longer than a search node.
     """
@@ -30,9 +32,8 @@ def max_simplex(c, A, b, meter=None):
         raise ValueError("b must be nonnegative for the slack basis")
 
     def row_done():
-        if meter is not None:
-            meter.charge()
-            meter.check_time()
+        meter.charge()
+        meter.check_time()
 
     # variables 0..n-1 are structural, n..n+m-1 slack.  The tableau is
     # condensed: row i < m holds basic variable basis[i] and row m the

@@ -8,6 +8,7 @@ rational simplex for the fractional pair.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations
 
 from . import _kernels
@@ -190,8 +191,7 @@ def transversal_number(F: SetSystem):
 def _hit(sets, covers, unhit: int, chosen: list[int], best, meter):
     """The best ``(size, witness)`` of ``best`` and the hitting sets that
     extend ``chosen`` to hit the sets in ``unhit``."""
-    if meter is not None:
-        meter.charge()
+    meter.charge()
     if unhit == 0:
         return (len(chosen), tuple(sorted(chosen))) if len(chosen) < best[0] else best
     # one ascending scan of the unhit sets.  A greedy pairwise-disjoint
@@ -262,10 +262,17 @@ def vc_dimension(F: SetSystem):
     cap = len(distinct).bit_length() - 1  # need 2^d distinct traces
 
     def shattered(s_mask: int, size: int) -> bool:
-        if meter is not None:
-            meter.charge()
+        meter.charge()
         traces = {d & s_mask for d in distinct}
         return len(traces) == 1 << size
+
+    # twins (points in exactly the same sets) are never both in a
+    # shattered set, and swapping one for its least twin keeps a set
+    # shattered and moves it earlier: only the least of each is tried
+    least: dict[int, int] = {}
+    for x, column in enumerate(_element_cover_masks(F)):
+        least.setdefault(column, x)
+    points = tuple(least.values())  # ascending, by first occurrence
 
     # each level holds the shattered sets of its size as masks, in
     # lexicographic order, so level[0] is the witness
@@ -274,7 +281,7 @@ def vc_dimension(F: SetSystem):
     while depth < cap:
         nxt = []
         for s_mask in level:
-            for x in range(s_mask.bit_length(), F.ground):
+            for x in points[bisect_left(points, s_mask.bit_length()) :]:
                 m2 = s_mask | (1 << x)
                 if shattered(m2, depth + 1):
                     nxt.append(m2)
@@ -322,8 +329,7 @@ def _helly(size: int, witnesses: list[int], inter: int, eligible: list[int], bes
     that misses a child's ``new_inter`` closes that family one member
     on, and no minimal family holds more, so the child carries such a
     set only while size + 2 members would be a new best."""
-    if meter is not None:
-        meter.charge()
+    meter.charge()
     room = inter.bit_count()
     left = len(eligible)
     for t, s in enumerate(eligible):
@@ -333,8 +339,7 @@ def _helly(size: int, witnesses: list[int], inter: int, eligible: list[int], bes
         if not new_inter:
             # s ends the family; visit it only if that is a new best
             if size + 1 > best:
-                if meter is not None:
-                    meter.charge()
+                meter.charge()
                 best = size + 1
             continue
         ws = [w & s for w in witnesses]
@@ -414,8 +419,7 @@ def _pq_properties(F: SetSystem, ps, q: int) -> dict[int, bool]:
             continue
         nxt[d] = j + 1
         s = sets[j]
-        if meter is not None:
-            meter.charge()
+        meter.charge()
         if d + 1 == p:
             out[p] = False
             p = next(targets, None)

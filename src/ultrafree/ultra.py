@@ -170,8 +170,7 @@ def _place(cls_adj, caps, xs_cls, ys_cls, i: int, x_cand: int, meter) -> bool:
     """Whether classes for the pairs i.. of the embedding fit the
     capacities ``caps``, with x_i among the classes of ``x_cand``; on
     success ``xs_cls`` and ``ys_cls`` hold the first fit."""
-    if meter is not None:
-        meter.charge()
+    meter.charge()
     k = len(xs_cls)
     if i == k:
         return True
@@ -184,8 +183,7 @@ def _place(cls_adj, caps, xs_cls, ys_cls, i: int, x_cand: int, meter) -> bool:
         for cy in range(nc):
             if cls_adj[cx] >> cy & 1 or caps[cy] == 0:
                 continue
-            if meter is not None:
-                meter.charge()
+            meter.charge()
             nxt = x_cand & cls_adj[cy]
             need = k - i - 1
             if need and sum(

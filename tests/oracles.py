@@ -522,7 +522,7 @@ def separated_partition(masks, s):
     return reps, origin
 
 
-def max_simplex_full_tableau(c, A, b, meter=None):
+def max_simplex_full_tableau(c, A, b, meter):
     """``lp.max_simplex`` as it once ran on the full tableau, one column
     per variable, basic ones included: the same Bland pivots, charging
     ``meter`` one node per row built and per row rewritten.  The reference
@@ -533,9 +533,8 @@ def max_simplex_full_tableau(c, A, b, meter=None):
         raise ValueError("b must be nonnegative for the slack basis")
 
     def row_done():
-        if meter is not None:
-            meter.charge()
-            meter.check_time()
+        meter.charge()
+        meter.check_time()
 
     tab = []
     for i in range(m):
@@ -587,11 +586,15 @@ def max_simplex_full_tableau(c, A, b, meter=None):
 
 def vc_dimension_metered(F, meter):
     """``vc_dimension`` as it once ran, each level holding (tuple, mask)
-    pairs, charging ``meter`` one node per shattering test."""
+    pairs, charging ``meter`` one node per shattering test.  It extends a
+    set only by the least point of each column (the tuple of set indices
+    holding the point) that lies above the set's largest point."""
     distinct = sorted(set(F.sets))
     if not distinct:
         return 0, ()
     cap = len(distinct).bit_length() - 1
+    columns = [tuple(i for i, s in enumerate(F.sets) if s >> x & 1) for x in range(F.ground)]
+    points = [x for x in range(F.ground) if columns[x] not in columns[:x]]
 
     def shattered(s_mask, size):
         meter.charge()
@@ -603,7 +606,7 @@ def vc_dimension_metered(F, meter):
         nxt = []
         for pts, s_mask in level:
             start = pts[-1] + 1 if pts else 0
-            for x in range(start, F.ground):
+            for x in [p for p in points if p >= start]:
                 m2 = s_mask | (1 << x)
                 if shattered(m2, depth + 1):
                     nxt.append((pts + (x,), m2))

@@ -13,7 +13,9 @@ package code outside its own body.  Every name listed in an ``__all__``
 must exist, and each module's ``__all__`` is the one declaration of
 what ``ultrafree`` exports.  No module reads the process environment, no
 check name is written in two modules, no function outside ``budget.py``
-takes a ``budget``, and no function nests a function that calls itself.
+takes a ``budget``, no function in the package or a tool nests a
+function that calls itself, and no function compares a ``meter`` with
+None or defaults one to it.
 """
 
 import ast
@@ -211,12 +213,34 @@ def test_no_function_nests_a_function_that_calls_itself():
     # cell, a reference cycle only the cyclic collector frees; a recursive
     # search is a module-level function, which holds no cell
     found = set()
-    for stem in MODULES:
-        for outer in ast.walk(ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))):
+    for path in [SRC / f"{stem}.py" for stem in MODULES] + TOOLS:
+        for outer in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             for inner in ast.walk(outer):
                 if inner is not outer and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     if any(isinstance(n, ast.Name) and n.id == inner.name for n in ast.walk(inner)):
-                        found.add(f"{stem}.py:{inner.lineno} {inner.name}")
+                        found.add(f"{path.name}:{inner.lineno} {inner.name}")
     assert sorted(found) == []
+
+
+def test_no_meter_is_none():
+    # a search always holds a meter (budget._FREE when no budget is in
+    # force), so none tests for a missing one or defaults to None
+    def is_none(node):
+        return isinstance(node, ast.Constant) and node.value is None
+
+    found = []
+    for stem in MODULES:
+        for node in ast.walk(ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                if any(isinstance(n, ast.Name) and n.id == "meter" for n in sides) and any(map(is_none, sides)):
+                    found.append(f"{stem}.py:{node.lineno} compares meter with None")
+            elif isinstance(node, ast.arguments):
+                positional = node.posonlyargs + node.args
+                defaults = [None] * (len(positional) - len(node.defaults)) + node.defaults
+                for arg, default in zip(positional + node.kwonlyargs, defaults + node.kw_defaults):
+                    if arg.arg == "meter" and is_none(default):
+                        found.append(f"{stem}.py:{arg.lineno} defaults meter to None")
+    assert found == []

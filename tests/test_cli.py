@@ -221,6 +221,15 @@ class TestAnalyze:
         assert main(["analyze", str(f), "--metrics", "chi", "--budget-nodes", "5000", "--json"]) == 0
         assert json.loads(capsys.readouterr().out) == {"chi": 4}
 
+    def test_neighbourhood_vc_of_the_lower_bound_graph_within_budget(self, tmp_path, capsys):
+        # 144 points in 24 twin classes: one point per class is tried, and
+        # the search takes 4,200 nodes
+        f = tmp_path / "h.json"
+        assert main(["gen", "hypercube-lb", "--params", "d=4", "--out", str(f)]) == 0
+        argv = ["setsys", str(f), "--derive", "neighborhoods", "--metrics", "vc", "--budget-nodes", "10000", "--json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == {"vc": 4}
+
     def test_ultra_budget_spans_pairs(self, tmp_path, capsys):
         # the K_4 check takes 195 nodes and each of the 105 non-adjacent
         # pairs 6 more: one meter for the whole call runs out.  K(7,2) is

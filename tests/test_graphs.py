@@ -211,7 +211,7 @@ class TestChromatic:
 class TestChromaticGreedyExit:
     @given(oracles.graphs(max_n=9))
     @settings(max_examples=60, deadline=None)
-    def test_dsatur_only_when_greedy_exceeds_omega(self, G):
+    def test_search_only_when_greedy_exceeds_omega(self, G):
         calls = []
         kcolour = _kernels._kcolour
 
@@ -229,7 +229,7 @@ class TestChromaticGreedyExit:
         assert bool(calls) == (G.edge_count() > 0 and greedy > clique_number(G))
 
     @pytest.mark.parametrize("G, searches", [(Graph.cycle(8), 0), (Graph.cycle(7), 1)])
-    def test_even_cycle_runs_no_dsatur(self, G, searches, monkeypatch):
+    def test_even_cycle_runs_no_search(self, G, searches, monkeypatch):
         calls = []
         kcolour = _kernels._kcolour
         monkeypatch.setattr(_kernels, "_kcolour", lambda adj, k, *rest: calls.append(k) or kcolour(adj, k, *rest))
@@ -279,7 +279,7 @@ class TestChromaticOrder:
         assert chromatic_number(G) == 2
 
 
-class TestChromaticAtDsaturCount:
+class TestChromaticAtGreedyCount:
     # ω = the greedy count = 2 on a path: χ is answered with no colouring
     # search, so neither the search depth nor the node count grows with n
     def test_long_path(self):
@@ -322,7 +322,7 @@ class TestCodegree:
         # Fractions, on a graph and on a blow-up of it
         for G in (F, blowup(F, sizes[: F.n])):
             for a, b in ((1, 2), (2, 2), (2, 3), (3, 2)):
-                counts = _graphs._coneighborhood_counts(*_graphs._blowup_quotient(G), a, b, None)
+                counts = _graphs._coneighborhood_counts(*_graphs._blowup_quotient(G), a, b, budget._FREE)
                 least = min((Fraction(count, comb(size, b) or 1) for _, size, count in counts), default=None)
                 assert clique_codensity(G, a, b) == least
 
@@ -509,7 +509,7 @@ class TestBudget:
         assert (exc.value.reason, exc.value.nodes) == ("nodes", 6)
 
     def test_inner_budget_replaces_the_outer_until_it_ends(self):
-        # with no budget in force a search opens no meter; a nested
+        # with no budget in force a search charges nothing; a nested
         # ``with`` charges only the inner budget, re-entering a budget
         # charges it again, and each exit restores the budget before it
         outer, inner = SearchBudget(), SearchBudget()

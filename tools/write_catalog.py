@@ -87,45 +87,46 @@ def canonical_form(G: Graph) -> tuple[int, ...]:
     n = G.n
     if n == 0:
         return ()
-    adj = G.adj
     leaves = []  # (certificate, coloring) of the first leaf and the best leaf
-    autos: list[list[int]] = []
-
-    def dfs(colors, prefix):
-        colors = _refine(adj, colors)
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
-        if target is None:
-            cert = _certificate(adj, colors)
-            if not leaves:
-                leaves[:] = [(cert, colors)] * 2
-                return
-            for other, other_colors in leaves:
-                if cert == other:
-                    autos.append(_automorphism(colors, other_colors))
-                    break
-            if cert < leaves[1][0]:
-                leaves[1] = (cert, colors)
-            return
-        explored: list[int] = []
-        for v in target:
-            if explored:
-                fixing = [g for g in autos if all(g[u] == u for u in prefix)]
-                if v in _orbit(explored, fixing):
-                    continue
-            explored.append(v)
-            child = list(colors)
-            child[v] = n  # fresh color, renormalized by the next refine
-            dfs(child, prefix + [v])
-
-    dfs([0] * n, [])
+    _search(G.adj, [0] * n, [], leaves, [])
     return leaves[1][0]
+
+
+def _search(adj, colors, prefix, leaves, autos):
+    # refines colors, individualizes the vertices of its first
+    # non-singleton cell in turn (prefix: those individualized above),
+    # and records each leaf in leaves and each automorphism in autos
+    colors = _refine(adj, colors)
+    cells: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        cells.setdefault(c, []).append(v)
+    target = None
+    for c in sorted(cells):
+        if len(cells[c]) > 1:
+            target = cells[c]
+            break
+    if target is None:
+        cert = _certificate(adj, colors)
+        if not leaves:
+            leaves[:] = [(cert, colors)] * 2
+            return
+        for other, other_colors in leaves:
+            if cert == other:
+                autos.append(_automorphism(colors, other_colors))
+                break
+        if cert < leaves[1][0]:
+            leaves[1] = (cert, colors)
+        return
+    explored: list[int] = []
+    for v in target:
+        if explored:
+            fixing = [g for g in autos if all(g[u] == u for u in prefix)]
+            if v in _orbit(explored, fixing):
+                continue
+        explored.append(v)
+        child = list(colors)
+        child[v] = len(adj)  # fresh color, renormalized by the next refine
+        _search(adj, child, prefix + [v], leaves, autos)
 
 
 _LEVELS: list[list[Graph]] = [[Graph(0)]]
