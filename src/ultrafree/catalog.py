@@ -72,8 +72,10 @@ def _load_stored(path) -> list[Graph]:
     canonical and complete is proved by regenerating the file in the
     tests, not here."""
     name = os.path.basename(path)
+    # UTF-8, whose codec every interpreter has loaded: _decode rejects any
+    # character outside graph6's range, so no ASCII codec is needed
     try:
-        with open(path, encoding="ascii") as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as e:
         raise ClaimViolation(f"{name}: {e}") from None

@@ -44,6 +44,8 @@ __all__ = ["main", "run"]
 _FRACTION_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 _DEFAULT_SEED = 20260301
 _EXTENDED_COUNT = 40
+# graphs per correspondence_checks call in the correspondence suite
+_BLOCK = 32
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -327,9 +329,14 @@ def _catalog(kind: str, seed: int) -> list[Graph]:
 def _suite_correspondence(catalog, seed):
     from .convexity import correspondence_checks
 
-    for G in _catalog(catalog, seed):
-        for r, checks in correspondence_checks(G, (3, 4, 5)).items():
-            yield partial(_instance, G, r=r), checks
+    # a block at a time: each solver runs over the block before the next
+    # one starts, and only one block's checks are held at once
+    cat = _catalog(catalog, seed)
+    for start in range(0, len(cat), _BLOCK):
+        block = cat[start : start + _BLOCK]
+        for G, by_r in zip(block, correspondence_checks(block, (3, 4, 5))):
+            for r, checks in by_r.items():
+                yield partial(_instance, G, r=r), checks
 
 
 def _suite_halfgraph():

@@ -243,110 +243,130 @@ def weak_eps_net(S: ConvexitySpace, mu: Measure, eps) -> tuple[int, ...]:
     return tuple(sorted(_ss._greedy_cover(covers, (1 << len(heavy)) - 1)))
 
 
-def correspondence_checks(G: Graph, rs) -> dict[int, list[Check]]:
-    """Check the dictionary between a graph and its star system, for each
-    r in ``rs``: coloring vs covering, cliques vs matchings, edges vs
-    disjointness, clique freeness vs the (r,2)-property, and independence
-    vs intersection.
+def _first_bad_pair(G: Graph, rebuilt: Graph):
+    """The first pair u < v whose adjacency differs between G and the
+    graph rebuilt on V(G), or None: the first differing row u, and its
+    lowest differing bit, which lies above u since earlier rows agree."""
+    if rebuilt.adj == G.adj:
+        return None
+    for u in range(G.n):
+        diff = rebuilt.adj[u] ^ G.adj[u]
+        if diff:
+            return (u, (diff & -diff).bit_length() - 1)
+
+
+def correspondence_checks(graphs, rs) -> list[dict[int, list[Check]]]:
+    """Check the dictionary between each graph of ``graphs`` and its star
+    system, for each r in ``rs``: coloring vs covering, cliques vs
+    matchings, edges vs disjointness, clique freeness vs the
+    (r,2)-property, and independence vs intersection.  Returns one
+    ``{r: checks}`` per graph, in input order.
 
     Only the clique-freeness check reads r; the others are computed once
-    and shared by every r, and one search answers the (r,2)-property for
-    every r.  ω is searched once: χ's search starts from it, and ν is ω
-    whenever the disjointness graph is G itself.  Each r must be at least
-    2; an empty ``rs`` runs no search.
+    per graph and shared by every r, and one search answers the
+    (r,2)-property for every r.  ω is searched once: χ's search starts
+    from it, and ν is ω whenever the disjointness graph is G itself.
+    Each stage runs over the whole sequence before the next one starts,
+    so one solver runs many times in a row.  Each r must be at least 2;
+    an empty ``rs`` runs no search.
     """
     rs = tuple(rs)
     for r in rs:
         if r < 2:
             raise ValueError(f"need r >= 2, got r = {r}")
     if not rs:
-        return {}
-    mis = _ss.mis_family(G)
-    stars = _ss.dual(mis)
-    omega = _graphs.clique_number(G)
-    chi = _graphs.chromatic_number(G, omega=omega)
-    tau, tau_witness = _ss.transversal_number(stars)
-
-    # one star per vertex, so the rebuilt graph is on V(G).  The first pair
-    # u < v whose adjacency differs: the first differing row u, and its
-    # lowest differing bit, which lies above u since earlier rows agree
-    rebuilt = _ss.disjointness_graph(stars)
-    bad_pair = None
-    if rebuilt.adj != G.adj:
-        for u in range(G.n):
-            diff = rebuilt.adj[u] ^ G.adj[u]
-            if diff:
-                bad_pair = (u, (diff & -diff).bit_length() - 1)
-                break
+        return [{} for _ in graphs]
+    mis = list(map(_ss.mis_family, graphs))
+    stars = list(map(_ss.dual, mis))
+    omegas = list(map(_graphs.clique_number, graphs))
+    chis = [_graphs.chromatic_number(G, omega=omega) for G, omega in zip(graphs, omegas)]
+    taus = list(map(_ss.transversal_number, stars))
+    # one star per vertex, so each rebuilt graph is on V(G)
+    rebuilts = list(map(_ss.disjointness_graph, stars))
+    bad_pairs = list(map(_first_bad_pair, graphs, rebuilts))
     # ν is the clique number of the rebuilt graph, so when its rows are
     # all G's the same deterministic search would return ω again
-    if bad_pair is None:
-        nu, nu_witness = omega, None
-    else:
-        nu, nu_witness = _ss.matching_number(stars)
-    maximal_stars = _ss.maximal_intersecting_subfamilies(stars)
-    mis_ok = sorted(mis.sets) == maximal_stars
-    expected_h = 2 if any(G.adj) else 1
-    h = _ss.helly_number(stars)
-
-    shared = [
-        _verdict(
-            "chromatic-equals-transversal",
-            "chromatic-equals-transversal",
-            chi == tau,
-            value={"chi": chi, "tau": tau},
-            witness={"transversal": tau_witness},
-        ),
-        _verdict(
-            "clique-equals-matching",
-            "clique-equals-matching",
-            omega == nu,
-            value={"omega": omega, "nu": nu},
-            witness={"matching": nu_witness},
-        ),
-        _verdict(
-            "disjointness-reconstructs-graph",
-            "disjointness-reconstructs-graph",
-            bad_pair is None,
-            witness=None if bad_pair is None else {"rebuilt_edges": rebuilt.edges()},
-        ),
-        _verdict(
-            "edges-match-disjoint-stars",
-            "edges-match-disjoint-stars",
-            bad_pair is None,
-            witness=bad_pair,
-        ),
-        _verdict(
-            "mis-match-maximal-stars",
-            "mis-match-maximal-stars",
-            mis_ok,
-            witness=None if mis_ok else {
-                "mis": [members(s) for s in mis.sets],
-                "maximal_stars": sorted(members(s) for s in maximal_stars),
-            },
-        ),
-        _verdict(
-            "star-helly-matches-edges",
-            "star-helly-matches-edges",
-            h == expected_h,
-            value={"helly": h, "expected": expected_h},
-            witness={"helly": h},
-        ),
+    nus = [
+        (omega, None) if bad is None else _ss.matching_number(F)
+        for omega, bad, F in zip(omegas, bad_pairs, stars)
     ]
-    pqs = _ss._pq_properties(stars, rs, 2)
-    out = {}
-    for r in rs:
-        # G is K_r-free exactly when its clique number is below r
-        free = omega < r
-        pq = pqs[r]
-        out[r] = shared + [
-            _verdict(
-                "clique-free-matches-pq",
-                "clique-free-matches-pq",
-                free == pq,
-                value={"r": r, "kr_free": free, "pq": pq},
-                witness={"r": r},
-            )
-        ]
-    return out
+    maximal_stars = list(map(_ss.maximal_intersecting_subfamilies, stars))
+    mis_oks = [sorted(family.sets) == maximal for family, maximal in zip(mis, maximal_stars)]
+    expected_hs = [2 if any(G.adj) else 1 for G in graphs]
+    hellys = list(map(_ss.helly_number, stars))
+    pqs = [_ss._pq_properties(F, rs, 2) for F in stars]
 
+    shared_rows = zip(
+        [
+            _verdict(
+                "chromatic-equals-transversal",
+                "chromatic-equals-transversal",
+                chi == tau,
+                value={"chi": chi, "tau": tau},
+                witness={"transversal": tau_witness},
+            )
+            for chi, (tau, tau_witness) in zip(chis, taus)
+        ],
+        [
+            _verdict(
+                "clique-equals-matching",
+                "clique-equals-matching",
+                omega == nu,
+                value={"omega": omega, "nu": nu},
+                witness={"matching": nu_witness},
+            )
+            for omega, (nu, nu_witness) in zip(omegas, nus)
+        ],
+        [
+            _verdict(
+                "disjointness-reconstructs-graph",
+                "disjointness-reconstructs-graph",
+                bad is None,
+                witness=None if bad is None else {"rebuilt_edges": rebuilt.edges()},
+            )
+            for bad, rebuilt in zip(bad_pairs, rebuilts)
+        ],
+        [
+            _verdict("edges-match-disjoint-stars", "edges-match-disjoint-stars", bad is None, witness=bad)
+            for bad in bad_pairs
+        ],
+        [
+            _verdict(
+                "mis-match-maximal-stars",
+                "mis-match-maximal-stars",
+                ok,
+                witness=None if ok else {
+                    "mis": [members(s) for s in family.sets],
+                    "maximal_stars": sorted(members(s) for s in maximal),
+                },
+            )
+            for ok, family, maximal in zip(mis_oks, mis, maximal_stars)
+        ],
+        [
+            _verdict(
+                "star-helly-matches-edges",
+                "star-helly-matches-edges",
+                h == expected,
+                value={"helly": h, "expected": expected},
+                witness={"helly": h},
+            )
+            for h, expected in zip(hellys, expected_hs)
+        ],
+    )
+    out = []
+    for omega, pq, shared in zip(omegas, pqs, shared_rows):
+        shared = list(shared)
+        # G is K_r-free exactly when its clique number is below r
+        out.append({
+            r: shared + [
+                _verdict(
+                    "clique-free-matches-pq",
+                    "clique-free-matches-pq",
+                    (omega < r) == pq[r],
+                    value={"r": r, "kr_free": omega < r, "pq": pq[r]},
+                    witness={"r": r},
+                )
+            ]
+            for r in rs
+        })
+    return out

@@ -51,7 +51,7 @@ def test_criterion_01(small_catalog):
     bad = []
     for G in small_catalog:
         for r in (3, 4, 5):
-            failures = [c for c in correspondence_checks(G, (r,))[r] if not c.passed]
+            failures = [c for c in correspondence_checks([G], (r,))[0][r] if not c.passed]
             if failures:
                 bad.append((G, r, failures))
     assert bad == []

@@ -273,6 +273,8 @@ class TestStoredCatalog:
             lambda lines: lines[:2] + ["Bg?"] + lines[3:],
             lambda lines: lines[:1] + ["A\x7f"] + lines[2:],
             lambda lines: lines[:2] + ["B\u00e9"] + lines[3:],
+            # a lone surrogate escape writes the raw byte 0xff
+            lambda lines: lines[:2] + ["B\udcff"] + lines[3:],
         ],
         ids=[
             "repeat",
@@ -284,12 +286,13 @@ class TestStoredCatalog:
             "wrong-length",
             "not-graph6",
             "not-ascii",
+            "not-utf-8",
         ],
     )
     def test_corrupt_copy_rejected(self, corrupt, tmp_path, monkeypatch):
         lines = Path(catalog._STORED_PATH).read_text().splitlines()
         bad = tmp_path / "connected7.g6"
-        bad.write_text("".join(line + "\n" for line in corrupt(lines)), encoding="utf-8")
+        bad.write_text("".join(line + "\n" for line in corrupt(lines)), encoding="utf-8", errors="surrogateescape")
         cold_catalog(monkeypatch, bad)
         with pytest.raises(ClaimViolation):
             connected_graphs(7)

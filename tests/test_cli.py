@@ -14,6 +14,7 @@ import pytest
 import ultrafree
 import ultrafree.catalog
 import ultrafree.cli
+import ultrafree.convexity
 import ultrafree.graphs
 import ultrafree.setsystems
 import ultrafree.ultra
@@ -21,7 +22,7 @@ from ultrafree.cli import main
 from ultrafree.constructions import hypercube_lb
 from ultrafree.decompose import BlowupDecomposition
 from ultrafree.graphs import Graph
-from ultrafree.io import graph_from_obj, parse_graph
+from ultrafree.io import graph_from_obj, graph_to_obj, parse_graph
 
 C5_JSON = '{"n": 5, "edges": [[0, 1], [0, 4], [1, 2], [2, 3], [3, 4]]}'
 
@@ -823,6 +824,35 @@ class TestVerify:
         # starts from the one ω search
         assert calls == dict.fromkeys(("mis_family", "clique_number", "chromatic_number"), len(cat))
 
+    def test_correspondence_runs_in_blocks(self, capsys, monkeypatch):
+        # 70 graphs make two full blocks and a partial one; a rule that
+        # fails from graph 40 on keeps graph 40, r = 3, as its witness
+        cat = ultrafree.catalog.connected_graphs(7)[:70]
+        monkeypatch.setattr("ultrafree.catalog.connected_graphs", lambda n: list(cat))
+        helly_number = ultrafree.setsystems.helly_number
+        helly_calls = []
+
+        def wrong_from_40(F):
+            helly_calls.append(F)
+            return helly_number(F) + (len(helly_calls) > 40)
+
+        monkeypatch.setattr(ultrafree.setsystems, "helly_number", wrong_from_40)
+        correspondence_checks = ultrafree.convexity.correspondence_checks
+        blocks = []
+
+        def recorded(graphs, rs):
+            blocks.append(len(graphs))
+            return correspondence_checks(graphs, rs)
+
+        monkeypatch.setattr(ultrafree.convexity, "correspondence_checks", recorded)
+        assert main(["verify", "--suite", "correspondence", "--json"]) == 1
+        by_name = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        helly = by_name["star-helly-matches-edges"]
+        assert helly["status"] == "fail"
+        assert helly["value"] == {"pass": 120, "total": 210}
+        assert helly["witness"]["instance"] == dict(graph_to_obj(cat[40]), r=3)
+        assert blocks == [32, 32, 6]
+
     def test_passing_correspondence_builds_no_instance(self, capsys, monkeypatch):
         # an instance's JSON is built only for a rule's first failure
         self._two_graph_catalog(monkeypatch)
@@ -1315,6 +1345,22 @@ class TestStartup:
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, env=_child_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr.decode()
 
+    def test_catalog_suite_skips_the_ascii_codec(self):
+        # the stored catalog is read as UTF-8, whose codec every
+        # interpreter loads at start-up; a host whose bare interpreter
+        # loads the ASCII codec anyway asserts nothing
+        probe = "import sys; print('encodings.ascii' in sys.modules)"
+        bare = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+        assert bare.returncode == 0, bare.stderr
+        code = (
+            "import contextlib, io, sys, ultrafree.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert ultrafree.cli.main(['verify', '--suite', 'correspondence', '--catalog', 'small', '--json']) == 0\n"
+            f"assert {bare.stdout.strip()} or 'encodings.ascii' not in sys.modules\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_child_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+
     def test_commands_that_make_no_rational_skip_fractions(self, tmp_path):
         # fractions, and the decimal it imports, load only where a rational
         # is made; -S keeps a site module from preloading either
@@ -1456,6 +1502,16 @@ class TestCommandBudget:
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["type"] == "budget" and "(nodes)" in error["message"]
         assert main(argv + ["2165"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+
+    def test_correspondence_suite_node_total_is_pinned(self, capsys):
+        # the suite's searches charge 38,387 nodes in all, whatever order
+        # its stages run in: the command's one budget runs out at 38,386
+        argv = ["verify", "--suite", "correspondence", "--json", "--budget-nodes"]
+        assert main(argv + ["38386"]) == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "budget" and "(nodes)" in error["message"]
+        assert main(argv + ["38387"]) == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
 
     def test_budget_nodes_bounds_the_correspondence_suite(self, capsys):

@@ -282,7 +282,7 @@ class TestWeakEpsNetGreedy:
 
 class TestCorrespondence:
     def test_c5(self):
-        checks = correspondence_checks(Graph.cycle(5), (3,))[3]
+        checks = correspondence_checks([Graph.cycle(5)], (3,))[0][3]
         assert sorted(c.name for c in checks) == [
             "chromatic-equals-transversal",
             "clique-equals-matching",
@@ -295,7 +295,7 @@ class TestCorrespondence:
         assert all(c.status == "pass" for c in checks)
 
     def test_edgeless_has_trivial_helly(self):
-        checks = correspondence_checks(Graph(3), (3,))[3]
+        checks = correspondence_checks([Graph(3)], (3,))[0][3]
         assert all(c.passed for c in checks)
         by_name = {c.name: c for c in checks}
         assert by_name["star-helly-matches-edges"].value == {
@@ -306,17 +306,33 @@ class TestCorrespondence:
     @given(oracles.graphs(max_n=6, min_n=1), st.integers(3, 5))
     @settings(max_examples=30, deadline=None)
     def test_always_passes(self, G, r):
-        assert all(c.passed for c in correspondence_checks(G, (r,))[r])
+        assert all(c.passed for c in correspondence_checks([G], (r,))[0][r])
 
     def test_checks_match_per_r(self):
         # one shared pass over r = 3, 4, 5 gives each r's checks, check for check
         graphs = connected_graphs(5) + seeded_random_graphs(50, 10, 20260301)
         for G in graphs:
-            shared = correspondence_checks(G, (3, 4, 5))
+            shared = correspondence_checks([G], (3, 4, 5))[0]
             assert list(shared) == [3, 4, 5]
             for r, checks in shared.items():
-                want = correspondence_checks(G, (r,))[r]
+                want = correspondence_checks([G], (r,))[0][r]
                 assert [c.to_json() for c in checks] == [c.to_json() for c in want]
+
+    @given(st.lists(oracles.graphs(max_n=8), max_size=12), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_block_boundary_changes_nothing(self, graphs, data):
+        # the checks of a sequence are its parts' checks, each the one its
+        # graph gets alone: where a block ends changes nothing
+        k = data.draw(st.integers(0, len(graphs)))
+        rs = (3, 4, 5)
+
+        def as_json(results):
+            return [[(r, [c.to_json() for c in checks]) for r, checks in by_r.items()] for by_r in results]
+
+        whole = as_json(correspondence_checks(graphs, rs))
+        assert len(whole) == len(graphs)
+        assert whole == as_json(correspondence_checks(graphs[:k], rs)) + as_json(correspondence_checks(graphs[k:], rs))
+        assert whole == [as_json(correspondence_checks([G], rs))[0] for G in graphs]
 
     @pytest.mark.parametrize("rs", [(1,), (3, 0), ()])
     def test_rs_checked_before_any_search(self, rs, monkeypatch):
@@ -327,9 +343,9 @@ class TestCorrespondence:
         )
         if rs:
             with pytest.raises(ValueError, match=f"r = {min(rs)}"):
-                correspondence_checks(Graph.cycle(5), rs)
+                correspondence_checks([Graph.cycle(5)], rs)[0]
         else:
-            assert correspondence_checks(Graph.cycle(5), rs) == {}
+            assert correspondence_checks([Graph.cycle(5)], rs)[0] == {}
         assert calls == []
 
     def test_first_bad_pair(self, monkeypatch):
@@ -345,7 +361,7 @@ class TestCorrespondence:
             return Graph.from_masks(adj)
 
         monkeypatch.setattr(ultrafree.setsystems, "disjointness_graph", broken)
-        by_name = {c.name: c for c in correspondence_checks(Graph.cycle(6), (3,))[3]}
+        by_name = {c.name: c for c in correspondence_checks([Graph.cycle(6)], (3,))[0][3]}
         assert by_name["edges-match-disjoint-stars"].witness == (1, 3)
         assert by_name["disjointness-reconstructs-graph"].status == "fail"
 
@@ -372,7 +388,7 @@ class TestCorrespondence:
         monkeypatch.setattr(ultrafree.setsystems, "matching_number", matching_number)
         graphs = [G for G in connected_graphs(5) if G.n >= 2]
         for G in graphs:
-            by_name = {c.name: c for c in correspondence_checks(G, (3,))[3]}
+            by_name = {c.name: c for c in correspondence_checks([G], (3,))[0][3]}
             assert by_name["edges-match-disjoint-stars"].witness == (None if rebuilt_is_g else (0, 1))
         assert len(calls) == (0 if rebuilt_is_g else len(graphs))
 
@@ -392,7 +408,7 @@ class TestCompositeMeters:
 
         monkeypatch.setattr(SearchBudget, "meter", recording_meter)
         with SearchBudget(max_nodes=60):
-            correspondence_checks(Graph.cycle(7), (3, 4, 5))
+            correspondence_checks([Graph.cycle(7)], (3, 4, 5))[0]
         assert [(op, m.nodes) for op, m in meters] == [
             ("mis_family", 16),
             ("clique_number", 2),
@@ -403,7 +419,7 @@ class TestCompositeMeters:
         ]
         assert sum(m.nodes for _, m in meters) == 60
         with pytest.raises(BudgetExceeded) as exc, SearchBudget(max_nodes=59):
-            correspondence_checks(Graph.cycle(7), (3, 4, 5))
+            correspondence_checks([Graph.cycle(7)], (3, 4, 5))[0]
         assert (exc.value.op, exc.value.nodes) == ("has_pq_property", 60)
 
 
@@ -411,5 +427,5 @@ class TestCliqueFreeFromOmega:
     @given(oracles.graphs(max_n=8), st.sampled_from((3, 4, 5)))
     @settings(max_examples=60, deadline=None)
     def test_kr_free_value(self, G, r):
-        by_name = {c.name: c for c in correspondence_checks(G, (r,))[r]}
+        by_name = {c.name: c for c in correspondence_checks([G], (r,))[0][r]}
         assert by_name["clique-free-matches-pq"].value["kr_free"] == (not oracles.cliques(G, r))

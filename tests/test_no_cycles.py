@@ -38,7 +38,7 @@ SEARCHES = {
     "ultra_parameter": lambda: ultra_parameter(C7, 3),
     "haussler_partition": lambda: haussler_partition(C5, 3, Fraction(1, 5)),
     "nu_bi": lambda: nu_bi(C7),
-    "correspondence_checks": lambda: correspondence_checks(C7, (3, 4, 5)),
+    "correspondence_checks": lambda: correspondence_checks([C7], (3, 4, 5))[0],
 }
 
 
